@@ -11,15 +11,14 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import corpus as corpus_mod
-from .criteria import DecisionTolerance, classify, cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt, thm6_ppt
+from .criteria import (DecisionTolerance, analyze, classify, cor6_ppt, ppt_oracle, thm3_separability,
+                       thm5_ppt, thm6_ppt)
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
 from .laplacian import laplacian_of_density
 from .matrixfile import ParseError, emit, parse
 from .states import DensityMatrix, purity_report, validate
-from .wgraph import export_dot, graph_from_laplacian, is_connected, max_w
+from .wgraph import WeightedGraph, export_dot, graph_from_laplacian, is_connected, max_w
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -166,8 +165,9 @@ def cmd_graph(args) -> int:
     conn = "connected" if is_connected(graph) else "disconnected"
     print(f"vertices {graph.vertex_count} edges {graph.edge_count()} {conn}")
     print(f"total_degree {_fmt(lap.total_degree())}")
-    if graph.edges:
-        print(f"max_w {_fmt(float(max_w(graph)))}")
+    if graph.edge_count():
+        # decisions and printed scalars run in float, as classify's do
+        print(f"max_w {_fmt(max_w(WeightedGraph(graph.weights.astype(float))))}")
     else:
         print("max_w undefined (no edges)")
     return EXIT_OK
@@ -188,24 +188,25 @@ def cmd_sweep(args) -> int:
     if not args.start < args.stop:
         raise CliError(EXIT_USAGE, "--from must be < --to")
     tol = DecisionTolerance(args.eps)
+    start, stop = Fraction(args.start), Fraction(args.stop)
     rows = []
     for k in range(args.steps):
-        value = args.start + k * (args.stop - args.start) / (args.steps - 1)
+        # rational grid: the last point is exactly --to, never a rounding past it
+        value = float(start + k * (stop - start) / (args.steps - 1))
         try:
             rho = corpus_mod.build(args.state, value)
         except ParameterOutOfDomain as exc:
             raise CliError(EXIT_VALIDATION, str(exc)) from None
-        lam_min_rho = float(rho.eigenvalues()[0])
-        oracle_verdict, lam_ptb = ppt_oracle(rho, tol)
-        graph = graph_from_laplacian(laplacian_of_density(rho))
-        half = _fmt(float(max_w(graph)) / 2.0) if graph.edges else ""
+        a = analyze(rho)
+        oracle_verdict, lam_ptb = ppt_oracle(a, tol)
+        half = _fmt(a.max_w / 2.0) if a.max_w is not None else ""
         rows.append([
-            _fmt(value), _fmt(lam_min_rho), _fmt(lam_ptb), half,
+            _fmt(value), _fmt(a.spec_rho[0]), _fmt(lam_ptb), half,
             oracle_verdict,
-            thm3_separability(rho, tol).verdict.value,
-            thm5_ppt(rho, tol).verdict.value,
-            thm6_ppt(rho, tol).verdict.value,
-            cor6_ppt(rho, tol).verdict.value,
+            thm3_separability(a, tol).verdict.value,
+            thm5_ppt(a, tol).verdict.value,
+            thm6_ppt(a, tol).verdict.value,
+            cor6_ppt(a, tol).verdict.value,
         ])
     header = "param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"
     text = header + "\n" + "\n".join(",".join(row) for row in rows) + "\n"
@@ -255,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run the oracle and every criterion")
     _add_state_args(p)
     p.add_argument("--json", action="store_true", help="JSON report (default: text table)")
-    p.add_argument("--text", action="store_true", help="force text output")
     p.add_argument("--eps", type=float, default=1e-9, help="indeterminate band half-width")
     p.set_defaults(func=cmd_classify)
 

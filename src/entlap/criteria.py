@@ -1,5 +1,12 @@
 """Detection criteria, the brute-force PPT oracle, and the report assembler.
 
+`analyze` makes one pass over a state and returns an `Analysis`: L_rho, rho^TB
+and L^TB, the spectra of rho, rho^TB, L, L + rho^TB, L^TB and phi(rho) - I,
+the determinant of phi(rho) - I, and the coherence graph's total degree,
+connectivity and max W.  The oracle and every criterion read that record;
+each also accepts a DensityMatrix and analyses it first.  `classify` analyses
+a state once.  Every decision runs in floating point, also for exact inputs.
+
 Each criterion is tagged internally with its logical strength and only ever
 asserts what that strength licenses:
 
@@ -26,9 +33,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import WrongDimensions
-from .laplacian import laplacian_of_density
+from .laplacian import Laplacian, laplacian_of_density
 from .matops import BipartiteDims, determinant, eigvals_sym, partial_transpose
-from .states import DensityMatrix, is_full_rank, rank, validate
+from .states import RANK_TOL, DensityMatrix, validate
 from .wgraph import graph_from_laplacian, is_connected, max_w
 
 
@@ -96,19 +103,84 @@ def _is_small_dims(dims: BipartiteDims) -> bool:
     return (dims.d1, dims.d2) in _IFF_DIMS
 
 
+# -- one analysis pass -------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Every matrix, spectrum and graph scalar the criteria read, for one state.
+
+    Spectra are ascending.  The coherence graph is read off the float
+    Laplacian, also for exact inputs, so every decision runs in floating point.
+    """
+
+    rho: DensityMatrix
+    lap: np.ndarray  # L_rho
+    ptb: np.ndarray  # rho^TB
+    lap_ptb: np.ndarray  # L^TB
+    spec_rho: np.ndarray
+    spec_ptb: np.ndarray
+    spec_lap: np.ndarray
+    spec_l_plus_ptb: np.ndarray
+    spec_lap_ptb: np.ndarray
+    spec_phi_minus_i: np.ndarray  # phi(rho) - I = L + rho - I
+    det_phi_minus_i: float
+    total_degree: float
+    connected: bool
+    max_w: float | None  # None when the graph has no edges
+
+
+def analyze(rho: DensityMatrix) -> Analysis:
+    """One pass over rho: each derived matrix and spectrum computed once."""
+    lap = laplacian_of_density(rho)
+    ptb = partial_transpose(rho.array, rho.dims)
+    lap_ptb = partial_transpose(lap.array, rho.dims)
+    phi_minus_i = lap.array + rho.array - np.eye(rho.n)
+    graph = graph_from_laplacian(Laplacian(lap.array))
+    return Analysis(
+        rho, lap.array, ptb, lap_ptb,
+        spec_rho=rho.eigenvalues(), spec_ptb=eigvals_sym(ptb), spec_lap=eigvals_sym(lap.array),
+        spec_l_plus_ptb=eigvals_sym(lap.array + ptb), spec_lap_ptb=eigvals_sym(lap_ptb),
+        spec_phi_minus_i=eigvals_sym(phi_minus_i),
+        det_phi_minus_i=float(determinant(phi_minus_i).real),
+        total_degree=lap.total_degree(),
+        connected=is_connected(graph),
+        max_w=max_w(graph) if graph.edge_count() else None,
+    )
+
+
+State = DensityMatrix | Analysis
+
+
+def _analysis(rho: State) -> Analysis:
+    return rho if isinstance(rho, Analysis) else analyze(rho)
+
+
+def _not_full_rank(cid: CriterionId, a: Analysis) -> CriterionResult | None:
+    rank = int(np.sum(a.spec_rho > RANK_TOL))
+    if rank < a.rho.n:
+        return CriterionResult(cid, Verdict.PRECONDITION_FAILED, {"rank": float(rank)},
+                               caveat="state is not full rank")
+
+
+def _disconnected(cid: CriterionId, a: Analysis) -> CriterionResult | None:
+    if not a.connected:
+        return CriterionResult(cid, Verdict.PRECONDITION_FAILED, caveat="coherence graph is not connected")
+
+
 # -- oracle ------------------------------------------------------------
 
 
-def ppt_oracle(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> tuple[str, float]:
+def ppt_oracle(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> tuple[str, float]:
     """Peres ground truth: NPT iff lambda_min(rho^TB) < -eps."""
-    lam = float(eigvals_sym(partial_transpose(rho.array, rho.dims))[0])
+    lam = float(_analysis(rho).spec_ptb[0])
     return ("NPT" if lam < -tol.eps else "PPT"), lam
 
 
 # -- criteria ----------------------------------------------------------
 
 
-def purity_test(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def purity_test(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Determinant / negative-eigenvalue-count purity check on phi(rho) - I.
 
     det > eps or an even negative count reports MIXED; det < -eps with odd
@@ -117,11 +189,10 @@ def purity_test(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()
     package docs); the classifier's oracle cross-check does not cover it since
     purity is orthogonal to the PPT question.
     """
-    op = laplacian_of_density(rho).array + rho.array - np.eye(rho.n)
-    det = determinant(op)
-    det = det.real if isinstance(det, complex) else det
-    neg = int(np.sum(eigvals_sym(op) < -tol.eps))
-    scalars = {"det": float(det), "negative_eigenvalue_count": float(neg)}
+    a = _analysis(rho)
+    det = a.det_phi_minus_i
+    neg = int(np.sum(a.spec_phi_minus_i < -tol.eps))
+    scalars = {"det": det, "negative_eigenvalue_count": float(neg)}
     if det > tol.eps or (abs(det) > tol.eps and neg % 2 == 0):
         return CriterionResult(CriterionId.THM1_PURITY, Verdict.MIXED, scalars)
     if det < -tol.eps and neg % 2 == 1:
@@ -129,22 +200,17 @@ def purity_test(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()
     return CriterionResult(CriterionId.THM1_PURITY, Verdict.INCONCLUSIVE, scalars)
 
 
-def _lambda_min_l_plus_ptb(rho: DensityMatrix) -> float:
-    lap = laplacian_of_density(rho).array
-    ptb = partial_transpose(rho.array, rho.dims)
-    return float(eigvals_sym(lap + ptb)[0])
-
-
-def thm3_separability(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm3_separability(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Sign test on mu = lambda_min(L_rho + rho^TB).
 
     In 2x2 / 2x3 the stated claim is an iff: SEPARABLE when mu >= -eps, else
     ENTANGLED_NPT.  In larger dimensions only mu < -eps certifies anything
     (ENTANGLED_NPT); mu >= 0 is merely consistent with PPT, hence INCONCLUSIVE.
     """
-    mu = _lambda_min_l_plus_ptb(rho)
+    a = _analysis(rho)
+    mu = float(a.spec_l_plus_ptb[0])
     scalars = {"lambda_min_l_plus_ptb": mu}
-    if _is_small_dims(rho.dims):
+    if _is_small_dims(a.rho.dims):
         if mu < -tol.eps:
             return CriterionResult(CriterionId.THM3_SEP_2x2, Verdict.ENTANGLED_NPT, scalars)
         return CriterionResult(CriterionId.THM3_SEP_2x2, Verdict.SEPARABLE, scalars)
@@ -156,15 +222,13 @@ def thm3_separability(rho: DensityMatrix, tol: DecisionTolerance = DecisionToler
                "in these dimensions")
 
 
-def thm5_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm5_ppt(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """PPT if lambda_min(rho) >= lambda_max(L^TB) - lambda_min(L^TB); needs full rank."""
-    if not is_full_rank(rho):
-        return CriterionResult(CriterionId.THM5_PPT, Verdict.PRECONDITION_FAILED,
-                               {"rank": float(rank(rho))}, caveat="state is not full rank")
-    lap_ptb = partial_transpose(laplacian_of_density(rho).array, rho.dims)
-    spec = eigvals_sym(lap_ptb)
-    spread = float(spec[-1] - spec[0])
-    lam_min_rho = float(rho.eigenvalues()[0])
+    a = _analysis(rho)
+    if failed := _not_full_rank(CriterionId.THM5_PPT, a):
+        return failed
+    spread = float(a.spec_lap_ptb[-1] - a.spec_lap_ptb[0])
+    lam_min_rho = float(a.spec_rho[0])
     scalars = {"lambda_min_rho": lam_min_rho, "laplacian_ptb_spread": spread}
     if lam_min_rho >= spread - tol.eps:
         return CriterionResult(CriterionId.THM5_PPT, Verdict.PPT, scalars)
@@ -172,46 +236,46 @@ def thm5_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -
                            caveat="violation may or may not indicate a negative partial transpose")
 
 
-def thm6_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm6_ppt(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """PPT if lambda_min(rho) >= lambda_max(L_rho); needs full rank.
 
-    No partial transposition is computed.
+    Reads no partial transpose.
     """
-    if not is_full_rank(rho):
-        return CriterionResult(CriterionId.THM6_PPT, Verdict.PRECONDITION_FAILED,
-                               {"rank": float(rank(rho))}, caveat="state is not full rank")
-    lam_max_lap = float(eigvals_sym(laplacian_of_density(rho).array)[-1])
-    lam_min_rho = float(rho.eigenvalues()[0])
+    a = _analysis(rho)
+    if failed := _not_full_rank(CriterionId.THM6_PPT, a):
+        return failed
+    lam_max_lap = float(a.spec_lap[-1])
+    lam_min_rho = float(a.spec_rho[0])
     scalars = {"lambda_min_rho": lam_min_rho, "lambda_max_laplacian": lam_max_lap}
     if lam_min_rho >= lam_max_lap - tol.eps:
         return CriterionResult(CriterionId.THM6_PPT, Verdict.PPT, scalars)
     return CriterionResult(CriterionId.THM6_PPT, Verdict.INCONCLUSIVE, scalars)
 
 
-def thm3a_bounds(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm3a_bounds(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Two-sided 2x2 test: SEPARABLE iff -eps <= mu <= 1 + d_G + eps."""
-    if (rho.dims.d1, rho.dims.d2) != (2, 2):
-        raise WrongDimensions(f"criterion defined for 2x2 only, got {rho.dims.d1}x{rho.dims.d2}")
-    mu = _lambda_min_l_plus_ptb(rho)
-    d_g = laplacian_of_density(rho).total_degree()
-    scalars = {"lambda_min_l_plus_ptb": mu, "total_degree": d_g}
-    if -tol.eps <= mu <= 1.0 + d_g + tol.eps:
+    a = _analysis(rho)
+    dims = a.rho.dims
+    if (dims.d1, dims.d2) != (2, 2):
+        raise WrongDimensions(f"criterion defined for 2x2 only, got {dims.d1}x{dims.d2}")
+    mu = float(a.spec_l_plus_ptb[0])
+    scalars = {"lambda_min_l_plus_ptb": mu, "total_degree": a.total_degree}
+    if -tol.eps <= mu <= 1.0 + a.total_degree + tol.eps:
         return CriterionResult(CriterionId.THM3A_BOUNDS, Verdict.SEPARABLE, scalars)
     return CriterionResult(CriterionId.THM3A_BOUNDS, Verdict.ENTANGLED_NPT, scalars)
 
 
-def thm3b_check(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm3b_check(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Necessary NPT bound lambda_min(L + rho^TB) <= max W / 2 on connected graphs.
 
     Certifies nothing by itself (INCONCLUSIVE); the contrapositive is reported
     in the caveat when the inequality fails.
     """
-    graph = graph_from_laplacian(laplacian_of_density(rho))
-    if not is_connected(graph):
-        return CriterionResult(CriterionId.THM3B_NPTES_BOUND, Verdict.PRECONDITION_FAILED,
-                               caveat="coherence graph is not connected")
-    mu = _lambda_min_l_plus_ptb(rho)
-    half = float(max_w(graph)) / 2.0
+    a = _analysis(rho)
+    if failed := _disconnected(CriterionId.THM3B_NPTES_BOUND, a):
+        return failed
+    mu = float(a.spec_l_plus_ptb[0])
+    half = a.max_w / 2.0
     scalars = {"lambda_min_l_plus_ptb": mu, "half_max_w": half}
     if mu > half + tol.eps:
         caveat = ("bound violated on a connected graph: by contraposition the state "
@@ -221,36 +285,34 @@ def thm3b_check(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()
     return CriterionResult(CriterionId.THM3B_NPTES_BOUND, Verdict.INCONCLUSIVE, scalars, caveat)
 
 
-def thm4a_check(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm4a_check(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Necessary PPT bound lambda_min(L + rho^TB) <= 1 + d_G.
 
     Violation would certify ENTANGLED_NPT by contraposition (it never fires in
     practice: the trace bound makes the inequality nearly vacuous).
     """
-    mu = _lambda_min_l_plus_ptb(rho)
-    d_g = laplacian_of_density(rho).total_degree()
-    scalars = {"one_plus_total_degree": 1.0 + d_g, "lambda_min_l_plus_ptb": mu}
-    if mu > 1.0 + d_g + tol.eps:
+    a = _analysis(rho)
+    mu = float(a.spec_l_plus_ptb[0])
+    scalars = {"one_plus_total_degree": 1.0 + a.total_degree, "lambda_min_l_plus_ptb": mu}
+    if mu > 1.0 + a.total_degree + tol.eps:
         return CriterionResult(CriterionId.THM4A_BOUND, Verdict.ENTANGLED_NPT, scalars)
     return CriterionResult(CriterionId.THM4A_BOUND, Verdict.INCONCLUSIVE, scalars)
 
 
-def cor4a_nptes(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def cor4a_nptes(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Stated NPT test: 1 + d_G < (n-1) * (max W / 2 + lambda_max(rho^TB)).
 
     Emitted exactly as stated, always with the direction caveat; when the
     inequality fails, the derivation-consistent contrapositive (consistent
     with PPT) is noted instead.
     """
-    graph = graph_from_laplacian(laplacian_of_density(rho))
-    if not is_connected(graph):
-        return CriterionResult(CriterionId.COR4A_NPTES, Verdict.PRECONDITION_FAILED,
-                               caveat="coherence graph is not connected")
-    d_g = laplacian_of_density(rho).total_degree()
-    half = float(max_w(graph)) / 2.0
-    lam_max_ptb = float(eigvals_sym(partial_transpose(rho.array, rho.dims))[-1])
-    lhs = 1.0 + d_g
-    rhs = (rho.n - 1) * (half + lam_max_ptb)
+    a = _analysis(rho)
+    if failed := _disconnected(CriterionId.COR4A_NPTES, a):
+        return failed
+    half = a.max_w / 2.0
+    lam_max_ptb = float(a.spec_ptb[-1])
+    lhs = 1.0 + a.total_degree
+    rhs = (a.rho.n - 1) * (half + lam_max_ptb)
     scalars = {"one_plus_total_degree": lhs, "rhs": rhs,
                "half_max_w": half, "lambda_max_ptb": lam_max_ptb}
     if lhs < rhs - tol.eps:
@@ -262,23 +324,19 @@ def cor4a_nptes(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()
                                   "chain is consistent with PPT")
 
 
-def cor6_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def cor6_ppt(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """PPT if lambda_min(rho) > max W / 2; full rank and connected graph required.
 
     In 2x2 / 2x3 a PPT verdict upgrades to SEPARABLE.
     """
-    if not is_full_rank(rho):
-        return CriterionResult(CriterionId.COR6_PPT, Verdict.PRECONDITION_FAILED,
-                               {"rank": float(rank(rho))}, caveat="state is not full rank")
-    graph = graph_from_laplacian(laplacian_of_density(rho))
-    if not is_connected(graph):
-        return CriterionResult(CriterionId.COR6_PPT, Verdict.PRECONDITION_FAILED,
-                               caveat="coherence graph is not connected")
-    half = float(max_w(graph)) / 2.0
-    lam_min_rho = float(rho.eigenvalues()[0])
+    a = _analysis(rho)
+    if failed := _not_full_rank(CriterionId.COR6_PPT, a) or _disconnected(CriterionId.COR6_PPT, a):
+        return failed
+    half = a.max_w / 2.0
+    lam_min_rho = float(a.spec_rho[0])
     scalars = {"lambda_min_rho": lam_min_rho, "half_max_w": half}
     if lam_min_rho > half + tol.eps:
-        verdict = Verdict.SEPARABLE if _is_small_dims(rho.dims) else Verdict.PPT
+        verdict = Verdict.SEPARABLE if _is_small_dims(a.rho.dims) else Verdict.PPT
         return CriterionResult(CriterionId.COR6_PPT, verdict, scalars)
     return CriterionResult(CriterionId.COR6_PPT, Verdict.INCONCLUSIVE, scalars)
 
@@ -291,36 +349,23 @@ _CONTRADICTS_PPT = {Verdict.ENTANGLED_NPT}
 
 def classify(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance(),
              state_id: str = "state") -> ClassificationReport:
-    """Run the oracle plus every applicable criterion and flag contradictions."""
-    oracle_verdict, oracle_lam = ppt_oracle(rho, tol)
-    results: list[CriterionResult] = [
-        purity_test(rho, tol),
-        thm3_separability(rho, tol),
-        thm5_ppt(rho, tol),
-        thm6_ppt(rho, tol),
-    ]
+    """Run the oracle plus every applicable criterion on one analysis and flag contradictions."""
+    a = analyze(rho)
+    oracle_verdict, oracle_lam = ppt_oracle(a, tol)
+    checks = [purity_test, thm3_separability, thm5_ppt, thm6_ppt, thm3b_check, thm4a_check,
+              cor4a_nptes, cor6_ppt]
     if (rho.dims.d1, rho.dims.d2) == (2, 2):
-        results.append(thm3a_bounds(rho, tol))
-    results.append(thm3b_check(rho, tol))
-    results.append(thm4a_check(rho, tol))
-    results.append(cor4a_nptes(rho, tol))
-    results.append(cor6_ppt(rho, tol))
-
+        checks.append(thm3a_bounds)
     order = {cid: k for k, cid in enumerate(CriterionId)}
-    results.sort(key=lambda r: order[r.criterion_id])
-
-    flags = []
+    results = sorted((check(a, tol) for check in checks), key=lambda r: order[r.criterion_id])
     contra = _CONTRADICTS_PPT if oracle_verdict == "PPT" else _CONTRADICTS_NPT
-    for res in results:
-        if res.verdict in contra:
-            flags.append(res.criterion_id)
     return ClassificationReport(
         state_id=state_id,
         dims=rho.dims,
         oracle_verdict=oracle_verdict,
         oracle_lambda_min_ptb=oracle_lam,
         results=tuple(results),
-        consistency_flags=tuple(flags),
+        consistency_flags=tuple(r.criterion_id for r in results if r.verdict in contra),
     )
 
 

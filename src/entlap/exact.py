@@ -237,6 +237,3 @@ class Exact:
         )
         return f"Exact({parts})"
 
-
-ZERO = Exact()
-ONE = Exact.of(1)

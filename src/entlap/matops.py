@@ -166,41 +166,6 @@ def partial_transpose(m, dims: BipartiteDims):
     return out
 
 
-def trace(m):
-    a = as_matrix(m)
-    t = complex(np.trace(a))
-    return t.real if abs(t.imag) == 0 or not np.iscomplexobj(a) else t
-
-
-def identity(n: int) -> np.ndarray:
-    if n < 1:
-        raise DimensionMismatch(f"order must be positive, got {n}")
-    return np.eye(n)
-
-
-def _binary_op(m1, m2, op):
-    a, b = as_matrix(m1), as_matrix(m2)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"order conflict: {a.shape} vs {b.shape}")
-    return op(a, b)
-
-
-def add(m1, m2):
-    return _binary_op(m1, m2, np.add)
-
-
-def sub(m1, m2):
-    return _binary_op(m1, m2, np.subtract)
-
-
-def mul(m1, m2):
-    return _binary_op(m1, m2, np.matmul)
-
-
-def scale(c, m):
-    return c * as_matrix(m)
-
-
 def wolkowicz_bounds(m, herm_tol: float = HERM_TOL) -> tuple[float, float]:
     """Bracket for the minimum eigenvalue of a Hermitian matrix:
 

@@ -1,8 +1,11 @@
 """Simple weighted graphs read off Laplacians, and the edge functional W[i,j].
 
+A graph is its dense symmetric weight matrix with a zero diagonal.  Entries are
+floats, or Exact scalars when the source Laplacian carries an exact companion,
+so DOT labels and W values stay exact for exact inputs.  W has one closed form,
+evaluated over an edge list for either entry type (see `_w_values`).
+
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
-Edge weights are carried as Exact scalars so the W arithmetic and the DOT
-labels stay exact whenever the source matrix was exact.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from .exact import Exact
 from .errors import NoEdges, NotAnEdge, VertexOutOfRange
@@ -36,141 +41,122 @@ class WConvention(str, Enum):
 DEFAULT_EDGE_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Simple weighted graph: no loops, no duplicate edges, positive weights."""
+    """Simple weighted graph: symmetric non-negative weights, zero diagonal.
 
-    vertex_count: int
-    edges: tuple[tuple[int, int, Exact], ...]  # i < j, weight > 0
-    exact_weights: bool = False
+    `weights` is a float array, or an object array of Exact scalars.
+    """
 
-    def neighbors(self) -> dict[int, dict[int, Exact]]:
-        adj: dict[int, dict[int, Exact]] = {i: {} for i in range(self.vertex_count)}
-        for i, j, w in self.edges:
-            adj[i][j] = w
-            adj[j][i] = w
-        return adj
+    weights: np.ndarray
 
-    def _neighbors_numeric(self):
-        """Adjacency with Exact weights for exact graphs, floats otherwise
-        (the float path keeps the big property ensembles cheap)."""
-        adj: dict[int, dict] = {i: {} for i in range(self.vertex_count)}
-        for i, j, w in self.edges:
-            val = w if self.exact_weights else float(w)
-            adj[i][j] = val
-            adj[j][i] = val
-        return adj
+    @property
+    def vertex_count(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def exact_weights(self) -> bool:
+        return self.weights.dtype == object
+
+    def _edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (i, j), i < j, of every edge in row-major order."""
+        return np.nonzero(np.triu(self.weights.astype(bool), 1))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, Exact | float], ...]:
+        """(i, j, w) for every edge, i < j, in row-major order."""
+        return tuple((int(i), int(j), self.weights[i, j]) for i, j in zip(*self._edge_index()))
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edge_index()[0])
 
 
 def graph_from_laplacian(lap: Laplacian, edge_threshold: float = DEFAULT_EDGE_THRESHOLD) -> WeightedGraph:
-    """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above the threshold."""
+    """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above the threshold.
+
+    Reads the upper triangle, in Exact arithmetic when the Laplacian is exact.
+    """
     n = lap.n
-    edges = []
-    exact = lap.exact
-    thr = Fraction(edge_threshold)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if exact is not None:
-                w = -exact[i][j]
-                if abs(w) > Exact.of(thr):
-                    edges.append((i, j, w))
-            else:
-                w = -float(lap.array[i, j])
-                if abs(w) > edge_threshold:
-                    edges.append((i, j, Exact.of(Fraction(w))))
-    return WeightedGraph(vertex_count=n, edges=tuple(edges), exact_weights=exact is not None)
+    if lap.exact is None:
+        w = np.triu(-lap.array, 1)
+        w[np.abs(w) <= edge_threshold] = 0.0
+        w = w + w.T
+    else:
+        thr = Exact.of(Fraction(edge_threshold))
+        w = np.full((n, n), Exact(), dtype=object)
+        for i in range(n):
+            for j in range(i + 1, n):
+                value = -lap.exact[i][j]
+                if abs(value) > thr:
+                    w[i, j] = w[j, i] = value
+    w.flags.writeable = False
+    return WeightedGraph(w)
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff all vertices lie in one component (breadth-first traversal)."""
-    if g.vertex_count <= 1:
-        return True
-    adj = g.neighbors()
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.vertex_count
+    """True iff all vertices lie in one component (breadth-first, level by level)."""
+    adj = g.weights.astype(bool)
+    seen = frontier = np.arange(g.vertex_count) == 0
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
 
 
-def vertex_weight(g: WeightedGraph, i: int) -> Exact:
+def _check_vertex(g: WeightedGraph, v: int) -> None:
+    if not 0 <= v < g.vertex_count:
+        raise VertexOutOfRange(f"vertex {v} outside [0, {g.vertex_count})")
+
+
+def vertex_weight(g: WeightedGraph, i: int) -> Exact | float:
     """Sum of incident edge weights (the Laplacian diagonal entry)."""
-    if not 0 <= i < g.vertex_count:
-        raise VertexOutOfRange(f"vertex {i} outside [0, {g.vertex_count})")
-    total = Exact()
-    for a, b, w in g.edges:
-        if a == i or b == i:
-            total = total + w
+    _check_vertex(g, i)
+    return g.weights[i].sum()
+
+
+def _w_values(w: np.ndarray, i: np.ndarray, j: np.ndarray, convention: WConvention) -> np.ndarray:
+    """W over the edges (i[e], j[e]), by the closed form
+
+        W[i,j] = d_i + d_j + sum_k |w_ik - w_jk| - 2 w_ij   (EXCLUDED)
+
+    with k over all vertices and d the weighted degrees; INCLUSIVE drops the
+    -2 w_ij term.  The k = i and k = j terms of the sum are w_ij each, and
+    every other k contributes w_ik, w_jk or |w_ik - w_jk| as it neighbours i,
+    j or both, which is the neighbour-set definition in `edge_w`.
+    Only rows i and j are read, so one edge costs O(n) in either entry type.
+    """
+    wi, wj = w[i], w[j]
+    total = wi.sum(axis=1) + wj.sum(axis=1) + np.abs(wi - wj).sum(axis=1)
+    if convention == WConvention.EXCLUDED:
+        total = total - 2 * w[i, j]
     return total
-
-
-def _edge_value(adj, n: int, i: int, j: int, convention: WConvention):
-    """W[i,j] over a prebuilt adjacency (weights all Exact or all float)."""
-    nbrs_i, nbrs_j = adj[i], adj[j]
-    total = sum(nbrs_i.values()) + sum(nbrs_j.values())
-    if convention == WConvention.INCLUSIVE:
-        total = total + nbrs_i[j] + nbrs_j[i]
-    for k in range(n):
-        if k == i or k == j:
-            continue
-        ki, kj = k in nbrs_i, k in nbrs_j
-        if ki and not kj:
-            total = total + nbrs_i[k]
-        elif kj and not ki:
-            total = total + nbrs_j[k]
-        elif ki and kj:
-            total = total + abs(nbrs_i[k] - nbrs_j[k])
-    return total
-
-
-def _as_exact(value) -> Exact:
-    return value if isinstance(value, Exact) else Exact.of(Fraction(value))
 
 
 def edge_w(g: WeightedGraph, i: int, j: int,
-           convention: WConvention = WConvention.EXCLUDED) -> Exact:
+           convention: WConvention = WConvention.EXCLUDED) -> Exact | float:
     """The edge functional
 
         W[i,j] = w_i + w_j + sum_{k~i, k!~j} w_ik + sum_{k~j, k!~i} w_jk
                  + sum_{k~i, k~j} |w_ik - w_jk|
 
-    over an existing edge (i,j); see WConvention for the k range.
+    over an existing edge (i,j); see WConvention for the k range.  Exact on
+    exact graphs, float otherwise.
     """
     for v in (i, j):
-        if not 0 <= v < g.vertex_count:
-            raise VertexOutOfRange(f"vertex {v} outside [0, {g.vertex_count})")
-    adj = g._neighbors_numeric()
-    if j not in adj[i]:
+        _check_vertex(g, v)
+    if i == j or not g.weights[i, j]:
         raise NotAnEdge(f"({i}, {j}) is not an edge")
-    return _as_exact(_edge_value(adj, g.vertex_count, i, j, convention))
+    value = _w_values(g.weights, np.array([i]), np.array([j]), convention)[0]
+    return value if g.exact_weights else float(value)
 
 
-def max_w(g: WeightedGraph, convention: WConvention = WConvention.EXCLUDED) -> Exact:
+def max_w(g: WeightedGraph, convention: WConvention = WConvention.EXCLUDED) -> Exact | float:
     """Maximum of edge_w over all edges."""
-    if not g.edges:
+    i, j = g._edge_index()
+    if not len(i):
         raise NoEdges("graph has no edges")
-    adj = g._neighbors_numeric()
-    best = None
-    for i, j, _ in g.edges:
-        val = _edge_value(adj, g.vertex_count, i, j, convention)
-        if best is None or val > best:
-            best = val
-    return _as_exact(best)
-
-
-def _weight_label(w: Exact, exact_weights: bool) -> str:
-    if exact_weights:
-        lit = w.format_literal()
-        if lit is not None:
-            return lit
-    return f"{float(w):.12g}"
+    best = _w_values(g.weights, i, j, convention).max()
+    return best if g.exact_weights else float(best)
 
 
 def export_dot(g: WeightedGraph) -> str:
@@ -179,7 +165,10 @@ def export_dot(g: WeightedGraph) -> str:
     lines = ["graph G {"]
     for i in range(g.vertex_count):
         lines.append(f"  {i + 1};")
-    for i, j, w in sorted(g.edges):
-        lines.append(f'  {i + 1} -- {j + 1} [label="{_weight_label(w, g.exact_weights)}"];')
+    for i, j, w in g.edges:
+        label = w.format_literal() if g.exact_weights else None
+        if label is None:
+            label = f"{float(w):.12g}"
+        lines.append(f'  {i + 1} -- {j + 1} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -186,6 +186,17 @@ class TestSweep:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    def test_grid_ends_exactly_at_upper_bound(self, capsys, tmp_path):
+        # a float grid start + k*(stop-start)/(steps-1) ends at 0.28300000000000003
+        # here, just outside rho_ab's domain
+        csv_path = tmp_path / "ab.csv"
+        code, _, _ = run(capsys, "sweep", "--state", "rho_ab", "--param-name", "x",
+                         "--from", "0", "--to", "0.283", "--steps", "58", "--csv", str(csv_path))
+        assert code == 0
+        lines = csv_path.read_text().splitlines()[1:]
+        assert len(lines) == 58
+        assert lines[-1].split(",")[0] == "0.283"
+
     def test_usage_errors(self, capsys):
         code, _, _ = run(capsys, "sweep", "--state", "psi", "--param-name", "x",
                          "--from", "0", "--to", "1", "--steps", "5")

@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from entlap.corpus import build
+import entlap.criteria
+from entlap.corpus import build, list_entries
 from entlap.criteria import (
     CriterionId,
     DecisionTolerance,
@@ -26,9 +29,42 @@ from entlap.errors import WrongDimensions
 from entlap.matops import BipartiteDims
 from entlap.states import validate
 
+from _oracles import bf_edges, bf_laplacian, bf_max_w, bf_partial_transpose
+
 
 def _dm(arr, d1, d2):
     return validate(np.asarray(arr, dtype=float), BipartiteDims(d1, d2))
+
+
+def _standalone_results(rho):
+    """Every criterion classify runs on rho, each called on its own."""
+    results = [purity_test(rho), thm3_separability(rho), thm5_ppt(rho), thm6_ppt(rho),
+               thm3b_check(rho), thm4a_check(rho), cor4a_nptes(rho), cor6_ppt(rho)]
+    if (rho.dims.d1, rho.dims.d2) == (2, 2):
+        results.append(thm3a_bounds(rho))
+    return {r.criterion_id: r for r in results}
+
+
+def _corpus_states():
+    """Every corpus state, parameterised ones at both ends and the middle of their domain."""
+    states = []
+    for entry in list_entries():
+        if entry.parameter_domain is None:
+            states.append(build(entry.name))
+        else:
+            lo, hi = entry.parameter_domain
+            states += [build(entry.name, p) for p in (lo, (lo + hi) / 2, hi)]
+    return states
+
+
+def _seeded_ensemble():
+    rng = make_rng(17)
+    states = []
+    for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3), BipartiteDims(2, 4)):
+        for _ in range(10):
+            states += [random_density(rng, dims), random_pure_density(rng, dims),
+                       random_mixture_density(rng, dims)]
+    return states
 
 
 def _lifting_counterexample(p=0.2):
@@ -298,6 +334,70 @@ class TestClassify:
                     assert verdict in (Verdict.SEPARABLE, Verdict.PPT)
                 else:
                     assert verdict == Verdict.ENTANGLED_NPT
+
+
+class TestSharedAnalysis:
+    """classify reads one analysis record; each criterion must read the right field of it."""
+
+    @pytest.mark.parametrize("states", [_corpus_states, _seeded_ensemble], ids=["corpus", "seeded"])
+    def test_report_equals_standalone_calls(self, states):
+        for rho in states():
+            report = classify(rho)
+            assert (report.oracle_verdict, report.oracle_lambda_min_ptb) == ppt_oracle(rho)
+            assert {r.criterion_id: r for r in report.results} == _standalone_results(rho)
+
+    @pytest.mark.parametrize("states", [_corpus_states, _seeded_ensemble], ids=["corpus", "seeded"])
+    def test_scalars_match_bruteforce(self, states):
+        # an independent route to every scalar a report carries, so a criterion
+        # reading the wrong field of the shared record fails here
+        for rho in states():
+            m, n = rho.array, rho.n
+            lap = bf_laplacian(m)
+            ptb = bf_partial_transpose(m, rho.dims.d1, rho.dims.d2)
+            spec_ptb = np.linalg.eigvalsh(ptb)
+            spec_lap_ptb = np.linalg.eigvalsh(bf_partial_transpose(lap, rho.dims.d1, rho.dims.d2))
+            phi_minus_i = lap + m - np.eye(n)
+            edges = bf_edges(lap)
+            half = bf_max_w(n, edges, inclusive=False) / 2 if edges else None
+            expected = {
+                "lambda_min_l_plus_ptb": np.linalg.eigvalsh(lap + ptb)[0],
+                "lambda_min_rho": np.linalg.eigvalsh(m)[0],
+                "lambda_max_laplacian": np.linalg.eigvalsh(lap)[-1],
+                "laplacian_ptb_spread": spec_lap_ptb[-1] - spec_lap_ptb[0],
+                "lambda_max_ptb": spec_ptb[-1],
+                "total_degree": np.trace(lap),
+                "one_plus_total_degree": 1 + np.trace(lap),
+                "half_max_w": half,
+                "rhs": (n - 1) * (half + spec_ptb[-1]) if edges else None,
+                "det": np.linalg.det(phi_minus_i).real,
+                "negative_eigenvalue_count": np.sum(np.linalg.eigvalsh(phi_minus_i) < -1e-9),
+                "rank": np.sum(np.linalg.eigvalsh(m) > 1e-9),
+            }
+            report = classify(rho)
+            assert report.oracle_lambda_min_ptb == pytest.approx(spec_ptb[0], abs=1e-12)
+            for r in report.results:
+                for name, value in r.scalars.items():
+                    assert value == pytest.approx(expected[name], abs=1e-12), (r.criterion_id, name)
+
+    def test_one_pass_per_classify(self, monkeypatch, rho2):
+        calls = Counter()
+        for name in ("laplacian_of_density", "partial_transpose", "graph_from_laplacian",
+                     "is_connected", "max_w"):
+            original = getattr(entlap.criteria, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(entlap.criteria, name, counting)
+        rng = make_rng(23)
+        states = [rho2, _lifting_counterexample(0.2)] + [
+            random_mixture_density(rng, dims) for dims in (BipartiteDims(2, 2), BipartiteDims(3, 3))]
+        for rho in states:
+            calls.clear()
+            classify(rho)
+            assert calls == {"laplacian_of_density": 1, "partial_transpose": 2,
+                             "graph_from_laplacian": 1, "is_connected": 1, "max_w": 1}
 
 
 class TestGenerators:

@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 
 from entlap.errors import DimensionMismatch, NotHermitian
-from entlap.matops import (
-    BipartiteDims,
-    add,
-    determinant,
-    eig_sym,
-    identity,
-    mul,
-    partial_transpose,
-    scale,
-    sub,
-    trace,
-    wolkowicz_bounds,
-)
+from entlap.matops import BipartiteDims, determinant, eig_sym, partial_transpose, wolkowicz_bounds
 
 from _oracles import bf_partial_transpose, random_hermitian, random_psd
 
@@ -115,27 +103,6 @@ class TestPartialTranspose:
         assert pt[1][2] == rows[0][3]
         back = partial_transpose(pt, BipartiteDims(2, 2))
         assert back == [list(r) for r in rows] or back == rows
-
-
-class TestArithmetic:
-    def test_trace_identity(self):
-        assert trace(identity(4)) == pytest.approx(4.0)
-
-    def test_mul_identity(self, rng):
-        m = rng.standard_normal((5, 5))
-        np.testing.assert_allclose(mul(identity(5), m), m)
-
-    def test_add_sub_scale(self, rng):
-        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        np.testing.assert_allclose(add(a, b) - b, a)
-        np.testing.assert_allclose(sub(a, b) + b, a)
-        np.testing.assert_allclose(scale(2.0, a), 2 * a)
-
-    def test_order_conflicts(self):
-        with pytest.raises(DimensionMismatch):
-            add(np.eye(2), np.eye(3))
-        with pytest.raises(DimensionMismatch):
-            mul(np.eye(2), np.eye(3))
 
 
 class TestWolkowiczBounds:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -78,7 +79,7 @@ class TestConnectivity:
     def test_single_vertex(self):
         from entlap.wgraph import WeightedGraph
 
-        assert is_connected(WeightedGraph(vertex_count=1, edges=()))
+        assert is_connected(WeightedGraph(np.zeros((1, 1))))
 
     def test_matches_bruteforce(self, rng):
         for _ in range(300):
@@ -193,6 +194,47 @@ class TestMaxW:
                 bf_max_w(4, edges, True), abs=1e-12)
 
 
+def _sparse_density(rng, d1, d2, keep, split):
+    """A random state with each coherence kept with probability `keep`; with
+    `split`, none between the first and second half of the vertices.  A
+    diagonal shift keeps it positive semidefinite."""
+    n = d1 * d2
+    m = random_psd(rng, n)
+    mask = np.triu(rng.random((n, n)) < keep, 1)
+    if split:
+        mask[: n // 2, n // 2:] = False
+    mask = mask | mask.T | np.eye(n, dtype=bool)
+    m = np.where(mask, m, 0) + np.abs(m).sum() * np.eye(n)
+    return validate(m / np.trace(m).real, BipartiteDims(d1, d2))
+
+
+class TestClosedFormW:
+    """The dense closed form for W against the neighbour-set brute force."""
+
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 4), (3, 3)])
+    def test_matches_bruteforce(self, rng, d1, d2):
+        n = d1 * d2
+        seen = Counter()
+        for trial in range(90):
+            kind = ("dense", "sparse", "disconnected")[trial % 3]
+            if kind == "dense":
+                rho = _random_density(rng, d1, d2)
+            else:
+                rho = _sparse_density(rng, d1, d2, keep=0.35, split=kind == "disconnected")
+            g = _graph_of(rho)
+            edges = bf_edges(laplacian_of_density(rho).array)
+            assert {(i, j) for i, j, _ in g.edges} == set(edges)
+            seen["sparse"] += len(edges) <= n * (n - 1) / 4
+            seen["disconnected"] += not bf_connected(n, edges)
+            for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
+                for i, j in edges:
+                    assert edge_w(g, i, j, convention) == pytest.approx(
+                        bf_edge_w(n, edges, i, j, inclusive), abs=1e-12)
+                if edges:
+                    assert max_w(g, convention) == pytest.approx(bf_max_w(n, edges, inclusive), abs=1e-12)
+        assert seen["sparse"] >= 20 and seen["disconnected"] >= 30
+
+
 class TestSpectralBound:
     def test_holds_with_inclusive_convention_on_random_states(self, rng):
         violations = 0
@@ -242,7 +284,7 @@ class TestExportDot:
     def test_edgeless_two_vertices(self):
         from entlap.wgraph import WeightedGraph
 
-        dot = export_dot(WeightedGraph(vertex_count=2, edges=()))
+        dot = export_dot(WeightedGraph(np.zeros((2, 2))))
         assert dot == "graph G {\n  1;\n  2;\n}\n"
 
     def test_rho5_labels(self, rho5):
