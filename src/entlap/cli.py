@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: validate, classify, laplacian, graph, sweep, corpus.
-Exit codes: 0 success, 1 parse error, 2 validation error, 3 usage error.
+Exit codes: 0 success, 1 parse error, 2 validation error, 3 usage error (a bad
+option value, or a path that cannot be read or written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -48,7 +50,44 @@ def _round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _load_state(args, tol: float = 1e-9) -> tuple[DensityMatrix, str]:
+def finite_float(text: str) -> float:
+    """argparse type: a finite float, so no option value reaches the library as inf or nan."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    value = finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+def _read(path: str) -> str:
+    """Text of a UTF-8 file; a file that cannot be opened or decoded is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from None
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write `text` to `path`, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, str(exc)) from None
+
+
+def _load_state(args) -> tuple[DensityMatrix, str]:
     if getattr(args, "state", None):
         try:
             rho = corpus_mod.build(args.state, args.param)
@@ -59,37 +98,19 @@ def _load_state(args, tol: float = 1e-9) -> tuple[DensityMatrix, str]:
         label = args.state if args.param is None else f"{args.state}({args.param})"
         return rho, label
     if getattr(args, "file", None):
-        try:
-            text = open(args.file, encoding="utf-8").read()
-        except OSError as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from None
-        try:
-            parsed = parse(text)
-        except ParseError as exc:
-            raise CliError(EXIT_PARSE, str(exc)) from None
-        try:
-            rho = validate(parsed.array, parsed.dims, tol=tol, exact=parsed.exact)
-        except StateValidationError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc)) from None
-        return rho, args.file
+        parsed = parse(_read(args.file))
+        return validate(parsed.array, parsed.dims, exact=parsed.exact), args.file
     raise CliError(EXIT_USAGE, "provide a matrix file or --state NAME")
 
 
 def _add_state_args(p: argparse.ArgumentParser, file_optional: bool = True):
     p.add_argument("file", nargs="?" if file_optional else None, help="matrix file")
     p.add_argument("--state", help="corpus state name")
-    p.add_argument("--param", type=float, help="corpus state parameter")
+    p.add_argument("--param", type=finite_float, help="corpus state parameter")
 
 
 def cmd_validate(args) -> int:
-    try:
-        text = open(args.file, encoding="utf-8").read()
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
-    try:
-        parsed = parse(text)
-    except ParseError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from None
+    parsed = parse(_read(args.file))
     try:
         rho = validate(parsed.array, parsed.dims, tol=args.tol, exact=parsed.exact)
     except StateValidationError as exc:
@@ -145,11 +166,8 @@ def cmd_classify(args) -> int:
 def cmd_laplacian(args) -> int:
     rho, label = _load_state(args)
     lap = laplacian_of_density(rho)
-    text = emit(lap.array, rho.dims, exact=lap.exact, header_comment=f"laplacian of {label}")
-    if args.out:
-        open(args.out, "w", encoding="utf-8").write(text)
-    else:
-        sys.stdout.write(text)
+    entries = lap.array if lap.exact is None else lap.exact
+    _write(args.out, emit(entries, rho.dims, header_comment=f"laplacian of {label}"))
     return EXIT_OK
 
 
@@ -157,11 +175,7 @@ def cmd_graph(args) -> int:
     rho, label = _load_state(args)
     lap = laplacian_of_density(rho)
     graph = graph_from_laplacian(lap, edge_threshold=args.edge_threshold)
-    dot = export_dot(graph)
-    if args.dot:
-        open(args.dot, "w", encoding="utf-8").write(dot)
-    else:
-        sys.stdout.write(dot)
+    _write(args.dot, export_dot(graph))
     conn = "connected" if is_connected(graph) else "disconnected"
     print(f"vertices {graph.vertex_count} edges {graph.edge_count()} {conn}")
     print(f"total_degree {_fmt(lap.total_degree())}")
@@ -209,11 +223,7 @@ def cmd_sweep(args) -> int:
             cor6_ppt(a, tol).verdict.value,
         ])
     header = "param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"
-    text = header + "\n" + "\n".join(",".join(row) for row in rows) + "\n"
-    if args.csv:
-        open(args.csv, "w", encoding="utf-8").write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.csv, header + "\n" + "\n".join(",".join(row) for row in rows) + "\n")
     return EXIT_OK
 
 
@@ -235,11 +245,7 @@ def cmd_corpus(args) -> int:
         raise CliError(EXIT_USAGE, str(exc)) from None
     except ParameterOutOfDomain as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from None
-    text = emit(rho, header_comment=f"corpus state {args.name}")
-    if args.out:
-        open(args.out, "w", encoding="utf-8").write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, emit(rho, header_comment=f"corpus state {args.name}"))
     return EXIT_OK
 
 
@@ -250,13 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a matrix file as a density matrix")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=finite_float, default=1e-9)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="run the oracle and every criterion")
     _add_state_args(p)
     p.add_argument("--json", action="store_true", help="JSON report (default: text table)")
-    p.add_argument("--eps", type=float, default=1e-9, help="indeterminate band half-width")
+    p.add_argument("--eps", type=positive_float, default=1e-9, help="indeterminate band half-width")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("laplacian", help="emit the Laplacian of a state in matrix-file format")
@@ -267,23 +273,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the coherence graph as DOT and print its stats")
     _add_state_args(p)
     p.add_argument("--dot", help="DOT output path (default stdout)")
-    p.add_argument("--edge-threshold", type=float, default=1e-12)
+    p.add_argument("--edge-threshold", type=finite_float, default=1e-12)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("sweep", help="evaluate criteria over a parameter grid, CSV output")
     p.add_argument("--state", required=True)
     p.add_argument("--param-name", required=True)
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
+    p.add_argument("--from", dest="start", type=finite_float, required=True)
+    p.add_argument("--to", dest="stop", type=finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", help="CSV output path (default stdout)")
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=positive_float, default=1e-9)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("corpus", help="list built-in states or emit one as a matrix file")
     p.add_argument("action", choices=["list", "emit"])
     p.add_argument("name", nargs="?")
-    p.add_argument("--param", type=float)
+    p.add_argument("--param", type=finite_float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_corpus)
 

@@ -34,16 +34,12 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"unsupported parameter type {type(value)!r}")
 
 
-def _exact_matrix(entries: list[list]) -> tuple[tuple[Exact, ...], ...]:
-    def conv(e):
-        return e if isinstance(e, Exact) else Exact.of(F(e))
-
-    return tuple(tuple(conv(e) for e in row) for row in entries)
+def _exact_matrix(entries: list[list]) -> np.ndarray:
+    return np.array([[Exact.of(e) for e in row] for row in entries], dtype=object)
 
 
-def _finish(exact, dims: BipartiteDims, tol: float = 1e-9) -> DensityMatrix:
-    arr = np.array([[float(e) for e in row] for row in exact], dtype=float)
-    return validate(arr, dims, tol=tol, exact=exact)
+def _finish(exact: np.ndarray, dims: BipartiteDims, tol: float = 1e-9) -> DensityMatrix:
+    return validate(exact.astype(float), dims, tol=tol, exact=exact)
 
 
 # -- builders ----------------------------------------------------------
@@ -51,9 +47,9 @@ def _finish(exact, dims: BipartiteDims, tol: float = 1e-9) -> DensityMatrix:
 
 def build_psi() -> DensityMatrix:
     """Two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)."""
-    amps = [Exact.of(F(1, 2)), Exact.of(F(1, 2)), Exact.of(F(1, 4)), Exact.radical(F(1, 4), 7)]
-    exact = tuple(tuple(a * b for b in amps) for a in amps)
-    return _finish(exact, BipartiteDims(2, 2))
+    amps = np.array([Exact.of(F(1, 2)), Exact.of(F(1, 2)), Exact.of(F(1, 4)), Exact.radical(F(1, 4), 7)],
+                    dtype=object)
+    return _finish(np.multiply.outer(amps, amps), BipartiteDims(2, 2))
 
 
 def build_rho1() -> DensityMatrix:

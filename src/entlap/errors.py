@@ -49,7 +49,7 @@ class ParameterOutOfDomain(EntlapError):
 class AxiomViolation:
     """One violated density-matrix axiom with its offending magnitude."""
 
-    axiom: str  # NotHermitian | TraceNotOne | NotPSD | DimensionMismatch
+    axiom: str  # NotHermitian | TraceNotOne | NotPSD | DimensionMismatch | ExactMismatch
     magnitude: float
 
     def __str__(self) -> str:

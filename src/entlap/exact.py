@@ -101,6 +101,11 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # zero sums return an operand, so row sums over zero-padded arrays build nothing
+        if not o._terms:
+            return self
+        if not self._terms:
+            return o
         terms = dict(self._terms)
         for k, c in o._terms.items():
             terms[k] = terms.get(k, Fraction(0)) + c
@@ -109,6 +114,8 @@ class Exact:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self._terms:
+            return self
         return Exact({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):

@@ -4,25 +4,51 @@ L_A takes its off-diagonal entries from the moduli of A's off-diagonal entries
 (negated), and its diagonal from the row sums of those moduli, so it is always
 a real symmetric, zero-row-sum, PSD matrix: a weighted-graph Laplacian.  The
 trace of L_rho equals the l1-norm of coherence of rho (the graph total degree).
+
+One construction serves both entry types: `array` is the float Laplacian, and
+for a state with exact entries `Laplacian.exact` applies the same kernel to the
+state's object array of Exact scalars, only when it is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exact import Exact
 from .matops import as_matrix, eigvals_sym
-from .states import DensityMatrix, ExactMatrix
+from .states import DensityMatrix
+
+
+def _laplacian(m: np.ndarray) -> np.ndarray:
+    """Read-only diag(w.sum(1)) - w over the off-diagonal moduli w_ij = |m_ij|,
+    in m's entry type (float, or Exact in an object array)."""
+    w = np.abs(m)
+    np.fill_diagonal(w, Exact() if w.dtype == object else 0.0)
+    lap = np.diag(w.sum(axis=1)) - w
+    lap.flags.writeable = False
+    return lap
 
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Real symmetric zero-row-sum PSD matrix read off a source matrix."""
+    """Real symmetric zero-row-sum PSD matrix read off a source matrix.
+
+    `exact_source`, when given, is the source's exact entries (an object array
+    of Exact); `exact` is then the same Laplacian in Exact arithmetic, built the
+    first time it is read, and None otherwise.
+    """
 
     array: np.ndarray
-    exact: ExactMatrix | None = field(default=None, compare=False)
+    exact_source: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def exact(self) -> np.ndarray | None:
+        if self.exact_source is None:
+            return None
+        return _laplacian(self.exact_source)
 
     @property
     def n(self) -> int:
@@ -32,49 +58,16 @@ class Laplacian:
         return float(np.trace(self.array))
 
 
-def _laplacian_from_weights(w: np.ndarray, exact_w: ExactMatrix | None) -> Laplacian:
-    """Build L = diag(row sums of w) - w for a symmetric non-negative w with zero diagonal."""
-    lap = np.diag(w.sum(axis=1)) - w
-    lap.flags.writeable = False
-    exact = None
-    if exact_w is not None:
-        n = len(exact_w)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                if i == j:
-                    row.append(sum(exact_w[i], Exact()) )
-                else:
-                    row.append(-exact_w[i][j])
-            rows.append(tuple(row))
-        exact = tuple(rows)
-    return Laplacian(array=lap, exact=exact)
-
-
-def _exact_moduli(exact: ExactMatrix) -> ExactMatrix:
-    n = len(exact)
-    return tuple(
-        tuple(Exact() if i == j else abs(exact[i][j]) for j in range(n)) for i in range(n)
-    )
-
-
 def laplacian_of_density(rho: DensityMatrix) -> Laplacian:
     """L with off-diagonal -|rho_ij| and diagonal sum_j |rho_ij| (j != i)."""
-    w = np.abs(rho.array).astype(float)
-    np.fill_diagonal(w, 0.0)
-    exact_w = _exact_moduli(rho.exact) if rho.exact is not None else None
-    return _laplacian_from_weights(w, exact_w)
+    return Laplacian(_laplacian(rho.array), exact_source=rho.exact)
 
 
 def laplacian_of_general(a) -> Laplacian:
     """L with off-diagonal -(|a_ij| + |a_ji|)/2; equals laplacian_of_density's
     construction when the input is Hermitian."""
-    m = as_matrix(a)
-    absm = np.abs(m).astype(float)
-    w = (absm + absm.T) / 2
-    np.fill_diagonal(w, 0.0)
-    return _laplacian_from_weights(w, None)
+    absm = np.abs(as_matrix(a)).astype(float)
+    return Laplacian(_laplacian((absm + absm.T) / 2))
 
 
 def phi(a) -> np.ndarray:

@@ -141,29 +141,17 @@ def determinant(m):
     return complex(d)
 
 
-def partial_transpose(m, dims: BipartiteDims):
+def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Transpose the second-subsystem indices: P[(a,alpha),(b,beta)] = M[(a,beta),(b,alpha)].
 
     Row index convention r = a*d2 + alpha (subsystem B is the fast index).
-    Works on numpy arrays and on nested lists of exact scalars.
+    A reshape, so it works on float, complex and Exact object arrays alike.
     """
-    if isinstance(m, np.ndarray):
-        n = m.shape[0]
-        dims.check_order(n)
-        return np.ascontiguousarray(
-            m.reshape(dims.d1, dims.d2, dims.d1, dims.d2).transpose(0, 3, 2, 1).reshape(n, n)
-        )
-    rows = list(m)
-    n = len(rows)
+    n = m.shape[0]
     dims.check_order(n)
-    d2 = dims.d2
-    out = [[None] * n for _ in range(n)]
-    for r in range(n):
-        a, alpha = divmod(r, d2)
-        for c in range(n):
-            b, beta = divmod(c, d2)
-            out[r][c] = rows[a * d2 + beta][b * d2 + alpha]
-    return out
+    return np.ascontiguousarray(
+        m.reshape(dims.d1, dims.d2, dims.d1, dims.d2).transpose(0, 3, 2, 1).reshape(n, n)
+    )
 
 
 def wolkowicz_bounds(m, herm_tol: float = HERM_TOL) -> tuple[float, float]:

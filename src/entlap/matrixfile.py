@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EntlapError
+from .errors import DimensionMismatch, EntlapError
 from .exact import Exact
 from .matops import BipartiteDims
 from .states import DensityMatrix
@@ -86,7 +86,7 @@ def parse_entry(token: str) -> tuple[Exact, Exact]:
 class ParsedMatrix:
     array: np.ndarray
     dims: BipartiteDims
-    exact: tuple | None  # exact real entries; None when any entry has an imaginary part
+    exact: np.ndarray | None  # object array of the exact real entries; None when any has an imaginary part
 
 
 def parse(text: str) -> ParsedMatrix:
@@ -105,6 +105,10 @@ def parse(text: str) -> ParsedMatrix:
             n, d1, d2 = header
             if d1 * d2 != n:
                 raise ParseError(lineno, 1, f"d1*d2 = {d1 * d2} does not equal n = {n}")
+            try:
+                dims = BipartiteDims(d1, d2)
+            except DimensionMismatch as exc:
+                raise ParseError(lineno, 1, str(exc)) from None
             continue
         n = header[0]
         row = []
@@ -130,9 +134,9 @@ def parse(text: str) -> ParsedMatrix:
         arr = np.array([[complex(float(re_), float(im)) for re_, im in row] for row in rows])
         exact = None
     else:
-        arr = np.array([[float(re_) for re_, _ in row] for row in rows], dtype=float)
-        exact = tuple(tuple(re_ for re_, _ in row) for row in rows)
-    return ParsedMatrix(array=arr, dims=BipartiteDims(d1, d2), exact=exact)
+        exact = np.array([[re_ for re_, _ in row] for row in rows], dtype=object)
+        arr = exact.astype(float)
+    return ParsedMatrix(array=arr, dims=dims, exact=exact)
 
 
 def format_scalar(value: Exact | float) -> str:
@@ -153,30 +157,23 @@ def _format_complex(value: complex) -> str:
     return f"{re_}{sign}{abs(value.imag):.12g}i"
 
 
-def emit(matrix, dims: BipartiteDims | None = None, exact: tuple | None = None,
-         header_comment: str | None = None) -> str:
-    """Render a matrix (optionally with exact entries) in the file format."""
+def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None = None) -> str:
+    """Render a matrix in the file format, each entry as the type it holds.
+
+    Exact entries (an object array, or a DensityMatrix's exact companion) are
+    written as literals where expressible; float and complex ones as
+    12-significant-digit decimals.
+    """
     if isinstance(matrix, DensityMatrix):
-        exact = matrix.exact if exact is None else exact
         dims = matrix.dims
-        matrix = matrix.array
+        matrix = matrix.array if matrix.exact is None else matrix.exact
     if dims is None:
         raise ValueError("dims required when not passing a DensityMatrix")
     arr = np.asarray(matrix)
     n = arr.shape[0]
     dims.check_order(n)
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
+    fmt = _format_complex if np.iscomplexobj(arr) else format_scalar
+    lines = [f"# {header_comment}"] if header_comment else []
     lines.append(f"dims {n} {dims.d1} {dims.d2}")
-    for i in range(n):
-        cells = []
-        for j in range(n):
-            if exact is not None:
-                cells.append(format_scalar(exact[i][j]))
-            elif np.iscomplexobj(arr):
-                cells.append(_format_complex(complex(arr[i, j])))
-            else:
-                cells.append(f"{float(arr[i, j]):.12g}")
-        lines.append(" ".join(cells))
+    lines.extend(" ".join(fmt(v) for v in row) for row in arr)
     return "\n".join(lines) + "\n"

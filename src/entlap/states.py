@@ -12,22 +12,20 @@ from .matops import BipartiteDims, as_matrix, eigvals_sym
 DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
 
-ExactMatrix = tuple  # tuple of tuples of Exact scalars
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Validated Hermitian, unit-trace, PSD matrix with bipartite dimensions.
 
-    `exact`, when present, is a tuple-of-tuples of Exact scalars equal to
-    `array`; it rides along so the Laplacian / graph pipeline can stay exact.
-    Construct via `validate()`.
+    `exact`, when present, is a read-only object array of Exact scalars whose
+    float values equal `array`; it rides along so that a Laplacian, graph or
+    matrix file read off the state can be exact.  Construct via `validate()`.
     """
 
     array: np.ndarray
     dims: BipartiteDims
     validation_tolerance: float = DEFAULT_TOL
-    exact: ExactMatrix | None = field(default=None, compare=False)
+    exact: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -65,17 +63,31 @@ def check_axioms(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> list[Axi
     return violations
 
 
+def _exact_mismatch(a: np.ndarray, exact: np.ndarray) -> float:
+    """Worst |float(exact_ij) - a_ij|; infinite when the shapes differ."""
+    if exact.shape != a.shape:
+        return float("inf")
+    return float(np.max(np.abs(exact.astype(float) - a)))
+
+
 def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
-             exact: ExactMatrix | None = None) -> DensityMatrix:
+             exact: np.ndarray | None = None) -> DensityMatrix:
     """Validate `raw` as a density matrix, or raise StateValidationError.
 
     Hermiticity is enforced exactly by averaging with the conjugate transpose
-    once the asymmetry is known to be below `tol`.
+    once the asymmetry is known to be below `tol`.  An exact companion must
+    have `raw`'s shape and float values within `tol` of its entries.
     """
     violations = check_axioms(raw, dims, tol)
+    a = np.asarray(raw)
+    if exact is not None and not violations:
+        exact = np.array(exact, dtype=object)
+        exact.flags.writeable = False
+        mismatch = _exact_mismatch(a, exact)
+        if mismatch > tol:
+            violations.append(AxiomViolation("ExactMismatch", mismatch))
     if violations:
         raise StateValidationError(violations)
-    a = np.asarray(raw)
     h = (a + a.conj().T) / 2
     if not np.iscomplexobj(h):
         h = h.astype(float)

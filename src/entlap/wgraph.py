@@ -1,8 +1,9 @@
 """Simple weighted graphs read off Laplacians, and the edge functional W[i,j].
 
 A graph is its dense symmetric weight matrix with a zero diagonal.  Entries are
-floats, or Exact scalars when the source Laplacian carries an exact companion,
-so DOT labels and W values stay exact for exact inputs.  W has one closed form,
+floats, or Exact scalars (an object array) when the source Laplacian has exact
+entries, so DOT labels and W values stay exact for exact inputs.  Edges are
+chosen on the float Laplacian for both entry types, and W has one closed form,
 evaluated over an edge list for either entry type (see `_w_values`).
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,21 +74,13 @@ class WeightedGraph:
 def graph_from_laplacian(lap: Laplacian, edge_threshold: float = DEFAULT_EDGE_THRESHOLD) -> WeightedGraph:
     """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above the threshold.
 
-    Reads the upper triangle, in Exact arithmetic when the Laplacian is exact.
+    Edges are chosen on the float Laplacian; their weights are exact when the
+    Laplacian is, so an exact graph and its float copy have the same edges.
     """
-    n = lap.n
-    if lap.exact is None:
-        w = np.triu(-lap.array, 1)
-        w[np.abs(w) <= edge_threshold] = 0.0
-        w = w + w.T
-    else:
-        thr = Exact.of(Fraction(edge_threshold))
-        w = np.full((n, n), Exact(), dtype=object)
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = -lap.exact[i][j]
-                if abs(value) > thr:
-                    w[i, j] = w[j, i] = value
+    entries = lap.array if lap.exact is None else lap.exact
+    zero = Exact() if entries.dtype == object else 0.0
+    w = zero - np.where(np.triu(np.abs(lap.array) > edge_threshold, 1), entries, zero)
+    w = w + w.T
     w.flags.writeable = False
     return WeightedGraph(w)
 

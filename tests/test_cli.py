@@ -128,6 +128,13 @@ class TestLaplacian:
 
         np.testing.assert_allclose(parsed.array, laplacian_of_density(psi).array, atol=1e-11)
 
+    def test_unwritable_out_path_exit_3(self, capsys, tmp_path):
+        out_path = tmp_path / "no_such_dir" / "x.txt"
+        code, out, err = run(capsys, "laplacian", "--state", "rho3", "--out", str(out_path))
+        assert code == 3
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestGraph:
     def test_rho2_summary_and_dot(self, capsys, tmp_path):
@@ -224,7 +231,7 @@ class TestCorpus:
         assert code == 0
         reparsed = parse(path.read_text())
         assert np.array_equal(reparsed.array, build("rho2").array)
-        assert reparsed.exact == build("rho2").exact
+        assert np.array_equal(reparsed.exact, build("rho2").exact)
 
     def test_emit_out_of_domain_exit_2(self, capsys):
         code, _, err = run(capsys, "corpus", "emit", "rho6", "--param", "2")
@@ -245,3 +252,30 @@ class TestUsage:
     def test_no_input_exit_3(self, capsys):
         code, _, _ = run(capsys, "classify")
         assert code == 3
+
+    def test_undecodable_input_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "binary.mat"
+        path.write_bytes(b"dims 4 2 2\n\xff\xfe\n")
+        for command in ("validate", "classify"):
+            code, _, err = run(capsys, command, str(path))
+            assert code == 3
+            assert err.startswith("error:")
+
+    def test_bad_option_values_exit_3(self, capsys):
+        for argv in (("classify", "--state", "rho3", "--eps", "-1"),
+                     ("validate", "any.mat", "--tol", "nan"),
+                     ("graph", "--state", "rho3", "--edge-threshold", "inf"),
+                     ("classify", "--state", "rho6", "--param", "nan"),
+                     ("sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "inf",
+                      "--steps", "3")):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 3
+            assert "error:" in capsys.readouterr().err
+
+    def test_subsystem_dimension_below_two_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "d.mat"
+        path.write_text("dims 2 1 2\n1 0\n0 0\n")
+        code, _, err = run(capsys, "classify", str(path))
+        assert code == 1
+        assert err.startswith("error: line 1")

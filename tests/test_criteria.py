@@ -26,6 +26,7 @@ from entlap.criteria import (
     thm6_ppt,
 )
 from entlap.errors import WrongDimensions
+from entlap.exact import Exact
 from entlap.matops import BipartiteDims
 from entlap.states import validate
 
@@ -398,6 +399,24 @@ class TestSharedAnalysis:
             classify(rho)
             assert calls == {"laplacian_of_density": 1, "partial_transpose": 2,
                              "graph_from_laplacian": 1, "is_connected": 1, "max_w": 1}
+
+    def test_classify_creates_no_exact(self, monkeypatch):
+        # verdicts run in float: an exact state's Exact entries are never read,
+        # so no Exact scalar may be built inside classify
+        created = 0
+        original = Exact.__init__
+
+        def counting(obj, *args, **kwargs):
+            nonlocal created
+            created += 1
+            original(obj, *args, **kwargs)
+
+        for rho in _corpus_states():
+            monkeypatch.setattr(Exact, "__init__", counting)
+            created = 0
+            classify(rho)
+            monkeypatch.undo()
+            assert rho.exact is not None and created == 0
 
 
 class TestGenerators:

@@ -45,6 +45,18 @@ def test_exact_sign_of_two_term_values():
     assert (Exact.radical(2, 2) - Exact.radical(1, 8)).sign() == 0
 
 
+def test_adding_zero_returns_the_other_operand():
+    x = Exact.radical(Fraction(1, 8), 7)
+    assert x + Exact() is x
+    assert Exact() + x is x
+    assert 0 + x is x
+    assert 0 - x == -x
+    with pytest.raises(TypeError):
+        x + 0.0
+    with pytest.raises(TypeError):
+        0.0 - x
+
+
 def test_comparisons_and_ordering():
     vals = [Exact.of(Fraction(1, 5)), Exact.of(Fraction(3, 10)), Exact.radical(Fraction(1, 10), 7)]
     assert max(vals) == Exact.of(Fraction(3, 10))

@@ -97,12 +97,12 @@ class TestPartialTranspose:
 
         from entlap.exact import Exact
 
-        rows = [[Exact.of(Fraction(i * 4 + j, 17)) for j in range(4)] for i in range(4)]
+        rows = np.array([[Exact.of(Fraction(i * 4 + j, 17)) for j in range(4)] for i in range(4)], dtype=object)
         pt = partial_transpose(rows, BipartiteDims(2, 2))
         assert pt[0][3] == rows[1][2]
         assert pt[1][2] == rows[0][3]
         back = partial_transpose(pt, BipartiteDims(2, 2))
-        assert back == [list(r) for r in rows] or back == rows
+        assert np.array_equal(back, rows)
 
 
 class TestWolkowiczBounds:

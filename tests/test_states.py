@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entlap.corpus import build_rho_ab
+from entlap.corpus import build, build_rho_ab, list_entries
 from entlap.errors import StateValidationError
 from entlap.matops import BipartiteDims
 from entlap.states import linear_entropy, purity, purity_report, rank, validate
@@ -63,6 +63,28 @@ class TestValidate:
         first = validate(a, BipartiteDims(2, 3))
         second = validate(first.array, BipartiteDims(2, 3))
         np.testing.assert_array_equal(first.array, second.array)
+
+
+class TestExactCompanion:
+    def test_every_corpus_state_revalidates_with_its_companion(self):
+        for entry in list_entries():
+            rho = build(entry.name, None if entry.parameter_domain is None else entry.parameter_domain[1])
+            again = validate(rho.array, rho.dims, tol=rho.validation_tolerance, exact=rho.exact)
+            assert np.array_equal(again.exact, rho.exact), entry.name
+
+    def test_mismatched_companion_rejected_with_worst_difference(self, rho5):
+        exact = rho5.exact.copy()
+        exact[0, 1] = exact[1, 0] = exact[0, 1] * 2  # 1/20 -> 1/10
+        with pytest.raises(StateValidationError) as err:
+            validate(rho5.array, rho5.dims, exact=exact)
+        (violation,) = err.value.violations
+        assert violation.axiom == "ExactMismatch"
+        assert violation.magnitude == pytest.approx(0.05, abs=1e-15)
+
+    def test_wrong_shaped_companion_rejected(self, rho5):
+        with pytest.raises(StateValidationError) as err:
+            validate(rho5.array, rho5.dims, exact=rho5.exact[:3, :3])
+        assert [v.axiom for v in err.value.violations] == ["ExactMismatch"]
 
 
 class TestPurityFunctionals:
