@@ -14,10 +14,9 @@ import sys
 from fractions import Fraction
 
 from . import corpus as corpus_mod
-from .criteria import (DecisionTolerance, analyze, classify, cor6_ppt, ppt_oracle, thm3_separability,
-                       thm5_ppt, thm6_ppt)
+from .criteria import (DecisionTolerance, classify, cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt,
+                       thm6_ppt)
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
-from .laplacian import laplacian_of_density
 from .matrixfile import ParseError, emit, parse
 from .states import DensityMatrix, purity_report, validate
 from .wgraph import WeightedGraph, export_dot, graph_from_laplacian, is_connected, max_w
@@ -63,6 +62,14 @@ def positive_float(text: str) -> float:
     value = finite_float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    """argparse type: a finite float, zero or above."""
+    value = finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
     return value
 
 
@@ -165,7 +172,7 @@ def cmd_classify(args) -> int:
 
 def cmd_laplacian(args) -> int:
     rho, label = _load_state(args)
-    lap = laplacian_of_density(rho)
+    lap = rho.laplacian
     entries = lap.array if lap.exact is None else lap.exact
     _write(args.out, emit(entries, rho.dims, header_comment=f"laplacian of {label}"))
     return EXIT_OK
@@ -173,12 +180,11 @@ def cmd_laplacian(args) -> int:
 
 def cmd_graph(args) -> int:
     rho, label = _load_state(args)
-    lap = laplacian_of_density(rho)
-    graph = graph_from_laplacian(lap, edge_threshold=args.edge_threshold)
+    graph = graph_from_laplacian(rho.laplacian, edge_threshold=args.edge_threshold)
     _write(args.dot, export_dot(graph))
     conn = "connected" if is_connected(graph) else "disconnected"
     print(f"vertices {graph.vertex_count} edges {graph.edge_count()} {conn}")
-    print(f"total_degree {_fmt(lap.total_degree())}")
+    print(f"total_degree {_fmt(rho.total_degree)}")
     if graph.edge_count():
         # decisions and printed scalars run in float, as classify's do
         print(f"max_w {_fmt(max_w(WeightedGraph(graph.weights.astype(float))))}")
@@ -211,16 +217,15 @@ def cmd_sweep(args) -> int:
             rho = corpus_mod.build(args.state, value)
         except ParameterOutOfDomain as exc:
             raise CliError(EXIT_VALIDATION, str(exc)) from None
-        a = analyze(rho)
-        oracle_verdict, lam_ptb = ppt_oracle(a, tol)
-        half = _fmt(a.max_w / 2.0) if a.max_w is not None else ""
+        oracle_verdict, lam_ptb = ppt_oracle(rho, tol)
+        half = _fmt(rho.max_w / 2.0) if rho.max_w is not None else ""
         rows.append([
-            _fmt(value), _fmt(a.spec_rho[0]), _fmt(lam_ptb), half,
+            _fmt(value), _fmt(rho.spectrum[0]), _fmt(lam_ptb), half,
             oracle_verdict,
-            thm3_separability(a, tol).verdict.value,
-            thm5_ppt(a, tol).verdict.value,
-            thm6_ppt(a, tol).verdict.value,
-            cor6_ppt(a, tol).verdict.value,
+            thm3_separability(rho, tol).verdict.value,
+            thm5_ppt(rho, tol).verdict.value,
+            thm6_ppt(rho, tol).verdict.value,
+            cor6_ppt(rho, tol).verdict.value,
         ])
     header = "param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"
     _write(args.csv, header + "\n" + "\n".join(",".join(row) for row in rows) + "\n")
@@ -256,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a matrix file as a density matrix")
     p.add_argument("file")
-    p.add_argument("--tol", type=finite_float, default=1e-9)
+    p.add_argument("--tol", type=nonnegative_float, default=1e-9)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="run the oracle and every criterion")

@@ -1,11 +1,10 @@
 """Detection criteria, the brute-force PPT oracle, and the report assembler.
 
-`analyze` makes one pass over a state and returns an `Analysis`: L_rho, rho^TB
-and L^TB, the spectra of rho, rho^TB, L, L + rho^TB, L^TB and phi(rho) - I,
-the determinant of phi(rho) - I, and the coherence graph's total degree,
-connectivity and max W.  The oracle and every criterion read that record;
-each also accepts a DensityMatrix and analyses it first.  `classify` analyses
-a state once.  Every decision runs in floating point, also for exact inputs.
+The oracle and every criterion take a validated DensityMatrix and read the
+matrices, spectra and graph scalars it computes on first read and keeps (see
+`entlap.states`), so `classify`, which runs them all on one state, computes
+each of those once, and a criterion called alone computes only what it reads.
+Every decision runs in floating point, also for exact inputs.
 
 Each criterion is tagged internally with its logical strength and only ever
 asserts what that strength licenses:
@@ -33,10 +32,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import WrongDimensions
-from .laplacian import Laplacian, laplacian_of_density
-from .matops import BipartiteDims, determinant, eigvals_sym, partial_transpose
-from .states import RANK_TOL, DensityMatrix, validate
-from .wgraph import graph_from_laplacian, is_connected, max_w
+from .matops import BipartiteDims
+from .states import DensityMatrix, rank
 
 
 class CriterionId(str, Enum):
@@ -103,84 +100,31 @@ def _is_small_dims(dims: BipartiteDims) -> bool:
     return (dims.d1, dims.d2) in _IFF_DIMS
 
 
-# -- one analysis pass -------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Analysis:
-    """Every matrix, spectrum and graph scalar the criteria read, for one state.
-
-    Spectra are ascending.  The coherence graph is read off the float
-    Laplacian, also for exact inputs, so every decision runs in floating point.
-    """
-
-    rho: DensityMatrix
-    lap: np.ndarray  # L_rho
-    ptb: np.ndarray  # rho^TB
-    lap_ptb: np.ndarray  # L^TB
-    spec_rho: np.ndarray
-    spec_ptb: np.ndarray
-    spec_lap: np.ndarray
-    spec_l_plus_ptb: np.ndarray
-    spec_lap_ptb: np.ndarray
-    spec_phi_minus_i: np.ndarray  # phi(rho) - I = L + rho - I
-    det_phi_minus_i: float
-    total_degree: float
-    connected: bool
-    max_w: float | None  # None when the graph has no edges
-
-
-def analyze(rho: DensityMatrix) -> Analysis:
-    """One pass over rho: each derived matrix and spectrum computed once."""
-    lap = laplacian_of_density(rho)
-    ptb = partial_transpose(rho.array, rho.dims)
-    lap_ptb = partial_transpose(lap.array, rho.dims)
-    phi_minus_i = lap.array + rho.array - np.eye(rho.n)
-    graph = graph_from_laplacian(Laplacian(lap.array))
-    return Analysis(
-        rho, lap.array, ptb, lap_ptb,
-        spec_rho=rho.eigenvalues(), spec_ptb=eigvals_sym(ptb), spec_lap=eigvals_sym(lap.array),
-        spec_l_plus_ptb=eigvals_sym(lap.array + ptb), spec_lap_ptb=eigvals_sym(lap_ptb),
-        spec_phi_minus_i=eigvals_sym(phi_minus_i),
-        det_phi_minus_i=float(determinant(phi_minus_i).real),
-        total_degree=lap.total_degree(),
-        connected=is_connected(graph),
-        max_w=max_w(graph) if graph.edge_count() else None,
-    )
-
-
-State = DensityMatrix | Analysis
-
-
-def _analysis(rho: State) -> Analysis:
-    return rho if isinstance(rho, Analysis) else analyze(rho)
-
-
-def _not_full_rank(cid: CriterionId, a: Analysis) -> CriterionResult | None:
-    rank = int(np.sum(a.spec_rho > RANK_TOL))
-    if rank < a.rho.n:
-        return CriterionResult(cid, Verdict.PRECONDITION_FAILED, {"rank": float(rank)},
+def _not_full_rank(cid: CriterionId, rho: DensityMatrix) -> CriterionResult | None:
+    r = rank(rho)
+    if r < rho.n:
+        return CriterionResult(cid, Verdict.PRECONDITION_FAILED, {"rank": float(r)},
                                caveat="state is not full rank")
 
 
-def _disconnected(cid: CriterionId, a: Analysis) -> CriterionResult | None:
-    if not a.connected:
+def _disconnected(cid: CriterionId, rho: DensityMatrix) -> CriterionResult | None:
+    if not rho.connected:
         return CriterionResult(cid, Verdict.PRECONDITION_FAILED, caveat="coherence graph is not connected")
 
 
 # -- oracle ------------------------------------------------------------
 
 
-def ppt_oracle(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> tuple[str, float]:
+def ppt_oracle(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> tuple[str, float]:
     """Peres ground truth: NPT iff lambda_min(rho^TB) < -eps."""
-    lam = float(_analysis(rho).spec_ptb[0])
+    lam = float(rho.spec_ptb[0])
     return ("NPT" if lam < -tol.eps else "PPT"), lam
 
 
 # -- criteria ----------------------------------------------------------
 
 
-def purity_test(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def purity_test(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Determinant / negative-eigenvalue-count purity check on phi(rho) - I.
 
     det > eps or an even negative count reports MIXED; det < -eps with odd
@@ -189,9 +133,8 @@ def purity_test(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> Cri
     package docs); the classifier's oracle cross-check does not cover it since
     purity is orthogonal to the PPT question.
     """
-    a = _analysis(rho)
-    det = a.det_phi_minus_i
-    neg = int(np.sum(a.spec_phi_minus_i < -tol.eps))
+    det = rho.det_phi_minus_i
+    neg = int(np.sum(rho.spec_phi_minus_i < -tol.eps))
     scalars = {"det": det, "negative_eigenvalue_count": float(neg)}
     if det > tol.eps or (abs(det) > tol.eps and neg % 2 == 0):
         return CriterionResult(CriterionId.THM1_PURITY, Verdict.MIXED, scalars)
@@ -200,17 +143,16 @@ def purity_test(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> Cri
     return CriterionResult(CriterionId.THM1_PURITY, Verdict.INCONCLUSIVE, scalars)
 
 
-def thm3_separability(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm3_separability(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Sign test on mu = lambda_min(L_rho + rho^TB).
 
     In 2x2 / 2x3 the stated claim is an iff: SEPARABLE when mu >= -eps, else
     ENTANGLED_NPT.  In larger dimensions only mu < -eps certifies anything
     (ENTANGLED_NPT); mu >= 0 is merely consistent with PPT, hence INCONCLUSIVE.
     """
-    a = _analysis(rho)
-    mu = float(a.spec_l_plus_ptb[0])
+    mu = float(rho.spec_l_plus_ptb[0])
     scalars = {"lambda_min_l_plus_ptb": mu}
-    if _is_small_dims(a.rho.dims):
+    if _is_small_dims(rho.dims):
         if mu < -tol.eps:
             return CriterionResult(CriterionId.THM3_SEP_2x2, Verdict.ENTANGLED_NPT, scalars)
         return CriterionResult(CriterionId.THM3_SEP_2x2, Verdict.SEPARABLE, scalars)
@@ -222,13 +164,12 @@ def thm3_separability(rho: State, tol: DecisionTolerance = DecisionTolerance()) 
                "in these dimensions")
 
 
-def thm5_ppt(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm5_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """PPT if lambda_min(rho) >= lambda_max(L^TB) - lambda_min(L^TB); needs full rank."""
-    a = _analysis(rho)
-    if failed := _not_full_rank(CriterionId.THM5_PPT, a):
+    if failed := _not_full_rank(CriterionId.THM5_PPT, rho):
         return failed
-    spread = float(a.spec_lap_ptb[-1] - a.spec_lap_ptb[0])
-    lam_min_rho = float(a.spec_rho[0])
+    spread = float(rho.spec_lap_ptb[-1] - rho.spec_lap_ptb[0])
+    lam_min_rho = float(rho.spectrum[0])
     scalars = {"lambda_min_rho": lam_min_rho, "laplacian_ptb_spread": spread}
     if lam_min_rho >= spread - tol.eps:
         return CriterionResult(CriterionId.THM5_PPT, Verdict.PPT, scalars)
@@ -236,46 +177,43 @@ def thm5_ppt(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> Criter
                            caveat="violation may or may not indicate a negative partial transpose")
 
 
-def thm6_ppt(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm6_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """PPT if lambda_min(rho) >= lambda_max(L_rho); needs full rank.
 
     Reads no partial transpose.
     """
-    a = _analysis(rho)
-    if failed := _not_full_rank(CriterionId.THM6_PPT, a):
+    if failed := _not_full_rank(CriterionId.THM6_PPT, rho):
         return failed
-    lam_max_lap = float(a.spec_lap[-1])
-    lam_min_rho = float(a.spec_rho[0])
+    lam_max_lap = float(rho.spec_lap[-1])
+    lam_min_rho = float(rho.spectrum[0])
     scalars = {"lambda_min_rho": lam_min_rho, "lambda_max_laplacian": lam_max_lap}
     if lam_min_rho >= lam_max_lap - tol.eps:
         return CriterionResult(CriterionId.THM6_PPT, Verdict.PPT, scalars)
     return CriterionResult(CriterionId.THM6_PPT, Verdict.INCONCLUSIVE, scalars)
 
 
-def thm3a_bounds(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm3a_bounds(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Two-sided 2x2 test: SEPARABLE iff -eps <= mu <= 1 + d_G + eps."""
-    a = _analysis(rho)
-    dims = a.rho.dims
+    dims = rho.dims
     if (dims.d1, dims.d2) != (2, 2):
         raise WrongDimensions(f"criterion defined for 2x2 only, got {dims.d1}x{dims.d2}")
-    mu = float(a.spec_l_plus_ptb[0])
-    scalars = {"lambda_min_l_plus_ptb": mu, "total_degree": a.total_degree}
-    if -tol.eps <= mu <= 1.0 + a.total_degree + tol.eps:
+    mu = float(rho.spec_l_plus_ptb[0])
+    scalars = {"lambda_min_l_plus_ptb": mu, "total_degree": rho.total_degree}
+    if -tol.eps <= mu <= 1.0 + rho.total_degree + tol.eps:
         return CriterionResult(CriterionId.THM3A_BOUNDS, Verdict.SEPARABLE, scalars)
     return CriterionResult(CriterionId.THM3A_BOUNDS, Verdict.ENTANGLED_NPT, scalars)
 
 
-def thm3b_check(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm3b_check(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Necessary NPT bound lambda_min(L + rho^TB) <= max W / 2 on connected graphs.
 
     Certifies nothing by itself (INCONCLUSIVE); the contrapositive is reported
     in the caveat when the inequality fails.
     """
-    a = _analysis(rho)
-    if failed := _disconnected(CriterionId.THM3B_NPTES_BOUND, a):
+    if failed := _disconnected(CriterionId.THM3B_NPTES_BOUND, rho):
         return failed
-    mu = float(a.spec_l_plus_ptb[0])
-    half = a.max_w / 2.0
+    mu = float(rho.spec_l_plus_ptb[0])
+    half = rho.max_w / 2.0
     scalars = {"lambda_min_l_plus_ptb": mu, "half_max_w": half}
     if mu > half + tol.eps:
         caveat = ("bound violated on a connected graph: by contraposition the state "
@@ -285,34 +223,32 @@ def thm3b_check(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> Cri
     return CriterionResult(CriterionId.THM3B_NPTES_BOUND, Verdict.INCONCLUSIVE, scalars, caveat)
 
 
-def thm4a_check(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def thm4a_check(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Necessary PPT bound lambda_min(L + rho^TB) <= 1 + d_G.
 
     Violation would certify ENTANGLED_NPT by contraposition (it never fires in
     practice: the trace bound makes the inequality nearly vacuous).
     """
-    a = _analysis(rho)
-    mu = float(a.spec_l_plus_ptb[0])
-    scalars = {"one_plus_total_degree": 1.0 + a.total_degree, "lambda_min_l_plus_ptb": mu}
-    if mu > 1.0 + a.total_degree + tol.eps:
+    mu = float(rho.spec_l_plus_ptb[0])
+    scalars = {"one_plus_total_degree": 1.0 + rho.total_degree, "lambda_min_l_plus_ptb": mu}
+    if mu > 1.0 + rho.total_degree + tol.eps:
         return CriterionResult(CriterionId.THM4A_BOUND, Verdict.ENTANGLED_NPT, scalars)
     return CriterionResult(CriterionId.THM4A_BOUND, Verdict.INCONCLUSIVE, scalars)
 
 
-def cor4a_nptes(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def cor4a_nptes(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """Stated NPT test: 1 + d_G < (n-1) * (max W / 2 + lambda_max(rho^TB)).
 
     Emitted exactly as stated, always with the direction caveat; when the
     inequality fails, the derivation-consistent contrapositive (consistent
     with PPT) is noted instead.
     """
-    a = _analysis(rho)
-    if failed := _disconnected(CriterionId.COR4A_NPTES, a):
+    if failed := _disconnected(CriterionId.COR4A_NPTES, rho):
         return failed
-    half = a.max_w / 2.0
-    lam_max_ptb = float(a.spec_ptb[-1])
-    lhs = 1.0 + a.total_degree
-    rhs = (a.rho.n - 1) * (half + lam_max_ptb)
+    half = rho.max_w / 2.0
+    lam_max_ptb = float(rho.spec_ptb[-1])
+    lhs = 1.0 + rho.total_degree
+    rhs = (rho.n - 1) * (half + lam_max_ptb)
     scalars = {"one_plus_total_degree": lhs, "rhs": rhs,
                "half_max_w": half, "lambda_max_ptb": lam_max_ptb}
     if lhs < rhs - tol.eps:
@@ -324,19 +260,18 @@ def cor4a_nptes(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> Cri
                                   "chain is consistent with PPT")
 
 
-def cor6_ppt(rho: State, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+def cor6_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
     """PPT if lambda_min(rho) > max W / 2; full rank and connected graph required.
 
     In 2x2 / 2x3 a PPT verdict upgrades to SEPARABLE.
     """
-    a = _analysis(rho)
-    if failed := _not_full_rank(CriterionId.COR6_PPT, a) or _disconnected(CriterionId.COR6_PPT, a):
+    if failed := _not_full_rank(CriterionId.COR6_PPT, rho) or _disconnected(CriterionId.COR6_PPT, rho):
         return failed
-    half = a.max_w / 2.0
-    lam_min_rho = float(a.spec_rho[0])
+    half = rho.max_w / 2.0
+    lam_min_rho = float(rho.spectrum[0])
     scalars = {"lambda_min_rho": lam_min_rho, "half_max_w": half}
     if lam_min_rho > half + tol.eps:
-        verdict = Verdict.SEPARABLE if _is_small_dims(a.rho.dims) else Verdict.PPT
+        verdict = Verdict.SEPARABLE if _is_small_dims(rho.dims) else Verdict.PPT
         return CriterionResult(CriterionId.COR6_PPT, verdict, scalars)
     return CriterionResult(CriterionId.COR6_PPT, Verdict.INCONCLUSIVE, scalars)
 
@@ -349,15 +284,14 @@ _CONTRADICTS_PPT = {Verdict.ENTANGLED_NPT}
 
 def classify(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance(),
              state_id: str = "state") -> ClassificationReport:
-    """Run the oracle plus every applicable criterion on one analysis and flag contradictions."""
-    a = analyze(rho)
-    oracle_verdict, oracle_lam = ppt_oracle(a, tol)
+    """Run the oracle plus every applicable criterion on one state and flag contradictions."""
+    oracle_verdict, oracle_lam = ppt_oracle(rho, tol)
     checks = [purity_test, thm3_separability, thm5_ppt, thm6_ppt, thm3b_check, thm4a_check,
               cor4a_nptes, cor6_ppt]
     if (rho.dims.d1, rho.dims.d2) == (2, 2):
         checks.append(thm3a_bounds)
     order = {cid: k for k, cid in enumerate(CriterionId)}
-    results = sorted((check(a, tol) for check in checks), key=lambda r: order[r.criterion_id])
+    results = sorted((check(rho, tol) for check in checks), key=lambda r: order[r.criterion_id])
     contra = _CONTRADICTS_PPT if oracle_verdict == "PPT" else _CONTRADICTS_NPT
     return ClassificationReport(
         state_id=state_id,
@@ -367,45 +301,3 @@ def classify(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance(),
         results=tuple(results),
         consistency_flags=tuple(r.criterion_id for r in results if r.verdict in contra),
     )
-
-
-# -- random-state generators for the property suites --------------------
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def random_density(rng: np.random.Generator, dims: BipartiteDims,
-                   tol: float = 1e-9) -> DensityMatrix:
-    """A A^dag / tr with independent complex standard-normal entries."""
-    n = dims.n
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
-    return validate(rho, dims, tol=tol)
-
-
-def random_pure_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def random_pure_density(rng: np.random.Generator, dims: BipartiteDims) -> DensityMatrix:
-    v = random_pure_vector(rng, dims.n)
-    return validate(np.outer(v, v.conj()), dims)
-
-
-def random_product_vector(rng: np.random.Generator, dims: BipartiteDims) -> np.ndarray:
-    a = random_pure_vector(rng, dims.d1)
-    b = random_pure_vector(rng, dims.d2)
-    return np.kron(a, b)
-
-
-def random_mixture_density(rng: np.random.Generator, dims: BipartiteDims) -> DensityMatrix:
-    """Convex mixture of a random pure product state and a random pure state."""
-    p = rng.random()
-    va = random_product_vector(rng, dims)
-    vb = random_pure_vector(rng, dims.n)
-    rho = p * np.outer(va, va.conj()) + (1 - p) * np.outer(vb, vb.conj())
-    return validate(rho, dims)

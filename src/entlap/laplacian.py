@@ -14,20 +14,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exact import Exact
 from .matops import as_matrix, eigvals_sym
-from .states import DensityMatrix
+
+if TYPE_CHECKING:
+    from .states import DensityMatrix
+
+_EXACT_ZERO = Exact()
 
 
 def _laplacian(m: np.ndarray) -> np.ndarray:
     """Read-only diag(w.sum(1)) - w over the off-diagonal moduli w_ij = |m_ij|,
-    in m's entry type (float, or Exact in an object array)."""
+    in m's entry type (float, or Exact in an object array).
+
+    Built as 0 - w with the row sums written onto the diagonal, so an exact
+    Laplacian reuses one zero and constructs an Exact only for a non-zero entry.
+    """
     w = np.abs(m)
-    np.fill_diagonal(w, Exact() if w.dtype == object else 0.0)
-    lap = np.diag(w.sum(axis=1)) - w
+    zero = _EXACT_ZERO if w.dtype == object else 0.0
+    np.fill_diagonal(w, zero)
+    lap = zero - w
+    np.fill_diagonal(lap, w.sum(axis=1))
     lap.flags.writeable = False
     return lap
 
@@ -71,14 +82,12 @@ def laplacian_of_general(a) -> Laplacian:
 
 
 def phi(a) -> np.ndarray:
-    """The unital map phi(A) = L_A + A.
+    """The unital map phi(A) = L_A + A, with L_A from the symmetrised moduli.
 
-    Accepts a DensityMatrix (Laplacian from |rho_ij|) or a plain matrix
-    (symmetrised moduli); both agree on Hermitian input.  phi(I) = I exactly:
-    a diagonal matrix has L = 0 structurally.
+    A DensityMatrix passes as its array; on Hermitian input the Laplacian is
+    laplacian_of_density's, bit for bit.  phi(I) = I exactly: a diagonal
+    matrix has L = 0 structurally.
     """
-    if isinstance(a, DensityMatrix):
-        return laplacian_of_density(a).array + a.array
     m = as_matrix(a)
     return laplacian_of_general(m).array + m
 

@@ -21,6 +21,8 @@ parse round-trips are exact for every literal the emitter produces.
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +84,17 @@ def parse_entry(token: str) -> tuple[Exact, Exact]:
     return real, imag
 
 
+def _float_value(real: Exact, imag: Exact) -> complex:
+    """An entry's floating-point value; ValueError when it is beyond float range."""
+    try:
+        value = complex(float(real), float(imag))
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ValueError("entry is outside the floating-point range")
+    return value
+
+
 @dataclass(frozen=True)
 class ParsedMatrix:
     array: np.ndarray
@@ -92,7 +105,7 @@ class ParsedMatrix:
 def parse(text: str) -> ParsedMatrix:
     """Parse matrix-file text; raise ParseError with line/column on bad input."""
     header: tuple[int, int, int] | None = None
-    rows: list[list[tuple[Exact, Exact]]] = []
+    rows: list[list[tuple[Exact, Exact, complex]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -114,11 +127,12 @@ def parse(text: str) -> ParsedMatrix:
         row = []
         col = 1
         for tok in re.finditer(r"\S+", line):
-            try:
-                row.append(parse_entry(tok.group()))
-            except ValueError as exc:
-                raise ParseError(lineno, tok.start() + 1, str(exc)) from None
             col = tok.start() + 1
+            try:
+                real, imag = parse_entry(tok.group())
+                row.append((real, imag, _float_value(real, imag)))
+            except ValueError as exc:
+                raise ParseError(lineno, col, str(exc)) from None
         if len(row) != n:
             raise ParseError(lineno, col, f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
@@ -129,13 +143,11 @@ def parse(text: str) -> ParsedMatrix:
     n, d1, d2 = header
     if len(rows) != n:
         raise ParseError(len(text.splitlines()) or 1, 1, f"expected {n} rows, got {len(rows)}")
-    has_imag = any(not im.is_zero() for row in rows for _, im in row)
-    if has_imag:
-        arr = np.array([[complex(float(re_), float(im)) for re_, im in row] for row in rows])
-        exact = None
-    else:
-        exact = np.array([[re_ for re_, _ in row] for row in rows], dtype=object)
-        arr = exact.astype(float)
+    values = np.array([[value for _, _, value in row] for row in rows])
+    if any(not im.is_zero() for row in rows for _, im, _ in row):
+        return ParsedMatrix(array=values, dims=dims, exact=None)
+    exact = np.array([[re_ for re_, _, _ in row] for row in rows], dtype=object)
+    arr = np.ascontiguousarray(values.real)
     return ParsedMatrix(array=arr, dims=dims, exact=exact)
 
 

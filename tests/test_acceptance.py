@@ -26,12 +26,8 @@ from entlap.criteria import (
     classify,
     cor4a_nptes,
     cor6_ppt,
-    make_rng,
     ppt_oracle,
     purity_test,
-    random_density,
-    random_mixture_density,
-    random_pure_density,
     thm3_separability,
     thm5_ppt,
     thm6_ppt,
@@ -50,6 +46,7 @@ from _oracles import (
     random_hermitian,
     random_psd,
 )
+from _sampling import make_rng, random_density, random_mixture_density, random_pure_density
 
 EPS = 1e-9
 S7 = math.sqrt(7.0)

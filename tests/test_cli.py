@@ -53,6 +53,15 @@ class TestValidate:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_entry_beyond_float_range_exit_1(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.mat"
+        path.write_text("dims 4 2 2\n1e400 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0+1e400i\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert err == "error: line 2, column 1: entry is outside the floating-point range\n"
+        assert out == ""
+
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.mat"))
         assert code == 3
@@ -253,6 +262,11 @@ class TestUsage:
         code, _, _ = run(capsys, "classify")
         assert code == 3
 
+    def test_zero_tol_is_legal(self, capsys, mixed_file):
+        code, out, _ = run(capsys, "validate", mixed_file, "--tol", "0")
+        assert code == 0
+        assert out.startswith("VALID")
+
     def test_undecodable_input_exit_3(self, capsys, tmp_path):
         path = tmp_path / "binary.mat"
         path.write_bytes(b"dims 4 2 2\n\xff\xfe\n")
@@ -264,6 +278,7 @@ class TestUsage:
     def test_bad_option_values_exit_3(self, capsys):
         for argv in (("classify", "--state", "rho3", "--eps", "-1"),
                      ("validate", "any.mat", "--tol", "nan"),
+                     ("validate", "any.mat", "--tol", "-1"),
                      ("graph", "--state", "rho3", "--edge-threshold", "inf"),
                      ("classify", "--state", "rho6", "--param", "nan"),
                      ("sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "inf",

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import entlap.criteria
+import entlap.states
 from entlap.corpus import build, list_entries
 from entlap.criteria import (
     CriterionId,
@@ -12,12 +12,8 @@ from entlap.criteria import (
     classify,
     cor4a_nptes,
     cor6_ppt,
-    make_rng,
     ppt_oracle,
     purity_test,
-    random_density,
-    random_mixture_density,
-    random_pure_density,
     thm3_separability,
     thm3a_bounds,
     thm3b_check,
@@ -30,7 +26,8 @@ from entlap.exact import Exact
 from entlap.matops import BipartiteDims
 from entlap.states import validate
 
-from _oracles import bf_edges, bf_laplacian, bf_max_w, bf_partial_transpose
+from _oracles import bf_connected, bf_edges, bf_laplacian, bf_max_w, bf_partial_transpose
+from _sampling import make_rng, random_density, random_mixture_density, random_pure_density
 
 
 def _dm(arr, d1, d2):
@@ -337,15 +334,34 @@ class TestClassify:
                     assert verdict == Verdict.ENTANGLED_NPT
 
 
+def _fresh(rho):
+    """A newly validated copy of rho, with nothing derived from it computed yet."""
+    return validate(rho.array, rho.dims, tol=rho.validation_tolerance, exact=rho.exact)
+
+
+def _count_kernel_calls(monkeypatch, names):
+    """Count calls to each named kernel where `entlap.states` binds it."""
+    calls = Counter()
+    for name in names:
+        original = getattr(entlap.states, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(entlap.states, name, counting)
+    return calls
+
+
 class TestSharedAnalysis:
-    """classify reads one analysis record; each criterion must read the right field of it."""
+    """Criteria read the state's derived values, each computed once on first read."""
 
     @pytest.mark.parametrize("states", [_corpus_states, _seeded_ensemble], ids=["corpus", "seeded"])
     def test_report_equals_standalone_calls(self, states):
         for rho in states():
             report = classify(rho)
-            assert (report.oracle_verdict, report.oracle_lambda_min_ptb) == ppt_oracle(rho)
-            assert {r.criterion_id: r for r in report.results} == _standalone_results(rho)
+            assert (report.oracle_verdict, report.oracle_lambda_min_ptb) == ppt_oracle(_fresh(rho))
+            assert {r.criterion_id: r for r in report.results} == _standalone_results(_fresh(rho))
 
     @pytest.mark.parametrize("states", [_corpus_states, _seeded_ensemble], ids=["corpus", "seeded"])
     def test_scalars_match_bruteforce(self, states):
@@ -381,24 +397,33 @@ class TestSharedAnalysis:
                     assert value == pytest.approx(expected[name], abs=1e-12), (r.criterion_id, name)
 
     def test_one_pass_per_classify(self, monkeypatch, rho2):
-        calls = Counter()
-        for name in ("laplacian_of_density", "partial_transpose", "graph_from_laplacian",
-                     "is_connected", "max_w"):
-            original = getattr(entlap.criteria, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(entlap.criteria, name, counting)
+        calls = _count_kernel_calls(monkeypatch, ("laplacian_of_density", "partial_transpose",
+                                                  "graph_from_laplacian", "is_connected", "max_w"))
         rng = make_rng(23)
-        states = [rho2, _lifting_counterexample(0.2)] + [
+        states = [_fresh(rho2), _lifting_counterexample(0.2), _dm(np.diag([0.1, 0.2, 0.3, 0.4]), 2, 2),
+                  random_density(rng, BipartiteDims(2, 3))] + [
             random_mixture_density(rng, dims) for dims in (BipartiteDims(2, 2), BipartiteDims(3, 3))]
+        kinds = set()
         for rho in states:
+            full_rank = bool(np.all(np.linalg.eigvalsh(rho.array) > 1e-9))
+            connected = bf_connected(rho.n, bf_edges(bf_laplacian(rho.array)))
+            kinds.add((full_rank, connected))
             calls.clear()
             classify(rho)
-            assert calls == {"laplacian_of_density": 1, "partial_transpose": 2,
-                             "graph_from_laplacian": 1, "is_connected": 1, "max_w": 1}
+            assert calls == Counter(laplacian_of_density=1, partial_transpose=1 + full_rank,
+                                    graph_from_laplacian=1, is_connected=1, max_w=int(connected))
+            calls.clear()
+            classify(rho)
+            assert not calls
+        assert kinds == {(True, True), (True, False), (False, True)}
+
+    def test_ppt_oracle_reads_only_the_partial_transpose(self, monkeypatch, rho3):
+        calls = _count_kernel_calls(monkeypatch, ("eigvals_sym", "laplacian_of_density",
+                                                  "graph_from_laplacian"))
+        for rho in (_fresh(rho3), _lifting_counterexample(0.2)):
+            calls.clear()
+            ppt_oracle(rho)
+            assert calls == {"eigvals_sym": 1}
 
     def test_classify_creates_no_exact(self, monkeypatch):
         # verdicts run in float: an exact state's Exact entries are never read,
@@ -418,16 +443,3 @@ class TestSharedAnalysis:
             monkeypatch.undo()
             assert rho.exact is not None and created == 0
 
-
-class TestGenerators:
-    def test_reproducible_from_seed(self):
-        a = random_density(make_rng(3), BipartiteDims(2, 3))
-        b = random_density(make_rng(3), BipartiteDims(2, 3))
-        np.testing.assert_array_equal(a.array, b.array)
-
-    def test_generated_states_validate(self):
-        rng = make_rng(5)
-        for _ in range(50):
-            random_density(rng, BipartiteDims(3, 3))
-            random_pure_density(rng, BipartiteDims(2, 2))
-            random_mixture_density(rng, BipartiteDims(2, 3))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entlap.corpus import build, list_entries
 from entlap.exact import Exact
 from entlap.laplacian import (
     coherence_l1,
@@ -45,6 +46,31 @@ class TestLaplacianOfDensity:
         assert lap.exact[0][1] == Exact.of(Fraction(-1, 4))
         assert lap.exact[0][3] == Exact.radical(Fraction(-1, 8), 7)
         np.testing.assert_allclose(lap.array, bf_laplacian(psi.array), atol=1e-15)
+
+    def test_exact_laplacian_constructs_no_zero(self, monkeypatch):
+        # every zero entry of an exact Laplacian reuses an existing zero, so a
+        # sparse state's Laplacian costs only its non-zero entries
+        built, zeros, zero_entries = 0, 0, 0
+        original = Exact.__init__
+
+        def counting(obj, *args, **kwargs):
+            nonlocal built, zeros
+            original(obj, *args, **kwargs)
+            built += 1
+            zeros += obj.is_zero()
+
+        for entry in list_entries():
+            params = [None] if entry.parameter_domain is None else [
+                entry.parameter_domain[0], sum(entry.parameter_domain) / 2, entry.parameter_domain[1]]
+            for param in params:
+                rho = build(entry.name, param)
+                monkeypatch.setattr(Exact, "__init__", counting)
+                lap = laplacian_of_density(rho).exact
+                monkeypatch.undo()
+                assert zeros == 0, (entry.name, param)
+                np.testing.assert_allclose(lap.astype(float), bf_laplacian(rho.array), atol=1e-15)
+                zero_entries += sum(not x for x in lap.flat)
+        assert built > 0 and zero_entries > 0
 
     def test_matches_bruteforce_on_random_states(self, rng):
         for _ in range(200):

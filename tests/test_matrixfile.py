@@ -72,6 +72,14 @@ class TestParse:
         assert err.value.line == 2
         assert "1x2" in str(err.value)
 
+    @pytest.mark.parametrize("entry", ["1e400", "-1e400", "0+1e400i", "1/4-1e999i",
+                                       pytest.param("15" + "0" * 307 + "*sqrt(2)", id="finite_times_radical")])
+    def test_entry_beyond_float_range_is_a_parse_error(self, entry):
+        with pytest.raises(ParseError) as err:
+            parse(f"dims 4 2 2\n1 0 0 0\n0 {entry} 0 0\n0 0 0 0\n0 0 0 0\n")
+        assert (err.value.line, err.value.column) == (3, 3)
+        assert "floating-point range" in str(err.value)
+
     def test_row_length_checked(self):
         with pytest.raises(ParseError):
             parse("dims 4 2 2\n1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
