@@ -21,7 +21,6 @@ from .matops import (
     SpectralDecomposition,
     determinant,
     eig_sym,
-    eigvals_sym,
     partial_transpose,
     wolkowicz_bounds,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "ParseError", "PurityReport", "SpectralDecomposition", "StateValidationError", "UnknownState",
     "Verdict", "VertexOutOfRange", "WConvention", "WeightedGraph", "WrongDimensions",
     "classify", "coherence_l1", "cor4a_nptes", "cor6_ppt", "corpus", "determinant",
-    "edge_w", "eig_sym", "eigvals_sym", "emit", "export_dot", "graph_from_laplacian",
+    "edge_w", "eig_sym", "emit", "export_dot", "graph_from_laplacian",
     "is_connected", "kadison_defect", "laplacian_of_density", "laplacian_of_general",
     "linear_entropy", "max_w", "parse", "partial_transpose", "phi", "ppt_oracle", "purity",
     "purity_report", "purity_test", "rank", "thm3_separability", "thm3a_bounds", "thm3b_check",

@@ -96,17 +96,12 @@ def _write(path: str | None, text: str) -> None:
 
 def _load_state(args) -> tuple[DensityMatrix, str]:
     if getattr(args, "state", None):
-        try:
-            rho = corpus_mod.build(args.state, args.param)
-        except UnknownState as exc:
-            raise CliError(EXIT_USAGE, str(exc)) from None
-        except ParameterOutOfDomain as exc:
-            raise CliError(EXIT_VALIDATION, str(exc)) from None
+        rho = corpus_mod.build(args.state, args.param)
         label = args.state if args.param is None else f"{args.state}({args.param})"
         return rho, label
     if getattr(args, "file", None):
         parsed = parse(_read(args.file))
-        return validate(parsed.array, parsed.dims, exact=parsed.exact), args.file
+        return validate(parsed.array, parsed.dims), args.file
     raise CliError(EXIT_USAGE, "provide a matrix file or --state NAME")
 
 
@@ -119,7 +114,7 @@ def _add_state_args(p: argparse.ArgumentParser, file_optional: bool = True):
 def cmd_validate(args) -> int:
     parsed = parse(_read(args.file))
     try:
-        rho = validate(parsed.array, parsed.dims, tol=args.tol, exact=parsed.exact)
+        rho = validate(parsed.array, parsed.dims, tol=args.tol)
     except StateValidationError as exc:
         for v in exc.violations:
             print(str(v))
@@ -194,10 +189,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        entry = corpus_mod.get_entry(args.state)
-    except UnknownState as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
+    entry = corpus_mod.get_entry(args.state)
     if entry.parameter_name is None:
         raise CliError(EXIT_USAGE, f"state {args.state!r} is not parameterized")
     if args.param_name != entry.parameter_name:
@@ -213,10 +205,7 @@ def cmd_sweep(args) -> int:
     for k in range(args.steps):
         # rational grid: the last point is exactly --to, never a rounding past it
         value = float(start + k * (stop - start) / (args.steps - 1))
-        try:
-            rho = corpus_mod.build(args.state, value)
-        except ParameterOutOfDomain as exc:
-            raise CliError(EXIT_VALIDATION, str(exc)) from None
+        rho = corpus_mod.build(args.state, value)
         oracle_verdict, lam_ptb = ppt_oracle(rho, tol)
         half = _fmt(rho.max_w / 2.0) if rho.max_w is not None else ""
         rows.append([
@@ -244,12 +233,7 @@ def cmd_corpus(args) -> int:
     # emit
     if not args.name:
         raise CliError(EXIT_USAGE, "corpus emit requires a state name")
-    try:
-        rho = corpus_mod.build(args.name, args.param)
-    except UnknownState as exc:
-        raise CliError(EXIT_USAGE, str(exc)) from None
-    except ParameterOutOfDomain as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from None
+    rho = corpus_mod.build(args.name, args.param)
     _write(args.out, emit(rho, header_comment=f"corpus state {args.name}"))
     return EXIT_OK
 
@@ -301,20 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each library error that reaches main; a CliError carries its own.
+_EXIT_CODES = {ParseError: EXIT_PARSE, StateValidationError: EXIT_VALIDATION,
+               ParameterOutOfDomain: EXIT_VALIDATION, UnknownState: EXIT_USAGE}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except StateValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.code if isinstance(exc, CliError) else _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Built-in state corpus with exact rational / radical entries.
 
 Every state that the classifiers and the CLI reference by name is constructed
-here, entry by entry, in exact arithmetic; the float array is derived from the
-exact one at build time.
+here, entry by entry, in exact arithmetic: rows of Fractions (psi: products of
+Exact amplitudes) that `validate` takes as given.  It reads the float matrix
+off them, and Exact scalars are built only when the state's `exact` is read.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"unsupported parameter type {type(value)!r}")
 
 
-def _exact_matrix(entries: list[list]) -> np.ndarray:
-    return np.array([[Exact.of(e) for e in row] for row in entries], dtype=object)
-
-
-def _finish(exact: np.ndarray, dims: BipartiteDims, tol: float = 1e-9) -> DensityMatrix:
-    return validate(exact.astype(float), dims, tol=tol, exact=exact)
-
-
 # -- builders ----------------------------------------------------------
 
 
@@ -49,7 +42,7 @@ def build_psi() -> DensityMatrix:
     """Two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)."""
     amps = np.array([Exact.of(F(1, 2)), Exact.of(F(1, 2)), Exact.of(F(1, 4)), Exact.radical(F(1, 4), 7)],
                     dtype=object)
-    return _finish(np.multiply.outer(amps, amps), BipartiteDims(2, 2))
+    return validate(np.multiply.outer(amps, amps), BipartiteDims(2, 2))
 
 
 def build_rho1() -> DensityMatrix:
@@ -58,7 +51,7 @@ def build_rho1() -> DensityMatrix:
     rows = [[F(1, 8) if i == j else F(0) for j in range(n)] for i in range(n)]
     for i, j, v in [(0, 4, e), (0, 7, e), (1, 6, e), (2, 5, F(1, 8)), (3, 4, e), (3, 7, e)]:
         rows[i][j] = rows[j][i] = v
-    return _finish(_exact_matrix(rows), BipartiteDims(2, 4))
+    return validate(rows, BipartiteDims(2, 4))
 
 
 def build_rho_ab(x) -> DensityMatrix:
@@ -69,7 +62,7 @@ def build_rho_ab(x) -> DensityMatrix:
     """
     xf = _to_fraction(x)
     rows = [[F(1, 10), 0, 0, 0], [0, F(1, 5), xf, 0], [0, xf, F(2, 5), 0], [0, 0, 0, F(3, 10)]]
-    return _finish(_exact_matrix(rows), BipartiteDims(2, 2), tol=5e-4)
+    return validate(rows, BipartiteDims(2, 2), tol=5e-4)
 
 
 def build_rho2() -> DensityMatrix:
@@ -78,14 +71,14 @@ def build_rho2() -> DensityMatrix:
     rows = [[F(1, 8) if i == j else F(0) for j in range(n)] for i in range(n)]
     for i, j in [(0, 4), (0, 7), (3, 4), (3, 7)]:
         rows[i][j] = rows[j][i] = e
-    return _finish(_exact_matrix(rows), BipartiteDims(2, 4))
+    return validate(rows, BipartiteDims(2, 4))
 
 
 def build_rho3() -> DensityMatrix:
     """2x2 NPT entangled state with all entries in tenths (complete coherence graph)."""
     t = [[4, 2, 1, 1], [2, 3, 2, 1], [1, 2, 2, 1], [1, 1, 1, 1]]
     rows = [[F(v, 10) for v in row] for row in t]
-    return _finish(_exact_matrix(rows), BipartiteDims(2, 2))
+    return validate(rows, BipartiteDims(2, 2))
 
 
 def build_rho5() -> DensityMatrix:
@@ -93,7 +86,7 @@ def build_rho5() -> DensityMatrix:
     rows = [[F(1, 4) if i == j else F(0) for j in range(4)] for i in range(4)]
     for i, j in [(0, 1), (0, 3), (2, 3)]:
         rows[i][j] = rows[j][i] = F(1, 20)
-    return _finish(_exact_matrix(rows), BipartiteDims(2, 2))
+    return validate(rows, BipartiteDims(2, 2))
 
 
 def build_rho6(a) -> DensityMatrix:
@@ -110,7 +103,7 @@ def build_rho6(a) -> DensityMatrix:
                     (4, 5, z), (4, 8, af), (5, 6, z), (6, 7, z)]:
         rows[i][j] = rows[j][i] = v
     rows = [[v / big_n for v in row] for row in rows]
-    return _finish(_exact_matrix(rows), BipartiteDims(3, 3))
+    return validate(rows, BipartiteDims(3, 3))
 
 
 # -- registry ----------------------------------------------------------

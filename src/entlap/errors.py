@@ -47,9 +47,13 @@ class ParameterOutOfDomain(EntlapError):
 
 @dataclass(frozen=True)
 class AxiomViolation:
-    """One violated density-matrix axiom with its offending magnitude."""
+    """One violated density-matrix axiom with its offending magnitude.
 
-    axiom: str  # NotHermitian | TraceNotOne | NotPSD | DimensionMismatch | ExactMismatch
+    An exact state's entries are checked once, where they enter `validate`: its
+    float matrix is read off them, so no axiom compares the two.
+    """
+
+    axiom: str  # NotHermitian | TraceNotOne | NotPSD | DimensionMismatch
     magnitude: float
 
     def __str__(self) -> str:

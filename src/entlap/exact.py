@@ -57,7 +57,8 @@ class Exact:
 
     @classmethod
     def of(cls, value: Rational) -> "Exact":
-        return cls({1: Fraction(value)})
+        """The rational `value`; ZERO itself when it is zero."""
+        return cls({1: Fraction(value)}) if value else ZERO
 
     @classmethod
     def radical(cls, coeff: Rational, k: int) -> "Exact":
@@ -82,6 +83,9 @@ class Exact:
         return self._terms.get(1, Fraction(0))
 
     def __float__(self) -> float:
+        if len(self._terms) == 1:
+            ((k, c),) = self._terms.items()
+            return float(c) * math.sqrt(k)
         return float(sum(float(c) * math.sqrt(k) for k, c in self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -244,3 +248,6 @@ class Exact:
         )
         return f"Exact({parts})"
 
+
+# The one zero: Exact is immutable, so every zero entry can share it.
+ZERO = Exact()

@@ -7,7 +7,7 @@ trace of L_rho equals the l1-norm of coherence of rho (the graph total degree).
 
 One construction serves both entry types: `array` is the float Laplacian, and
 for a state with exact entries `Laplacian.exact` applies the same kernel to the
-state's object array of Exact scalars, only when it is first read.
+state's Exact entries, only when it is first read; building L reads none.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exact import Exact
-from .matops import as_matrix, eigvals_sym
+from .exact import ZERO
+from .matops import as_matrix, eig_sym
 
 if TYPE_CHECKING:
     from .states import DensityMatrix
-
-_EXACT_ZERO = Exact()
 
 
 def _laplacian(m: np.ndarray) -> np.ndarray:
@@ -35,7 +33,7 @@ def _laplacian(m: np.ndarray) -> np.ndarray:
     Laplacian reuses one zero and constructs an Exact only for a non-zero entry.
     """
     w = np.abs(m)
-    zero = _EXACT_ZERO if w.dtype == object else 0.0
+    zero = ZERO if w.dtype == object else 0.0
     np.fill_diagonal(w, zero)
     lap = zero - w
     np.fill_diagonal(lap, w.sum(axis=1))
@@ -47,19 +45,18 @@ def _laplacian(m: np.ndarray) -> np.ndarray:
 class Laplacian:
     """Real symmetric zero-row-sum PSD matrix read off a source matrix.
 
-    `exact_source`, when given, is the source's exact entries (an object array
-    of Exact); `exact` is then the same Laplacian in Exact arithmetic, built the
-    first time it is read, and None otherwise.
+    `state`, when given, is the density matrix L was read off; `exact` is then
+    the same Laplacian in Exact arithmetic over the state's exact entries,
+    built the first time it is read, and None when the state has none.
     """
 
     array: np.ndarray
-    exact_source: np.ndarray | None = field(default=None, compare=False, repr=False)
+    state: DensityMatrix | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def exact(self) -> np.ndarray | None:
-        if self.exact_source is None:
-            return None
-        return _laplacian(self.exact_source)
+        exact = None if self.state is None else self.state.exact
+        return None if exact is None else _laplacian(exact)
 
     @property
     def n(self) -> int:
@@ -71,7 +68,7 @@ class Laplacian:
 
 def laplacian_of_density(rho: DensityMatrix) -> Laplacian:
     """L with off-diagonal -|rho_ij| and diagonal sum_j |rho_ij| (j != i)."""
-    return Laplacian(_laplacian(rho.array), exact_source=rho.exact)
+    return Laplacian(_laplacian(rho.array), state=rho)
 
 
 def laplacian_of_general(a) -> Laplacian:
@@ -107,4 +104,4 @@ def kadison_defect(rho: DensityMatrix) -> float:
     p = phi(rho)
     rho2 = rho.array @ rho.array
     p2 = laplacian_of_general(rho2).array + rho2
-    return float(eigvals_sym(p2 - p @ p, herm_tol=1e-8)[0])
+    return eig_sym(p2 - p @ p, herm_tol=1e-8).lambda_min

@@ -118,13 +118,12 @@ def eig_sym(m, herm_tol: float = HERM_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs, residual=residual)
 
 
-def eigvals_sym(m, herm_tol: float = HERM_TOL) -> np.ndarray:
-    """Ascending eigenvalues only (cheaper path for the classifiers)."""
-    a = as_matrix(m)
-    defect = hermiticity_defect(a)
-    if defect > herm_tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3g} exceeds tolerance {herm_tol:.3g}")
-    return np.linalg.eigvalsh((a + a.conj().T) / 2)
+def eigvals_sym(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly Hermitian matrix, read off its lower
+    triangle unchecked: every matrix a validated state derives is exactly
+    Hermitian.  `eig_sym` checks a matrix that is Hermitian only up to rounding.
+    """
+    return np.linalg.eigvalsh(m)
 
 
 def determinant(m):
@@ -154,7 +153,7 @@ def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     )
 
 
-def wolkowicz_bounds(m, herm_tol: float = HERM_TOL) -> tuple[float, float]:
+def wolkowicz_bounds(m) -> tuple[float, float]:
     """Bracket for the minimum eigenvalue of a Hermitian matrix:
 
         m_ - s*sqrt(n-1) <= lambda_min <= m_ - s/sqrt(n-1)
@@ -166,8 +165,8 @@ def wolkowicz_bounds(m, herm_tol: float = HERM_TOL) -> tuple[float, float]:
     if n < 2:
         raise DimensionMismatch(f"order must be >= 2, got {n}")
     defect = hermiticity_defect(a)
-    if defect > herm_tol:
-        raise NotHermitian(f"hermiticity defect {defect:.3g} exceeds tolerance {herm_tol:.3g}")
+    if defect > HERM_TOL:
+        raise NotHermitian(f"hermiticity defect {defect:.3g} exceeds tolerance {HERM_TOL:.3g}")
     mean = float(np.trace(a).real) / n
     s2 = float(np.trace(a @ a).real) / n - mean * mean
     s = math.sqrt(max(s2, 0.0))

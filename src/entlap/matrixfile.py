@@ -16,7 +16,9 @@ Entry grammar (one token, no internal whitespace):
     radical     := 'sqrt(k)' ['/q'] | 'p*sqrt(k)' ['/q']   (k positive integer)
 
 Decimals are parsed exactly (via Fraction of the decimal string), so emit ->
-parse round-trips are exact for every literal the emitter produces.
+parse round-trips are exact for every literal the emitter produces.  `parse`
+returns a real file as its object matrix of Exact entries, which `validate`
+takes as given, and a file with an imaginary part as a complex array.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, EntlapError
-from .exact import Exact
+from .exact import ZERO, Exact
 from .matops import BipartiteDims
 from .states import DensityMatrix
 
@@ -76,7 +78,7 @@ def parse_entry(token: str) -> tuple[Exact, Exact]:
     real = _parse_core(m.group("re_core"))
     if m.group("re_sign") == "-":
         real = -real
-    imag = Exact()
+    imag = ZERO
     if m.group("im_core") is not None:
         imag = _parse_core(m.group("im_core"))
         if m.group("im_sign") == "-":
@@ -97,9 +99,8 @@ def _float_value(real: Exact, imag: Exact) -> complex:
 
 @dataclass(frozen=True)
 class ParsedMatrix:
-    array: np.ndarray
+    array: np.ndarray  # object array of Exact entries, or a complex array when any entry has an imaginary part
     dims: BipartiteDims
-    exact: np.ndarray | None  # object array of the exact real entries; None when any has an imaginary part
 
 
 def parse(text: str) -> ParsedMatrix:
@@ -143,12 +144,9 @@ def parse(text: str) -> ParsedMatrix:
     n, d1, d2 = header
     if len(rows) != n:
         raise ParseError(len(text.splitlines()) or 1, 1, f"expected {n} rows, got {len(rows)}")
-    values = np.array([[value for _, _, value in row] for row in rows])
     if any(not im.is_zero() for row in rows for _, im, _ in row):
-        return ParsedMatrix(array=values, dims=dims, exact=None)
-    exact = np.array([[re_ for re_, _, _ in row] for row in rows], dtype=object)
-    arr = np.ascontiguousarray(values.real)
-    return ParsedMatrix(array=arr, dims=dims, exact=exact)
+        return ParsedMatrix(array=np.array([[value for _, _, value in row] for row in rows]), dims=dims)
+    return ParsedMatrix(array=np.array([[re_ for re_, _, _ in row] for row in rows], dtype=object), dims=dims)
 
 
 def format_scalar(value: Exact | float) -> str:

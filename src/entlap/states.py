@@ -1,24 +1,29 @@
 """Density-matrix validation, the per-state analysis record, and purity / mixedness functionals.
 
 A validated `DensityMatrix` is the one record every criterion reads.  `validate`
-solves rho's spectrum once and stores it.  Every other derived matrix and
-spectrum (L_rho, rho^TB, L^TB, phi(rho) - I; the spectra of rho^TB, L,
-L + rho^TB, L^TB and phi(rho) - I; det(phi(rho) - I)) and the coherence graph's
-total degree, connectivity and max W is a cached property, computed by the
-`laplacian`, `matops` and `wgraph` kernels the first time it is read.  Criteria
-called one after another on the same state share that work, and a criterion
-computes only what it reads.  Every decision quantity is floating point, also
-for exact inputs: the graph is read off the float Laplacian.
+takes the state's entries as given: a float or complex array, or an object
+matrix of exact entries (int, Fraction or Exact), whose float matrix it reads
+off once and whose entries it keeps.  It solves rho's spectrum once and stores
+it.  Every other derived matrix and spectrum (L_rho, rho^TB, L^TB,
+phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB and phi(rho) - I;
+det(phi(rho) - I)), the coherence graph's total degree, connectivity and max W,
+and the exact entries as Exact scalars are cached properties, computed the
+first time they are read.  Criteria called one after another on the same state
+share that work, and a criterion computes only what it reads.  Every decision
+quantity is floating point, also for exact inputs: the graph is read off the
+float Laplacian, and no criterion reads an Exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AxiomViolation, DimensionMismatch, StateValidationError
+from .exact import Exact
 from .laplacian import Laplacian, laplacian_of_density
 from .matops import BipartiteDims, as_matrix, determinant, eigvals_sym, partial_transpose
 from .wgraph import graph_from_laplacian, is_connected, max_w
@@ -27,21 +32,27 @@ DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+# An exact entry as an Exact scalar, elementwise over an object array; zeros share Exact.of's one zero.
+_to_exact = np.frompyfunc(lambda v: v if isinstance(v, Exact) else Exact.of(v), 1, 1)
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated Hermitian, unit-trace, PSD matrix with bipartite dimensions.
 
-    `spectrum` is rho's ascending spectrum, solved once by `validate`.  `exact`,
-    when present, is a read-only object array of Exact scalars whose float
-    values equal `array`; it rides along so that a Laplacian, graph or matrix
-    file read off the state can be exact.  Construct via `validate()`.
+    `spectrum` is rho's ascending spectrum, solved once by `validate`.
+    `entries` is the read-only object matrix of exact entries the state was
+    validated from, or None for a float or complex input; `array` was read off
+    it.  `exact` turns it into Exact scalars the first time it is read, so that
+    a Laplacian, graph or matrix file read off the state can be exact.  States
+    compare by identity.  Construct via `validate()`.
     """
 
     array: np.ndarray
     dims: BipartiteDims
-    spectrum: np.ndarray = field(compare=False, repr=False)
+    spectrum: np.ndarray = field(repr=False)
     validation_tolerance: float = DEFAULT_TOL
-    exact: np.ndarray | None = field(default=None, compare=False)
+    entries: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -56,6 +67,7 @@ class DensityMatrix:
 
     # Derived matrices, spectra (ascending) and graph scalars, each computed
     # on first read and kept.  The graph is read off the float Laplacian.
+    exact = cached_property(lambda self: None if self.entries is None else _read_only(_to_exact(self.entries)))
     laplacian = cached_property(lambda self: laplacian_of_density(self))  # L_rho
     ptb = cached_property(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
     lap_ptb = cached_property(lambda self: partial_transpose(self.laplacian.array, self.dims))  # L^TB
@@ -80,25 +92,31 @@ class PurityReport:
     rank: int
 
 
-def _exact_mismatch(a: np.ndarray, exact: np.ndarray) -> float:
-    """Worst |float(exact_ij) - a_ij|; infinite when the shapes differ."""
-    if exact.shape != a.shape:
-        return float("inf")
-    return float(np.max(np.abs(exact.astype(float) - a)))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
-             exact: np.ndarray | None = None) -> DensityMatrix:
+def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate `raw` as a density matrix, or raise StateValidationError.
 
-    The violated axioms are listed in order: DimensionMismatch or NotHermitian
-    alone, else TraceNotOne and NotPSD, else ExactMismatch.  Hermiticity is
-    enforced exactly by averaging with the conjugate transpose once the
-    asymmetry is known to be below `tol`; the averaged matrix's spectrum
-    decides PSD and is stored in the state.  An exact companion must have
-    `raw`'s shape and float values within `tol` of its entries.
+    `raw` is a float or complex matrix, or an object matrix of exact entries
+    (int, Fraction or Exact; any other entry is a TypeError), whose float
+    matrix is read off once and whose entries the state keeps.  The violated
+    axioms are listed in order: DimensionMismatch or NotHermitian alone, else
+    TraceNotOne and NotPSD.  Hermiticity is enforced exactly by averaging with
+    the conjugate transpose once the asymmetry is known to be below `tol`; the
+    averaged matrix's spectrum decides PSD and is stored in the state.
     """
-    a = as_matrix(raw)
+    a = np.asarray(raw)
+    entries = None
+    if a.dtype == object:
+        bad = [type(v).__name__ for v in a.flat if not isinstance(v, (int, Fraction, Exact))]
+        if bad:
+            raise TypeError(f"exact entries must be int, Fraction or Exact, got {bad[0]}")
+        entries = _read_only(a.copy())
+        a = a.astype(float)
+    a = as_matrix(a)
     if a.shape[0] != dims.n:
         raise StateValidationError([AxiomViolation("DimensionMismatch", float(a.shape[0] - dims.n))])
     asym = float(np.max(np.abs(a - a.conj().T)))
@@ -114,17 +132,10 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     spectrum = np.linalg.eigvalsh(h)
     if spectrum[0] < -tol:
         violations.append(AxiomViolation("NotPSD", float(spectrum[0])))
-    if exact is not None and not violations:
-        exact = np.array(exact, dtype=object)
-        exact.flags.writeable = False
-        mismatch = _exact_mismatch(a, exact)
-        if mismatch > tol:
-            violations.append(AxiomViolation("ExactMismatch", mismatch))
     if violations:
         raise StateValidationError(violations)
-    h.flags.writeable = False
-    spectrum.flags.writeable = False
-    return DensityMatrix(array=h, dims=dims, spectrum=spectrum, validation_tolerance=tol, exact=exact)
+    return DensityMatrix(array=_read_only(h), dims=dims, spectrum=_read_only(spectrum),
+                         validation_tolerance=tol, entries=entries)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -133,28 +144,22 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(a @ a).real)
 
 
-def linear_entropy(rho: DensityMatrix, literal_normalization: bool = False) -> float:
-    """Mixedness on [0, 1]: (n/(n-1)) * (1 - Tr rho^2) for order n.
-
-    With `literal_normalization` the prefactor is n^2/(n^2-1) instead, which
-    tops out below 1 at the maximally mixed state; the default normalisation
-    reaches exactly 1 there.
-    """
+def linear_entropy(rho: DensityMatrix) -> float:
+    """Mixedness on [0, 1]: (n/(n-1)) * (1 - Tr rho^2) for order n, exactly 1
+    at the maximally mixed state."""
     n = rho.n
     if n < 2:
         raise DimensionMismatch("linear entropy needs order >= 2")
-    p = purity(rho)
-    factor = n * n / (n * n - 1.0) if literal_normalization else n / (n - 1.0)
-    return float(factor * (1.0 - p))
+    return float(n / (n - 1.0) * (1.0 - purity(rho)))
 
 
-def rank(rho: DensityMatrix, rank_tolerance: float = RANK_TOL) -> int:
-    """Number of eigenvalues above `rank_tolerance`."""
-    return int(np.sum(rho.spectrum > rank_tolerance))
+def rank(rho: DensityMatrix) -> int:
+    """Number of eigenvalues above RANK_TOL."""
+    return int(np.sum(rho.spectrum > RANK_TOL))
 
 
-def is_full_rank(rho: DensityMatrix, rank_tolerance: float = RANK_TOL) -> bool:
-    return rank(rho, rank_tolerance) == rho.n
+def is_full_rank(rho: DensityMatrix) -> bool:
+    return rank(rho) == rho.n
 
 
 def purity_report(rho: DensityMatrix) -> PurityReport:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exact import Exact
+from .exact import ZERO, Exact
 from .errors import NoEdges, NotAnEdge, VertexOutOfRange
 from .laplacian import Laplacian
 
@@ -78,7 +78,7 @@ def graph_from_laplacian(lap: Laplacian, edge_threshold: float = DEFAULT_EDGE_TH
     Laplacian is, so an exact graph and its float copy have the same edges.
     """
     entries = lap.array if lap.exact is None else lap.exact
-    zero = Exact() if entries.dtype == object else 0.0
+    zero = ZERO if entries.dtype == object else 0.0
     w = zero - np.where(np.triu(np.abs(lap.array) > edge_threshold, 1), entries, zero)
     w = w + w.T
     w.flags.writeable = False

@@ -1,4 +1,5 @@
-"""Seeded random-state generators for the property and acceptance ensembles.
+"""Seeded random-state generators for the property and acceptance ensembles,
+and the corpus states' sample points.
 
 Each generator draws from a numpy Generator and returns a validated
 DensityMatrix (or a unit vector), so an ensemble is fixed by its seed and size.
@@ -8,8 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from entlap.corpus import list_entries
 from entlap.matops import BipartiteDims
 from entlap.states import DensityMatrix, validate
+
+
+def corpus_points():
+    """(name, parameter) of every corpus state, parameterised ones at both ends
+    and the middle of their domain."""
+    for entry in list_entries():
+        if entry.parameter_domain is None:
+            yield entry.name, None
+        else:
+            lo, hi = entry.parameter_domain
+            yield from ((entry.name, p) for p in (lo, (lo + hi) / 2, hi))
 
 
 def make_rng(seed: int) -> np.random.Generator:

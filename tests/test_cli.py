@@ -120,7 +120,7 @@ class TestLaplacian:
         # exact zero row sums for rational input
         from entlap.exact import Exact
 
-        for row in parsed.exact:
+        for row in parsed.array:
             assert sum(row, Exact()).is_zero()
 
     def test_diagonal_state_zero_matrix(self, capsys, mixed_file):
@@ -135,7 +135,7 @@ class TestLaplacian:
         parsed = parse(out)
         from entlap.laplacian import laplacian_of_density
 
-        np.testing.assert_allclose(parsed.array, laplacian_of_density(psi).array, atol=1e-11)
+        np.testing.assert_allclose(parsed.array.astype(float), laplacian_of_density(psi).array, atol=1e-11)
 
     def test_unwritable_out_path_exit_3(self, capsys, tmp_path):
         out_path = tmp_path / "no_such_dir" / "x.txt"
@@ -224,6 +224,30 @@ class TestSweep:
                          "--from", "0.5", "--to", "0.1", "--steps", "5")
         assert code == 3
 
+    @pytest.mark.parametrize("state, name, stop", [("rho6", "a", "1"), ("rho_ab", "x", "0.283")])
+    def test_sweep_builds_no_exact(self, capsys, exact_created, state, name, stop):
+        # no sweep column reads an exact entry, so no grid point builds an Exact
+        with exact_created() as created:
+            code, out, _ = run(capsys, "sweep", "--state", state, "--param-name", name,
+                               "--from", "0.01", "--to", stop, "--steps", "200")
+        assert code == 0 and len(out.splitlines()) == 201
+        assert not created
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["classify", "--state", "nosuch"], 3,
+     "unknown state 'nosuch'; known: psi, rho1, rho_ab, rho2, rho3, rho5, rho6"),
+    (["classify", "--state", "rho6", "--param", "2"], 2, "a = 2.0 outside [0.01, 1.0] for state 'rho6'"),
+    (["classify", "--state", "rho6"], 2, "state 'rho6' requires parameter 'a'"),
+    (["sweep", "--state", "nosuch", "--param-name", "a", "--from", "0", "--to", "1", "--steps", "2"], 3,
+     "unknown state 'nosuch'; known: psi, rho1, rho_ab, rho2, rho3, rho5, rho6"),
+    (["sweep", "--state", "rho6", "--param-name", "a", "--from", "0.5", "--to", "2", "--steps", "2"], 2,
+     "a = 2.0 outside [0.01, 1.0] for state 'rho6'"),
+    (["corpus", "emit", "psi", "--param", "0.5"], 2, "state 'psi' takes no parameter"),
+])
+def test_corpus_errors_exit_code_and_message(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
 
 class TestCorpus:
     def test_list(self, capsys):
@@ -239,8 +263,8 @@ class TestCorpus:
         code, _, _ = run(capsys, "corpus", "emit", "rho2", "--out", str(path))
         assert code == 0
         reparsed = parse(path.read_text())
-        assert np.array_equal(reparsed.array, build("rho2").array)
-        assert np.array_equal(reparsed.exact, build("rho2").exact)
+        assert np.array_equal(reparsed.array.astype(float), build("rho2").array)
+        assert np.array_equal(reparsed.array, build("rho2").exact)
 
     def test_emit_out_of_domain_exit_2(self, capsys):
         code, _, err = run(capsys, "corpus", "emit", "rho6", "--param", "2")

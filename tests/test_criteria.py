@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import entlap.states
-from entlap.corpus import build, list_entries
+from entlap.corpus import build
 from entlap.criteria import (
     CriterionId,
     DecisionTolerance,
@@ -27,7 +27,7 @@ from entlap.matops import BipartiteDims
 from entlap.states import validate
 
 from _oracles import bf_connected, bf_edges, bf_laplacian, bf_max_w, bf_partial_transpose
-from _sampling import make_rng, random_density, random_mixture_density, random_pure_density
+from _sampling import corpus_points, make_rng, random_density, random_mixture_density, random_pure_density
 
 
 def _dm(arr, d1, d2):
@@ -44,15 +44,7 @@ def _standalone_results(rho):
 
 
 def _corpus_states():
-    """Every corpus state, parameterised ones at both ends and the middle of their domain."""
-    states = []
-    for entry in list_entries():
-        if entry.parameter_domain is None:
-            states.append(build(entry.name))
-        else:
-            lo, hi = entry.parameter_domain
-            states += [build(entry.name, p) for p in (lo, (lo + hi) / 2, hi)]
-    return states
+    return [build(*point) for point in corpus_points()]
 
 
 def _seeded_ensemble():
@@ -335,8 +327,8 @@ class TestClassify:
 
 
 def _fresh(rho):
-    """A newly validated copy of rho, with nothing derived from it computed yet."""
-    return validate(rho.array, rho.dims, tol=rho.validation_tolerance, exact=rho.exact)
+    """A copy of rho validated anew from its entries, with nothing derived from it computed yet."""
+    return validate(rho.array if rho.entries is None else rho.entries, rho.dims, tol=rho.validation_tolerance)
 
 
 def _count_kernel_calls(monkeypatch, names):
@@ -443,3 +435,27 @@ class TestSharedAnalysis:
             monkeypatch.undo()
             assert rho.exact is not None and created == 0
 
+    def test_build_and_classify_create_no_exact(self, exact_created):
+        # a rational state's entries stay Fractions until its exact entries are read
+        for name, param in corpus_points():
+            if name == "psi":  # built from Exact amplitudes
+                continue
+            with exact_created() as created:
+                classify(build(name, param))
+            assert not created, (name, param)
+
+    @pytest.mark.parametrize("states", [_corpus_states, _seeded_ensemble], ids=["corpus", "seeded"])
+    def test_every_eigensolve_gets_an_exactly_hermitian_matrix(self, monkeypatch, states):
+        # eigvals_sym reads only the lower triangle and checks nothing, so every
+        # matrix a validated state derives must be exactly Hermitian
+        solved = []
+        original = entlap.states.eigvals_sym
+
+        def recording(m):
+            solved.append(bool(np.array_equal(m, m.conj().T)))
+            return original(m)
+
+        monkeypatch.setattr(entlap.states, "eigvals_sym", recording)
+        for rho in states():
+            classify(rho)
+        assert solved and all(solved)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from entlap.exact import Exact
+from entlap.exact import ZERO, Exact
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000
@@ -55,6 +55,20 @@ def test_adding_zero_returns_the_other_operand():
         x + 0.0
     with pytest.raises(TypeError):
         0.0 - x
+
+
+def test_zero_values_share_one_zero():
+    assert Exact.of(0) is ZERO
+    assert Exact.of(Fraction(0, 7)) is ZERO
+    assert -ZERO is ZERO and ZERO - 0 is ZERO
+    assert Exact.of(1) is not ZERO and ZERO.is_zero()
+
+
+def test_float_of_one_term_is_the_term():
+    for x in [Exact.of(Fraction(1, 81)), Exact.of(Fraction(-65, 648)), Exact.radical(Fraction(1, 8), 7),
+              Exact.radical(Fraction(-3, 16), 2), Exact.of(10**20 + 1)]:
+        ((k, c),) = x.terms.items()
+        assert float(x) == float(c) * math.sqrt(k) == sum(float(c) * math.sqrt(k) for k, c in x.terms.items())
 
 
 def test_comparisons_and_ordering():

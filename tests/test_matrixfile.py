@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entlap.corpus import build, list_entries
-from entlap.exact import Exact
+from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
 from entlap.matrixfile import ParseError, emit, format_scalar, parse, parse_entry
 
@@ -45,13 +45,13 @@ class TestParse:
         )
         parsed = parse(text)
         assert parsed.dims == BipartiteDims(2, 2)
-        np.testing.assert_array_equal(parsed.array, np.eye(4) / 4)
-        assert parsed.exact is not None
+        np.testing.assert_array_equal(parsed.array.astype(float), np.eye(4) / 4)
+        assert all(isinstance(v, Exact) for v in parsed.array.flat)
 
     def test_complex_entries_disable_exact(self):
         text = "dims 4 2 2\n0.5 0 0 0+0.5i\n0 0 0 0\n0 0 0 0\n0-0.5i 0 0 0.5"
         parsed = parse(text)
-        assert parsed.exact is None
+        assert parsed.array.dtype == complex
         assert parsed.array[0, 3] == 0.5j
 
     def test_error_locations(self):
@@ -80,6 +80,14 @@ class TestParse:
         assert (err.value.line, err.value.column) == (3, 3)
         assert "floating-point range" in str(err.value)
 
+    def test_builds_one_exact_per_nonzero_token(self, exact_created):
+        # every "0" token and every real token's imaginary part share one zero
+        text = emit(build("rho6", 0.5))
+        with exact_created() as created:
+            parsed = parse(text)
+        assert len(created) == 27 == sum(tok != "0" for line in text.splitlines()[1:] for tok in line.split())
+        assert sum(v is ZERO for v in parsed.array.flat) == 81 - 27
+
     def test_row_length_checked(self):
         with pytest.raises(ParseError):
             parse("dims 4 2 2\n1 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
@@ -95,15 +103,15 @@ class TestEmit:
         assert "1/81" in text
         assert "1/8" in text
         reparsed = parse(text)
-        assert np.array_equal(reparsed.array, rho2.array)
-        assert np.array_equal(reparsed.exact, rho2.exact)
+        assert np.array_equal(reparsed.array.astype(float), rho2.array)
+        assert np.array_equal(reparsed.array, rho2.exact)
 
     def test_radicals_preserved(self, psi):
         text = emit(psi)
         assert "sqrt(7)/8" in text
         assert "sqrt(7)/16" in text
         reparsed = parse(text)
-        assert np.array_equal(reparsed.exact, psi.exact)
+        assert np.array_equal(reparsed.array, psi.exact)
 
     def test_round_trip_for_every_corpus_state(self):
         for entry in list_entries():
@@ -112,8 +120,8 @@ class TestEmit:
             else:
                 rho = build(entry.name, entry.parameter_domain[0] or 0.1)
             reparsed = parse(emit(rho))
-            assert np.array_equal(reparsed.exact, rho.exact), entry.name
-            assert np.array_equal(reparsed.array, rho.array)
+            assert np.array_equal(reparsed.array, rho.exact), entry.name
+            assert np.array_equal(reparsed.array.astype(float), rho.array)
 
     def test_laplacian_mixed_entries_fall_back_to_decimal(self, psi):
         from entlap.laplacian import laplacian_of_density
@@ -141,4 +149,4 @@ def test_rational_matrix_round_trip(rows):
     exact = np.array([[Exact.of(v) for v in row] for row in rows], dtype=object)
     text = emit(exact, BipartiteDims(2, 2))
     reparsed = parse(text)
-    assert np.array_equal(reparsed.exact, exact)
+    assert np.array_equal(reparsed.array, exact)

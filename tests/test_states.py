@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from entlap.corpus import build, build_rho_ab, list_entries
+from entlap.corpus import build, build_rho_ab
 from entlap.errors import StateValidationError
 from entlap.matops import BipartiteDims
 from entlap.states import linear_entropy, purity, purity_report, rank, validate
 
 from _oracles import random_psd
+from _sampling import corpus_points
 
 
 def _dm(arr, d1, d2, tol=1e-9):
@@ -67,24 +70,33 @@ class TestValidate:
 
 class TestExactCompanion:
     def test_every_corpus_state_revalidates_with_its_companion(self):
-        for entry in list_entries():
-            rho = build(entry.name, None if entry.parameter_domain is None else entry.parameter_domain[1])
-            again = validate(rho.array, rho.dims, tol=rho.validation_tolerance, exact=rho.exact)
-            assert np.array_equal(again.exact, rho.exact), entry.name
+        for rho in (build(*point) for point in corpus_points()):
+            again = validate(rho.entries, rho.dims, tol=rho.validation_tolerance)
+            assert np.array_equal(again.exact, rho.exact)
+            assert again.array.tobytes() == rho.array.tobytes()
 
-    def test_mismatched_companion_rejected_with_worst_difference(self, rho5):
-        exact = rho5.exact.copy()
-        exact[0, 1] = exact[1, 0] = exact[0, 1] * 2  # 1/20 -> 1/10
-        with pytest.raises(StateValidationError) as err:
-            validate(rho5.array, rho5.dims, exact=exact)
-        (violation,) = err.value.violations
-        assert violation.axiom == "ExactMismatch"
-        assert violation.magnitude == pytest.approx(0.05, abs=1e-15)
+    def test_float_matrix_is_read_off_the_exact_entries(self):
+        # bit for bit: validate's float matrix is the exact entries' float values
+        for rho in (build(*point) for point in corpus_points()):
+            assert rho.exact.astype(float).tobytes() == rho.array.tobytes()
+            assert not rho.exact.flags.writeable and not rho.entries.flags.writeable
 
-    def test_wrong_shaped_companion_rejected(self, rho5):
-        with pytest.raises(StateValidationError) as err:
-            validate(rho5.array, rho5.dims, exact=rho5.exact[:3, :3])
-        assert [v.axiom for v in err.value.violations] == ["ExactMismatch"]
+    def test_float_input_has_no_exact_entries(self):
+        rho = _dm(np.eye(4) / 4, 2, 2)
+        assert rho.entries is None and rho.exact is None
+
+    @pytest.mark.parametrize("entry", [0.25, 0.25 + 0j, "1/4", None])
+    def test_object_entry_of_another_type_is_a_type_error(self, entry):
+        m = np.array([[Fraction(1, 4) if i == j else 0 for j in range(4)] for i in range(4)], dtype=object)
+        m[3, 3] = entry
+        with pytest.raises(TypeError, match="int, Fraction or Exact"):
+            validate(m, BipartiteDims(2, 2))
+
+    def test_states_compare_by_identity(self):
+        a, b = build("rho3"), build("rho3")
+        assert a == a
+        assert a != b
+        assert not (a == b)
 
 
 class TestPurityFunctionals:
@@ -98,7 +110,6 @@ class TestPurityFunctionals:
     def test_linear_entropy_normalisations(self):
         mixed = _dm(np.eye(4) / 4, 2, 2)
         assert linear_entropy(mixed) == pytest.approx(1.0, abs=1e-12)
-        assert linear_entropy(mixed, literal_normalization=True) == pytest.approx(0.8, abs=1e-12)
 
     def test_linear_entropy_zero_iff_pure(self, psi, rho5, rng):
         assert linear_entropy(psi) == pytest.approx(0.0, abs=1e-9)
