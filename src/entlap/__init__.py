@@ -19,13 +19,12 @@ from .exact import Exact
 from .matops import (
     BipartiteDims,
     SpectralDecomposition,
-    determinant,
     eig_sym,
     partial_transpose,
     wolkowicz_bounds,
 )
 from .states import DensityMatrix, PurityReport, linear_entropy, purity, purity_report, rank, validate
-from .laplacian import Laplacian, coherence_l1, kadison_defect, laplacian_of_density, laplacian_of_general, phi
+from .laplacian import coherence_l1, kadison_defect, laplacian_of_density, laplacian_of_general, phi
 from .wgraph import (
     WConvention,
     WeightedGraph,
@@ -62,10 +61,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AxiomViolation", "BipartiteDims", "ClassificationReport", "CriterionId", "CriterionResult",
     "DecisionTolerance", "DensityMatrix", "DimensionMismatch", "EntlapError", "Exact",
-    "Laplacian", "NoConvergence", "NoEdges", "NotAnEdge", "NotHermitian", "ParameterOutOfDomain",
+    "NoConvergence", "NoEdges", "NotAnEdge", "NotHermitian", "ParameterOutOfDomain",
     "ParseError", "PurityReport", "SpectralDecomposition", "StateValidationError", "UnknownState",
     "Verdict", "VertexOutOfRange", "WConvention", "WeightedGraph", "WrongDimensions",
-    "classify", "coherence_l1", "cor4a_nptes", "cor6_ppt", "corpus", "determinant",
+    "classify", "coherence_l1", "cor4a_nptes", "cor6_ppt", "corpus",
     "edge_w", "eig_sym", "emit", "export_dot", "graph_from_laplacian",
     "is_connected", "kadison_defect", "laplacian_of_density", "laplacian_of_general",
     "linear_entropy", "max_w", "parse", "partial_transpose", "phi", "ppt_oracle", "purity",

@@ -17,9 +17,10 @@ from . import corpus as corpus_mod
 from .criteria import (DecisionTolerance, classify, cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt,
                        thm6_ppt)
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
+from .laplacian import laplacian_of_density
 from .matrixfile import ParseError, emit, parse
 from .states import DensityMatrix, purity_report, validate
-from .wgraph import WeightedGraph, export_dot, graph_from_laplacian, is_connected, max_w
+from .wgraph import export_dot, graph_from_laplacian
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -167,24 +168,18 @@ def cmd_classify(args) -> int:
 
 def cmd_laplacian(args) -> int:
     rho, label = _load_state(args)
-    lap = rho.laplacian
-    entries = lap.array if lap.exact is None else lap.exact
-    _write(args.out, emit(entries, rho.dims, header_comment=f"laplacian of {label}"))
+    _write(args.out, emit(laplacian_of_density(rho.literal), rho.dims, header_comment=f"laplacian of {label}"))
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
     rho, label = _load_state(args)
-    graph = graph_from_laplacian(rho.laplacian, edge_threshold=args.edge_threshold)
-    _write(args.dot, export_dot(graph))
-    conn = "connected" if is_connected(graph) else "disconnected"
-    print(f"vertices {graph.vertex_count} edges {graph.edge_count()} {conn}")
+    _write(args.dot, export_dot(graph_from_laplacian(laplacian_of_density(rho.literal))))
+    # the stats are the state's own, read off the float graph that classify reads
+    conn = "connected" if rho.connected else "disconnected"
+    print(f"vertices {rho.graph.vertex_count} edges {rho.graph.edge_count()} {conn}")
     print(f"total_degree {_fmt(rho.total_degree)}")
-    if graph.edge_count():
-        # decisions and printed scalars run in float, as classify's do
-        print(f"max_w {_fmt(max_w(WeightedGraph(graph.weights.astype(float))))}")
-    else:
-        print("max_w undefined (no edges)")
+    print("max_w undefined (no edges)" if rho.max_w is None else f"max_w {_fmt(rho.max_w)}")
     return EXIT_OK
 
 
@@ -262,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export the coherence graph as DOT and print its stats")
     _add_state_args(p)
     p.add_argument("--dot", help="DOT output path (default stdout)")
-    p.add_argument("--edge-threshold", type=finite_float, default=1e-12)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("sweep", help="evaluate criteria over a parameter grid, CSV output")

@@ -163,7 +163,11 @@ def build(name: str, parameter=None) -> DensityMatrix:
         return entry.builder()
     if parameter is None:
         raise ParameterOutOfDomain(f"state {name!r} requires parameter {entry.parameter_name!r}")
-    p = _to_fraction(parameter)
+    try:
+        p = _to_fraction(parameter)
+    except ValueError:
+        raise ParameterOutOfDomain(
+            f"{entry.parameter_name} = {parameter!r} is not a finite number for state {name!r}") from None
     lo, hi = entry.parameter_domain
     if not (_to_fraction(lo) <= p <= _to_fraction(hi)):
         raise ParameterOutOfDomain(

@@ -39,15 +39,18 @@ class Exact:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
+    def __init__(self, terms: dict[int, Rational] | None = None):
         clean: dict[int, Fraction] = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c == 0:
                     continue
                 m, r = _square_free(int(k))
-                clean[r] = clean.get(r, Fraction(0)) + c * m
+                if m != 1:
+                    c = c * m
+                clean[r] = clean[r] + c if r in clean else c
         object.__setattr__(self, "_terms", {k: c for k, c in sorted(clean.items()) if c != 0})
 
     def __setattr__(self, name, value):
@@ -57,13 +60,13 @@ class Exact:
 
     @classmethod
     def of(cls, value: Rational) -> "Exact":
-        """The rational `value`; ZERO itself when it is zero."""
-        return cls({1: Fraction(value)}) if value else ZERO
+        """The rational `value`, a Fraction kept as given; ZERO itself when it is zero."""
+        return cls({1: value}) if value else ZERO
 
     @classmethod
     def radical(cls, coeff: Rational, k: int) -> "Exact":
-        """coeff * sqrt(k)."""
-        return cls({k: Fraction(coeff)})
+        """coeff * sqrt(k), a Fraction coeff kept as given when k is square-free."""
+        return cls({k: coeff})
 
     # -- inspection ---------------------------------------------------
 

@@ -5,15 +5,14 @@ L_A takes its off-diagonal entries from the moduli of A's off-diagonal entries
 a real symmetric, zero-row-sum, PSD matrix: a weighted-graph Laplacian.  The
 trace of L_rho equals the l1-norm of coherence of rho (the graph total degree).
 
-One construction serves both entry types: `array` is the float Laplacian, and
-for a state with exact entries `Laplacian.exact` applies the same kernel to the
-state's Exact entries, only when it is first read; building L reads none.
+A Laplacian is a read-only array in its source's entry type: float for a float
+or complex matrix or a DensityMatrix, Exact for an object array of Exact
+entries.  One kernel builds both, so off the diagonal an exact Laplacian read
+off a state's `exact` entries and the state's float `laplacian` agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,14 +24,15 @@ if TYPE_CHECKING:
     from .states import DensityMatrix
 
 
-def _laplacian(m: np.ndarray) -> np.ndarray:
-    """Read-only diag(w.sum(1)) - w over the off-diagonal moduli w_ij = |m_ij|,
-    in m's entry type (float, or Exact in an object array).
+def laplacian_of_density(m) -> np.ndarray:
+    """Read-only L with off-diagonal -|m_ij| and diagonal sum_j |m_ij| (j != i),
+    in m's entry type: float for a float or complex array or a DensityMatrix
+    (read as its float matrix), Exact for an Exact object array.
 
     Built as 0 - w with the row sums written onto the diagonal, so an exact
     Laplacian reuses one zero and constructs an Exact only for a non-zero entry.
     """
-    w = np.abs(m)
+    w = np.abs(np.asarray(m))
     zero = ZERO if w.dtype == object else 0.0
     np.fill_diagonal(w, zero)
     lap = zero - w
@@ -41,41 +41,11 @@ def _laplacian(m: np.ndarray) -> np.ndarray:
     return lap
 
 
-@dataclass(frozen=True)
-class Laplacian:
-    """Real symmetric zero-row-sum PSD matrix read off a source matrix.
-
-    `state`, when given, is the density matrix L was read off; `exact` is then
-    the same Laplacian in Exact arithmetic over the state's exact entries,
-    built the first time it is read, and None when the state has none.
-    """
-
-    array: np.ndarray
-    state: DensityMatrix | None = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def exact(self) -> np.ndarray | None:
-        exact = None if self.state is None else self.state.exact
-        return None if exact is None else _laplacian(exact)
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-    def total_degree(self) -> float:
-        return float(np.trace(self.array))
-
-
-def laplacian_of_density(rho: DensityMatrix) -> Laplacian:
-    """L with off-diagonal -|rho_ij| and diagonal sum_j |rho_ij| (j != i)."""
-    return Laplacian(_laplacian(rho.array), state=rho)
-
-
-def laplacian_of_general(a) -> Laplacian:
+def laplacian_of_general(a) -> np.ndarray:
     """L with off-diagonal -(|a_ij| + |a_ji|)/2; equals laplacian_of_density's
     construction when the input is Hermitian."""
     absm = np.abs(as_matrix(a)).astype(float)
-    return Laplacian(_laplacian((absm + absm.T) / 2))
+    return laplacian_of_density((absm + absm.T) / 2)
 
 
 def phi(a) -> np.ndarray:
@@ -86,12 +56,12 @@ def phi(a) -> np.ndarray:
     matrix has L = 0 structurally.
     """
     m = as_matrix(a)
-    return laplacian_of_general(m).array + m
+    return laplacian_of_general(m) + m
 
 
 def coherence_l1(rho: DensityMatrix) -> float:
     """Sum of off-diagonal moduli = Tr L_rho = graph total degree d_G."""
-    return laplacian_of_density(rho).total_degree()
+    return rho.total_degree
 
 
 def kadison_defect(rho: DensityMatrix) -> float:
@@ -103,5 +73,5 @@ def kadison_defect(rho: DensityMatrix) -> float:
     """
     p = phi(rho)
     rho2 = rho.array @ rho.array
-    p2 = laplacian_of_general(rho2).array + rho2
+    p2 = laplacian_of_general(rho2) + rho2
     return eig_sym(p2 - p @ p, herm_tol=1e-8).lambda_min

@@ -74,10 +74,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def _fix_eigenvector_signs(vecs: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above SIGN_EPS is real positive."""
     out = vecs.copy()
@@ -126,18 +122,11 @@ def eigvals_sym(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def determinant(m):
-    """Determinant via LU with partial pivoting.
-
-    Returns a float for real or Hermitian input, complex otherwise.
+def determinant(m: np.ndarray) -> float:
+    """Determinant of a Hermitian matrix via LU with partial pivoting, unchecked:
+    its real part, which is all of it for a Hermitian matrix.
     """
-    a = as_matrix(m)
-    d = np.linalg.det(a)
-    if not np.iscomplexobj(a):
-        return float(d)
-    if is_hermitian(a):
-        return float(d.real)
-    return complex(d)
+    return float(np.linalg.det(m).real)
 
 
 def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:

@@ -86,10 +86,11 @@ def parse_entry(token: str) -> tuple[Exact, Exact]:
     return real, imag
 
 
-def _float_value(real: Exact, imag: Exact) -> complex:
-    """An entry's floating-point value; ValueError when it is beyond float range."""
+def _float_value(real: Exact, imag: Exact) -> float | complex:
+    """An entry's floating-point value, complex only when it has an imaginary
+    part; ValueError when it is beyond float range."""
     try:
-        value = complex(float(real), float(imag))
+        value = float(real) if imag.is_zero() else complex(float(real), float(imag))
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):
@@ -106,7 +107,7 @@ class ParsedMatrix:
 def parse(text: str) -> ParsedMatrix:
     """Parse matrix-file text; raise ParseError with line/column on bad input."""
     header: tuple[int, int, int] | None = None
-    rows: list[list[tuple[Exact, Exact, complex]]] = []
+    rows: list[list[tuple[Exact, Exact, float | complex]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -170,13 +171,13 @@ def _format_complex(value: complex) -> str:
 def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None = None) -> str:
     """Render a matrix in the file format, each entry as the type it holds.
 
-    Exact entries (an object array, or a DensityMatrix's exact companion) are
+    A DensityMatrix is rendered as its `literal` entries.  Exact entries are
     written as literals where expressible; float and complex ones as
     12-significant-digit decimals.
     """
     if isinstance(matrix, DensityMatrix):
         dims = matrix.dims
-        matrix = matrix.array if matrix.exact is None else matrix.exact
+        matrix = matrix.literal
     if dims is None:
         raise ValueError("dims required when not passing a DensityMatrix")
     arr = np.asarray(matrix)

@@ -10,8 +10,10 @@ det(phi(rho) - I)), the coherence graph's total degree, connectivity and max W,
 and the exact entries as Exact scalars are cached properties, computed the
 first time they are read.  Criteria called one after another on the same state
 share that work, and a criterion computes only what it reads.  Every decision
-quantity is floating point, also for exact inputs: the graph is read off the
-float Laplacian, and no criterion reads an Exact.
+quantity is floating point, also for exact inputs: the Laplacian and the graph
+are read off the float matrix, and no criterion reads an Exact.  `literal` is
+the one place that picks a state's exact entries over its float ones, for what
+is printed (matrix files, the Laplacian and graph the CLI writes).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import AxiomViolation, DimensionMismatch, StateValidationError
 from .exact import Exact
-from .laplacian import Laplacian, laplacian_of_density
+from .laplacian import laplacian_of_density
 from .matops import BipartiteDims, as_matrix, determinant, eigvals_sym, partial_transpose
 from .wgraph import graph_from_laplacian, is_connected, max_w
 
@@ -43,8 +45,8 @@ class DensityMatrix:
     `spectrum` is rho's ascending spectrum, solved once by `validate`.
     `entries` is the read-only object matrix of exact entries the state was
     validated from, or None for a float or complex input; `array` was read off
-    it.  `exact` turns it into Exact scalars the first time it is read, so that
-    a Laplacian, graph or matrix file read off the state can be exact.  States
+    it.  `exact` turns it into Exact scalars the first time it is read, and
+    `literal` is `exact` when the state has it and `array` otherwise.  States
     compare by identity.  Construct via `validate()`.
     """
 
@@ -65,21 +67,26 @@ class DensityMatrix:
         """The float matrix, so a state passes wherever an array is taken."""
         return np.array(self.array, dtype=dtype, copy=copy)
 
+    @property
+    def literal(self) -> np.ndarray:
+        """The entries to print: `exact` when the state has exact entries, else `array`."""
+        return self.array if self.exact is None else self.exact
+
     # Derived matrices, spectra (ascending) and graph scalars, each computed
-    # on first read and kept.  The graph is read off the float Laplacian.
+    # on first read and kept; all but `exact` are float.
     exact = cached_property(lambda self: None if self.entries is None else _read_only(_to_exact(self.entries)))
-    laplacian = cached_property(lambda self: laplacian_of_density(self))  # L_rho
+    laplacian = cached_property(lambda self: laplacian_of_density(self.array))  # L_rho
     ptb = cached_property(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
-    lap_ptb = cached_property(lambda self: partial_transpose(self.laplacian.array, self.dims))  # L^TB
-    phi_minus_i = cached_property(lambda self: self.laplacian.array + self.array - np.eye(self.n))
+    lap_ptb = cached_property(lambda self: partial_transpose(self.laplacian, self.dims))  # L^TB
+    phi_minus_i = cached_property(lambda self: self.laplacian + self.array - np.eye(self.n))
     spec_ptb = cached_property(lambda self: eigvals_sym(self.ptb))
-    spec_lap = cached_property(lambda self: eigvals_sym(self.laplacian.array))
-    spec_l_plus_ptb = cached_property(lambda self: eigvals_sym(self.laplacian.array + self.ptb))
+    spec_lap = cached_property(lambda self: eigvals_sym(self.laplacian))
+    spec_l_plus_ptb = cached_property(lambda self: eigvals_sym(self.laplacian + self.ptb))
     spec_lap_ptb = cached_property(lambda self: eigvals_sym(self.lap_ptb))
     spec_phi_minus_i = cached_property(lambda self: eigvals_sym(self.phi_minus_i))
-    det_phi_minus_i = cached_property(lambda self: float(determinant(self.phi_minus_i).real))
-    total_degree = cached_property(lambda self: self.laplacian.total_degree())  # d_G = Tr L_rho
-    graph = cached_property(lambda self: graph_from_laplacian(Laplacian(self.laplacian.array)))
+    det_phi_minus_i = cached_property(lambda self: determinant(self.phi_minus_i))
+    total_degree = cached_property(lambda self: float(np.trace(self.laplacian)))  # d_G = Tr L_rho
+    graph = cached_property(lambda self: graph_from_laplacian(self.laplacian))
     connected = cached_property(lambda self: is_connected(self.graph))
     # wgraph.max_w (EXCLUDED convention), or None when the graph has no edges
     max_w = cached_property(lambda self: max_w(self.graph) if self.graph.edge_count() else None)

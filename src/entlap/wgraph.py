@@ -1,10 +1,10 @@
 """Simple weighted graphs read off Laplacians, and the edge functional W[i,j].
 
-A graph is its dense symmetric weight matrix with a zero diagonal.  Entries are
-floats, or Exact scalars (an object array) when the source Laplacian has exact
-entries, so DOT labels and W values stay exact for exact inputs.  Edges are
-chosen on the float Laplacian for both entry types, and W has one closed form,
-evaluated over an edge list for either entry type (see `_w_values`).
+A graph is its dense symmetric weight matrix with a zero diagonal, in the entry
+type of the Laplacian array it was read off: floats, or Exact scalars (an
+object array), so DOT labels and W values stay exact for exact inputs.  Edges
+are chosen on the Laplacian's float values for both entry types, and W has one
+closed form, evaluated over an edge list for either entry type (see `_w_values`).
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
@@ -18,7 +18,6 @@ import numpy as np
 
 from .exact import ZERO, Exact
 from .errors import NoEdges, NotAnEdge, VertexOutOfRange
-from .laplacian import Laplacian
 
 
 class WConvention(str, Enum):
@@ -38,7 +37,8 @@ class WConvention(str, Enum):
     INCLUSIVE = "inclusive"
 
 
-DEFAULT_EDGE_THRESHOLD = 1e-12
+# An off-diagonal Laplacian entry is an edge when its modulus is above this.
+EDGE_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +71,15 @@ class WeightedGraph:
         return len(self._edge_index()[0])
 
 
-def graph_from_laplacian(lap: Laplacian, edge_threshold: float = DEFAULT_EDGE_THRESHOLD) -> WeightedGraph:
-    """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above the threshold.
+def graph_from_laplacian(lap: np.ndarray) -> WeightedGraph:
+    """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above EDGE_THRESHOLD.
 
-    Edges are chosen on the float Laplacian; their weights are exact when the
-    Laplacian is, so an exact graph and its float copy have the same edges.
+    The weights are in lap's entry type, float or Exact.  Edges are chosen on
+    lap's float values.  Off the diagonal, those of a state's exact Laplacian
+    equal its float Laplacian bit for bit, so the two graphs have the same edges.
     """
-    entries = lap.array if lap.exact is None else lap.exact
-    zero = ZERO if entries.dtype == object else 0.0
-    w = zero - np.where(np.triu(np.abs(lap.array) > edge_threshold, 1), entries, zero)
+    zero = ZERO if lap.dtype == object else 0.0
+    w = zero - np.where(np.triu(np.abs(lap.astype(float, copy=False)) > EDGE_THRESHOLD, 1), lap, zero)
     w = w + w.T
     w.flags.writeable = False
     return WeightedGraph(w)

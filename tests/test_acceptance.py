@@ -141,7 +141,7 @@ def test_criterion_03_coherence_family(rho5):
     lap_ok, lap_pt_ok = True, True
     for x in (0.04, 0.1, 0.17, 0.25):
         rho = build("rho_ab", x)
-        lap = laplacian_of_density(rho).array
+        lap = laplacian_of_density(rho)
         vals = eigvals_sym(lap)
         lap_ok &= bool(np.max(np.abs(vals - np.array([0, 0, 0, 2 * x]))) <= 1e-12)
         vals_pt = eigvals_sym(partial_transpose(lap, rho.dims))
@@ -164,7 +164,7 @@ def test_criterion_03_coherence_family(rho5):
 
 def test_criterion_04_separable_2x4_state(rho2):
     vals = rho2.eigenvalues()
-    lap_vals = eigvals_sym(laplacian_of_density(rho2).array)
+    lap_vals = eigvals_sym(laplacian_of_density(rho2))
     expected_lap = np.array([0, 0, 0, 0, 0, 2 / 81, 2 / 81, 4 / 81])
     res5 = thm5_ppt(rho2)
     pt = partial_transpose(rho2.array, rho2.dims)
@@ -188,7 +188,7 @@ def test_criterion_04_separable_2x4_state(rho2):
 
 
 def test_criterion_05_npt_state_scalars(rho3):
-    lap = laplacian_of_density(rho3).array
+    lap = laplacian_of_density(rho3)
     ptb = partial_transpose(rho3.array, rho3.dims)
     mu = float(eigvals_sym(lap + ptb)[0])
     spectrum = eigvals_sym(ptb)
@@ -245,7 +245,7 @@ def test_criterion_05_reference_max_w(rho3):
     Asserted: both values exactly and against the brute-force functional, the
     tight bound, and that 0.9 is the bare sum and breaks the bound.
     """
-    g = graph_from_laplacian(laplacian_of_density(rho3))
+    g = graph_from_laplacian(laplacian_of_density(rho3.exact))
     edges = _exact_edges(rho3)
     excluded, inclusive = max_w(g), max_w(g, WConvention.INCLUSIVE)
     lam_max = float(np.linalg.eigvalsh(bf_laplacian(rho3.array))[-1])
@@ -278,7 +278,7 @@ def test_criterion_05_reference_max_w(rho3):
 def test_criterion_06_path_state(rho5):
     spectrum = np.sort(rho5.eigenvalues())[::-1]
     expected = np.array([0.3309, 0.2809, 0.2191, 0.1691])
-    g = graph_from_laplacian(laplacian_of_density(rho5))
+    g = graph_from_laplacian(laplacian_of_density(rho5.exact))
     res = cor6_ppt(rho5)
     checks = [
         check("6. spectrum {0.3309, 0.2809, 0.2191, 0.1691} within 1e-4",
@@ -304,7 +304,7 @@ def test_criterion_06_reference_w_triplet(rho5):
     computed multiset equals the quoted {3/10, 1/5, 1/5}, so the quoted triplet
     has the labels (1,2) and (1,4) transposed.
     """
-    g = graph_from_laplacian(laplacian_of_density(rho5))
+    g = graph_from_laplacian(laplacian_of_density(rho5.exact))
     edges = _exact_edges(rho5)
     swap = (3, 2, 1, 0)
     swapped = {tuple(sorted((swap[i], swap[j]))): w for (i, j), w in edges.items()}
@@ -349,7 +349,7 @@ def test_criterion_07_parameterised_family_grid():
     for a_float in np.linspace(0.01, 1.0, 100):
         a = Fraction(str(float(a_float)))
         rho = build("rho6", a)
-        g = graph_from_laplacian(laplacian_of_density(rho))
+        g = graph_from_laplacian(laplacian_of_density(rho.exact))
         n_const = 400 * a + 1
         expected_max = (4 * a + Fraction(1, 25)) / n_const
         got_max = max_w(g)
@@ -383,7 +383,7 @@ def test_criterion_07_reference_w34_w48():
     z = Fraction(1, 100)
     n_const = 400 * a + 1
     rho = build("rho6", a)
-    g = graph_from_laplacian(laplacian_of_density(rho))
+    g = graph_from_laplacian(laplacian_of_density(rho.exact))
     edges = _exact_edges(rho)
     nbrs: dict[int, dict[int, Fraction]] = {v: {} for v in range(rho.n)}
     for (i, j), w in edges.items():
@@ -426,7 +426,7 @@ def test_criterion_08_laplacian_invariants():
     for k in range(1000):
         dims = [BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)][k % 3]
         rho = random_density(rng, dims)
-        lap = laplacian_of_density(rho).array
+        lap = laplacian_of_density(rho)
         n = lap.shape[0]
         ok &= float(np.max(np.abs(lap.sum(axis=1)))) <= 1e-12
         ok &= float(np.max(np.abs(lap @ np.ones(n)))) <= 1e-9
@@ -489,11 +489,11 @@ def test_criterion_08_spectral_graph_bound(psi, rho3, rho5):
         if rho is None:
             dims = [BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)][checked % 3]
             rho = random_density(rng, dims)
-        g = graph_from_laplacian(laplacian_of_density(rho))
+        g = graph_from_laplacian(laplacian_of_density(rho.literal))
         if not g.edges or not is_connected(g):
             continue
         checked += 1
-        lam_max = float(eigvals_sym(laplacian_of_density(rho).array)[-1])
+        lam_max = float(eigvals_sym(laplacian_of_density(rho))[-1])
         ok &= lam_max <= float(max_w(g, WConvention.INCLUSIVE)) / 2 + EPS
         if lam_max > float(max_w(g)) / 2 + EPS:
             excluded_violations += 1
@@ -510,7 +510,7 @@ def test_criterion_08_unitality_and_positivity():
         n = int(rng.integers(2, 10))
         m = random_psd(rng, n)
         lam_in = float(eigvals_sym(m)[0])
-        lam_out = float(eigvals_sym(laplacian_of_general(m).array + m)[0])
+        lam_out = float(eigvals_sym(laplacian_of_general(m) + m)[0])
         ok_pos &= lam_out >= lam_in - EPS
     _all([
         check("8. map is exactly unital for orders 2..16", unital),
@@ -673,7 +673,7 @@ def test_criterion_08_necessity_bounds():
         npt_checked += 1
         half_inc = float(max_w(g, WConvention.INCLUSIVE)) / 2
         half_exc = float(max_w(g)) / 2
-        mu = float(eigvals_sym(lap.array + partial_transpose(rho.array, rho.dims))[0])
+        mu = float(eigvals_sym(lap + partial_transpose(rho.array, rho.dims))[0])
         ok_3b &= mu <= half_inc + EPS
         excl_3b += mu > half_exc + EPS
         if is_full_rank(rho):
@@ -688,8 +688,8 @@ def test_criterion_08_necessity_bounds():
             continue
         ppt_checked += 1
         lap = laplacian_of_density(rho)
-        mu = float(eigvals_sym(lap.array + partial_transpose(rho.array, rho.dims))[0])
-        ok_4a &= mu <= 1.0 + lap.total_degree() + EPS
+        mu = float(eigvals_sym(lap + partial_transpose(rho.array, rho.dims))[0])
+        ok_4a &= mu <= 1.0 + float(np.trace(lap)) + EPS
     print(f"      diagnostic: default-convention necessity violations: "
           f"npt-bound {excl_3b}/500, min-eigenvalue bound {excl_7}/500")
     _all([
@@ -739,4 +739,4 @@ def test_criterion_09_total_degree_equals_coherence(rho3, rho2, psi):
     for rho, expected in [(rho3, 1.6), (rho2, 8 / 81), (psi, 1 + 5 * S7 / 8)]:
         assert coherence_l1(rho) == pytest.approx(expected, abs=1e-12)
         lap = laplacian_of_density(rho)
-        assert lap.total_degree() == pytest.approx(coherence_l1(rho), abs=1e-12)
+        assert float(np.trace(lap)) == pytest.approx(coherence_l1(rho), abs=1e-12)

@@ -6,6 +6,9 @@ import pytest
 from entlap.cli import main
 from entlap.corpus import build
 from entlap.matrixfile import emit, parse
+from entlap.states import validate
+
+from _sampling import corpus_points
 
 
 def run(capsys, *argv):
@@ -135,7 +138,7 @@ class TestLaplacian:
         parsed = parse(out)
         from entlap.laplacian import laplacian_of_density
 
-        np.testing.assert_allclose(parsed.array.astype(float), laplacian_of_density(psi).array, atol=1e-11)
+        np.testing.assert_allclose(parsed.array.astype(float), laplacian_of_density(psi), atol=1e-11)
 
     def test_unwritable_out_path_exit_3(self, capsys, tmp_path):
         out_path = tmp_path / "no_such_dir" / "x.txt"
@@ -166,6 +169,39 @@ class TestGraph:
         assert code == 0
         assert out.count("--") == 9
         assert "connected" in out
+
+    @staticmethod
+    def _stats(capsys, tmp_path, *argv):
+        """(edges, connected, total degree, max W or None) as `graph` prints them."""
+        code, out, _ = run(capsys, "graph", *argv, "--dot", str(tmp_path / "g.dot"))
+        assert code == 0
+        counts, degree, max_w = out.splitlines()
+        _, _, _, edges, conn = counts.split()
+        max_w = None if max_w == "max_w undefined (no edges)" else float(max_w.split()[1])
+        return int(edges), conn == "connected", float(degree.split()[1]), max_w
+
+    @staticmethod
+    def _record(rho):
+        return rho.graph.edge_count(), rho.connected, rho.total_degree, rho.max_w
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_prints_the_states_record(self, capsys, tmp_path, name, param):
+        args = ("--state", name) + (() if param is None else ("--param", str(param)))
+        assert self._stats(capsys, tmp_path, *args) == pytest.approx(self._record(build(name, param)), rel=1e-11)
+
+    def test_complex_file_prints_the_states_record(self, capsys, tmp_path):
+        path = tmp_path / "complex.mat"
+        path.write_text("dims 4 2 2\n"
+                        "1/4 0.05+0.05i 0 0\n"
+                        "0.05-0.05i 1/4 0-0.1i 0\n"
+                        "0 0+0.1i 1/4 0.05\n"
+                        "0 0 0.05 1/4\n")
+        parsed = parse(path.read_text())
+        assert parsed.array.dtype == complex
+        rho = validate(parsed.array, parsed.dims)
+        stats = self._stats(capsys, tmp_path, str(path))
+        assert stats == pytest.approx(self._record(rho), rel=1e-11)
+        assert stats[:2] == (3, True)
 
 
 class TestSweep:
@@ -303,7 +339,6 @@ class TestUsage:
         for argv in (("classify", "--state", "rho3", "--eps", "-1"),
                      ("validate", "any.mat", "--tol", "nan"),
                      ("validate", "any.mat", "--tol", "-1"),
-                     ("graph", "--state", "rho3", "--edge-threshold", "inf"),
                      ("classify", "--state", "rho6", "--param", "nan"),
                      ("sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "inf",
                       "--steps", "3")):

@@ -35,6 +35,11 @@ class TestRegistry:
         with pytest.raises(ParameterOutOfDomain):
             build("psi", 0.5)  # no parameter accepted
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc"])
+    def test_unreadable_parameter_is_out_of_domain(self, value):
+        with pytest.raises(ParameterOutOfDomain, match="^a = .* is not a finite number"):
+            build("rho6", value)
+
 
 class TestStates:
     def test_all_fixed_states_validate(self):

@@ -18,6 +18,12 @@ def test_rational_roundtrip():
     assert float(x) == 0.375
 
 
+def test_fraction_coefficient_kept_as_given():
+    q = Fraction(3, 7)
+    assert Exact.of(q).terms[1] is q
+    assert Exact.radical(q, 7).terms[7] is q
+
+
 def test_radical_normalisation():
     assert Exact.radical(1, 8) == Exact.radical(2, 2)
     assert Exact.radical(1, 4) == Exact.of(2)

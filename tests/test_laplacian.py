@@ -15,8 +15,10 @@ from entlap.laplacian import (
 )
 from entlap.matops import BipartiteDims, eigvals_sym
 from entlap.states import validate
+from entlap.wgraph import graph_from_laplacian
 
 from _oracles import bf_laplacian, random_psd
+from _sampling import corpus_points
 
 S7 = math.sqrt(7.0)
 
@@ -30,10 +32,10 @@ class TestLaplacianOfDensity:
     def test_diagonal_state_gives_zero(self):
         rho = validate(np.diag([0.1, 0.2, 0.3, 0.4]), BipartiteDims(2, 2))
         lap = laplacian_of_density(rho)
-        assert np.all(lap.array == 0.0)
+        assert np.all(lap == 0.0)
 
     def test_pure_corpus_state_exact_entries(self, psi):
-        lap = laplacian_of_density(psi)
+        lap = laplacian_of_density(psi.exact)
         # diagonal: 3/8 + sqrt(7)/8 twice, 1/4 + sqrt(7)/16, 5*sqrt(7)/16
         expected_diag = [
             Exact.of(Fraction(3, 8)) + Exact.radical(Fraction(1, 8), 7),
@@ -42,10 +44,10 @@ class TestLaplacianOfDensity:
             Exact.radical(Fraction(5, 16), 7),
         ]
         for i in range(4):
-            assert lap.exact[i][i] == expected_diag[i]
-        assert lap.exact[0][1] == Exact.of(Fraction(-1, 4))
-        assert lap.exact[0][3] == Exact.radical(Fraction(-1, 8), 7)
-        np.testing.assert_allclose(lap.array, bf_laplacian(psi.array), atol=1e-15)
+            assert lap[i][i] == expected_diag[i]
+        assert lap[0][1] == Exact.of(Fraction(-1, 4))
+        assert lap[0][3] == Exact.radical(Fraction(-1, 8), 7)
+        np.testing.assert_allclose(laplacian_of_density(psi), bf_laplacian(psi.array), atol=1e-15)
 
     def test_exact_laplacian_constructs_no_zero(self, monkeypatch):
         # every zero entry of an exact Laplacian reuses an existing zero, so a
@@ -65,7 +67,7 @@ class TestLaplacianOfDensity:
             for param in params:
                 rho = build(entry.name, param)
                 monkeypatch.setattr(Exact, "__init__", counting)
-                lap = laplacian_of_density(rho).exact
+                lap = laplacian_of_density(rho.exact)
                 monkeypatch.undo()
                 assert zeros == 0, (entry.name, param)
                 np.testing.assert_allclose(lap.astype(float), bf_laplacian(rho.array), atol=1e-15)
@@ -76,14 +78,14 @@ class TestLaplacianOfDensity:
         for _ in range(200):
             rho = _random_density(rng, 6, 2, 3)
             lap = laplacian_of_density(rho)
-            np.testing.assert_allclose(lap.array, bf_laplacian(rho.array), atol=1e-14)
+            np.testing.assert_allclose(lap, bf_laplacian(rho.array), atol=1e-14)
 
     def test_invariants_on_random_states(self, rng):
         ones = {}
         for _ in range(1000):
             d1, d2 = [(2, 2), (2, 3), (3, 3)][int(rng.integers(3))]
             rho = _random_density(rng, d1 * d2, d1, d2)
-            lap = laplacian_of_density(rho).array
+            lap = laplacian_of_density(rho)
             n = lap.shape[0]
             assert np.max(np.abs(lap - lap.T)) == 0.0
             assert np.max(np.abs(lap.sum(axis=1))) <= 1e-12
@@ -96,19 +98,36 @@ class TestLaplacianOfDensity:
             assert np.all(off <= 0.0)
 
 
+class TestExactAndFloatAgree:
+    """One kernel builds both entry types: off the diagonal, an exact Laplacian
+    reads as the state's float Laplacian bit for bit, since float(-|e|) =
+    -|float(e)|, so both give the same edges."""
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_off_diagonal_and_edges(self, name, param):
+        rho = build(name, param)
+        exact = laplacian_of_density(rho.exact)
+        off = ~np.eye(rho.n, dtype=bool)
+        assert exact.dtype == object
+        assert exact.astype(float)[off].tobytes() == rho.laplacian[off].tobytes()
+        exact_graph = graph_from_laplacian(exact)
+        assert exact_graph.exact_weights
+        assert [e[:2] for e in exact_graph.edges] == [e[:2] for e in rho.graph.edges]
+
+
 class TestLaplacianOfGeneral:
     def test_symmetrised_moduli(self):
         lap = laplacian_of_general(np.array([[0.0, 1.0], [-3.0, 0.0]]))
-        np.testing.assert_array_equal(lap.array, np.array([[2.0, -2.0], [-2.0, 2.0]]))
+        np.testing.assert_array_equal(lap, np.array([[2.0, -2.0], [-2.0, 2.0]]))
 
     def test_zero_matrix(self):
-        assert np.all(laplacian_of_general(np.zeros((3, 3))).array == 0.0)
+        assert np.all(laplacian_of_general(np.zeros((3, 3))) == 0.0)
 
     def test_agrees_with_density_path_on_hermitian(self, rng):
         rho = _random_density(rng, 4, 2, 2)
         np.testing.assert_allclose(
-            laplacian_of_general(rho.array).array,
-            laplacian_of_density(rho).array,
+            laplacian_of_general(rho.array),
+            laplacian_of_density(rho),
             atol=1e-15,
         )
 

@@ -126,8 +126,8 @@ class TestEmit:
     def test_laplacian_mixed_entries_fall_back_to_decimal(self, psi):
         from entlap.laplacian import laplacian_of_density
 
-        lap = laplacian_of_density(psi)
-        text = emit(lap.exact, psi.dims)
+        lap = laplacian_of_density(psi.exact)
+        text = emit(lap, psi.dims)
         # pure-radical off-diagonals stay exact; the two-term diagonal cannot
         assert "-sqrt(7)/8" in text
         assert "0.705718913883" in text  # 3/8 + sqrt(7)/8 to 12 significant digits

@@ -24,7 +24,7 @@ from _oracles import bf_connected, bf_edge_w, bf_edges, bf_max_w, random_psd
 
 
 def _graph_of(rho):
-    return graph_from_laplacian(laplacian_of_density(rho))
+    return graph_from_laplacian(laplacian_of_density(rho.literal))
 
 
 def _random_density(rng, d1, d2):
@@ -58,7 +58,7 @@ class TestGraphFromLaplacian:
             for i, j, w in g.edges:
                 rebuilt[i, j] = rebuilt[j, i] = -float(w)
             np.fill_diagonal(rebuilt, -rebuilt.sum(axis=1))
-            assert np.max(np.abs(rebuilt - lap.array)) <= 1e-12
+            assert np.max(np.abs(rebuilt - lap)) <= 1e-12
 
     def test_total_degree_consistency(self, rho2, psi, rng):
         from entlap.laplacian import coherence_l1
@@ -92,7 +92,7 @@ class TestConnectivity:
             m[mask] = 0.0
             rho2_ = validate(m / np.trace(m).real, BipartiteDims(2, 2), tol=1.0)
             g = _graph_of(rho2_)
-            lap = laplacian_of_density(rho2_).array
+            lap = laplacian_of_density(rho2_)
             assert is_connected(g) == bf_connected(4, bf_edges(lap))
 
 
@@ -113,7 +113,7 @@ class TestVertexWeight:
         g = _graph_of(rho3)
         lap = laplacian_of_density(rho3)
         for i in range(4):
-            assert float(vertex_weight(g, i)) == pytest.approx(lap.array[i, i], abs=1e-15)
+            assert float(vertex_weight(g, i)) == pytest.approx(lap[i, i], abs=1e-15)
 
     def test_out_of_range(self, rho3):
         with pytest.raises(VertexOutOfRange):
@@ -150,7 +150,7 @@ class TestEdgeW:
         for _ in range(200):
             rho = _random_density(rng, 2, 3)
             g = _graph_of(rho)
-            lap = laplacian_of_density(rho).array
+            lap = laplacian_of_density(rho)
             edges = bf_edges(lap)
             for i, j, _ in g.edges:
                 for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
@@ -187,7 +187,7 @@ class TestMaxW:
         for _ in range(100):
             rho = _random_density(rng, 2, 2)
             g = _graph_of(rho)
-            lap = laplacian_of_density(rho).array
+            lap = laplacian_of_density(rho)
             edges = bf_edges(lap)
             assert float(max_w(g)) == pytest.approx(bf_max_w(4, edges, False), abs=1e-12)
             assert float(max_w(g, WConvention.INCLUSIVE)) == pytest.approx(
@@ -222,7 +222,7 @@ class TestClosedFormW:
             else:
                 rho = _sparse_density(rng, d1, d2, keep=0.35, split=kind == "disconnected")
             g = _graph_of(rho)
-            edges = bf_edges(laplacian_of_density(rho).array)
+            edges = bf_edges(laplacian_of_density(rho))
             assert {(i, j) for i, j, _ in g.edges} == set(edges)
             seen["sparse"] += len(edges) <= n * (n - 1) / 4
             seen["disconnected"] += not bf_connected(n, edges)
@@ -246,7 +246,7 @@ class TestSpectralBound:
             if not g.edges or not is_connected(g):
                 continue
             checked += 1
-            lam_max = float(eigvals_sym(laplacian_of_density(rho).array)[-1])
+            lam_max = float(eigvals_sym(laplacian_of_density(rho))[-1])
             if lam_max > float(max_w(g, WConvention.INCLUSIVE)) / 2 + 1e-9:
                 violations += 1
         assert checked >= 900
@@ -260,7 +260,7 @@ class TestSpectralBound:
                                  [0, 0, 0, 0], [0, 0, 0, 0]]), BipartiteDims(2, 2))
         lap = laplacian_of_density(rho)
         g = graph_from_laplacian(lap)
-        lam_max = float(eigvals_sym(lap.array)[-1])
+        lam_max = float(eigvals_sym(lap)[-1])
         assert lam_max == pytest.approx(0.6, abs=1e-12)
         assert float(max_w(g, WConvention.INCLUSIVE)) / 2 == pytest.approx(0.6, abs=1e-12)
         assert float(max_w(g)) / 2 == pytest.approx(0.3, abs=1e-12)
@@ -273,7 +273,7 @@ class TestSpectralBound:
             (rho3, 0.7, 0.5),
         ]:
             g = _graph_of(rho)
-            lam_max = float(eigvals_sym(laplacian_of_density(rho).array)[-1])
+            lam_max = float(eigvals_sym(laplacian_of_density(rho))[-1])
             assert lam_max == pytest.approx(lam_max_expected, abs=1e-12)
             assert float(max_w(g)) / 2 == pytest.approx(half_expected, abs=1e-12)
             assert lam_max > float(max_w(g)) / 2
@@ -298,7 +298,7 @@ class TestExportDot:
 
     def test_byte_identical_across_runs(self, rho3):
         a = export_dot(_graph_of(rho3))
-        b = export_dot(graph_from_laplacian(laplacian_of_density(build("rho3"))))
+        b = export_dot(graph_from_laplacian(laplacian_of_density(build("rho3").exact)))
         assert a == b
 
     def test_float_weights_render_decimal(self, rng):
