@@ -174,8 +174,9 @@ def cmd_laplacian(args) -> int:
 
 def cmd_graph(args) -> int:
     rho, label = _load_state(args)
-    _write(args.dot, export_dot(graph_from_laplacian(laplacian_of_density(rho.literal))))
-    # the stats are the state's own, read off the float graph that classify reads
+    # the DOT labels are the printed entries; the stats are those of the float graph classify reads
+    graph = rho.graph if rho.exact is None else graph_from_laplacian(laplacian_of_density(rho.exact))
+    _write(args.dot, export_dot(graph))
     conn = "connected" if rho.connected else "disconnected"
     print(f"vertices {rho.graph.vertex_count} edges {rho.graph.edge_count()} {conn}")
     print(f"total_degree {_fmt(rho.total_degree)}")

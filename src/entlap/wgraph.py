@@ -3,8 +3,8 @@
 A graph is its dense symmetric weight matrix with a zero diagonal, in the entry
 type of the Laplacian array it was read off: floats, or Exact scalars (an
 object array), so DOT labels and W values stay exact for exact inputs.  Edges
-are chosen on the Laplacian's float values for both entry types, and W has one
-closed form, evaluated over an edge list for either entry type (see `_w_values`).
+are chosen on float values, once per graph.  W is one closed form, by the min
+identity |a - b| = a + b - 2 min(a, b), over heap-sized edge slices (`_w_values`).
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,10 @@ class WConvention(str, Enum):
 # An off-diagonal Laplacian entry is an edge when its modulus is above this.
 EDGE_THRESHOLD = 1e-12
 
+# Entries per `_w_values` slice: 8192 items of 8 bytes are 64 KiB, below glibc's
+# 128 KiB mmap threshold, so a slice reuses heap memory, not fresh pages.
+_SLICE_ENTRIES = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
@@ -58,17 +63,18 @@ class WeightedGraph:
     def exact_weights(self) -> bool:
         return self.weights.dtype == object
 
+    @cached_property
     def _edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (i, j), i < j, of every edge in row-major order."""
+        """Endpoint arrays (i, j), i < j, of every edge in row-major order, found once."""
         return np.nonzero(np.triu(self.weights.astype(bool), 1))
 
     @property
     def edges(self) -> tuple[tuple[int, int, Exact | float], ...]:
         """(i, j, w) for every edge, i < j, in row-major order."""
-        return tuple((int(i), int(j), self.weights[i, j]) for i, j in zip(*self._edge_index()))
+        return tuple((int(i), int(j), self.weights[i, j]) for i, j in zip(*self._edge_index))
 
     def edge_count(self) -> int:
-        return len(self._edge_index()[0])
+        return len(self._edge_index[0])
 
 
 def graph_from_laplacian(lap: np.ndarray) -> WeightedGraph:
@@ -109,16 +115,19 @@ def vertex_weight(g: WeightedGraph, i: int) -> Exact | float:
 def _w_values(w: np.ndarray, i: np.ndarray, j: np.ndarray, convention: WConvention) -> np.ndarray:
     """W over the edges (i[e], j[e]), by the closed form
 
-        W[i,j] = d_i + d_j + sum_k |w_ik - w_jk| - 2 w_ij   (EXCLUDED)
+        W[i,j] = 2 (d_i + d_j) - 2 sum_k min(w_ik, w_jk) - 2 w_ij   (EXCLUDED)
 
     with k over all vertices and d the weighted degrees; INCLUSIVE drops the
-    -2 w_ij term.  The k = i and k = j terms of the sum are w_ij each, and
-    every other k contributes w_ik, w_jk or |w_ik - w_jk| as it neighbours i,
-    j or both, which is the neighbour-set definition in `edge_w`.
-    Only rows i and j are read, so one edge costs O(n) in either entry type.
+    -2 w_ij term.  By |a - b| = a + b - 2 min(a, b) it is exactly `edge_w`'s
+    d_i + d_j + sum_k |w_ik - w_jk| - 2 w_ij: the k = i, j terms are w_ij each,
+    any other k adds w_ik, w_jk or |w_ik - w_jk| as it neighbours i, j or both.
+    Edges go in slices of _SLICE_ENTRIES // n, so no temporary passes 64 KiB.
     """
-    wi, wj = w[i], w[j]
-    total = wi.sum(axis=1) + wj.sum(axis=1) + np.abs(wi - wj).sum(axis=1)
+    step = max(1, _SLICE_ENTRIES // w.shape[0])
+    common = np.concatenate([np.minimum(w[i[s:s + step]], w[j[s:s + step]]).sum(axis=1)
+                             for s in range(0, len(i), step)])
+    d = w.sum(axis=1)
+    total = 2 * (d[i] + d[j] - common)
     if convention == WConvention.EXCLUDED:
         total = total - 2 * w[i, j]
     return total
@@ -144,7 +153,7 @@ def edge_w(g: WeightedGraph, i: int, j: int,
 
 def max_w(g: WeightedGraph, convention: WConvention = WConvention.EXCLUDED) -> Exact | float:
     """Maximum of edge_w over all edges."""
-    i, j = g._edge_index()
+    i, j = g._edge_index
     if not len(i):
         raise NoEdges("graph has no edges")
     best = _w_values(g.weights, i, j, convention).max()

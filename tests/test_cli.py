@@ -1,12 +1,16 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from entlap import cli, states
 from entlap.cli import main
 from entlap.corpus import build
+from entlap.laplacian import laplacian_of_density
 from entlap.matrixfile import emit, parse
 from entlap.states import validate
+from entlap.wgraph import export_dot, graph_from_laplacian
 
 from _sampling import corpus_points
 
@@ -202,6 +206,31 @@ class TestGraph:
         stats = self._stats(capsys, tmp_path, str(path))
         assert stats == pytest.approx(self._record(rho), rel=1e-11)
         assert stats[:2] == (3, True)
+
+    def test_complex_file_builds_one_graph(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "complex.mat"
+        path.write_text("dims 4 2 2\n"
+                        "1/4 0.05+0.05i 0 0\n"
+                        "0.05-0.05i 1/4 0-0.1i 0\n"
+                        "0 0+0.1i 1/4 0.05\n"
+                        "0 0 0.05 1/4\n")
+        calls = Counter()
+        for kernel in (laplacian_of_density, graph_from_laplacian):
+            def counting(*args, _kernel=kernel):
+                calls[_kernel.__name__] += 1
+                return _kernel(*args)
+            for module in (cli, states):
+                monkeypatch.setattr(module, kernel.__name__, counting)
+        code, out, _ = run(capsys, "graph", str(path))
+        assert code == 0 and out.count("--") == 3
+        assert calls == {"laplacian_of_density": 1, "graph_from_laplacian": 1}
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_exact_dot_is_the_exact_laplacians_graph(self, capsys, tmp_path, name, param):
+        args = ("--state", name) + (() if param is None else ("--param", str(param)))
+        run(capsys, "graph", *args, "--dot", str(tmp_path / "g.dot"))
+        want = export_dot(graph_from_laplacian(laplacian_of_density(build(name, param).exact)))
+        assert (tmp_path / "g.dot").read_text() == want
 
 
 class TestSweep:

@@ -1,9 +1,11 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from entlap import wgraph
 from entlap.corpus import build
 from entlap.errors import NoEdges, NotAnEdge, VertexOutOfRange
 from entlap.exact import Exact
@@ -12,6 +14,7 @@ from entlap.matops import BipartiteDims, eigvals_sym
 from entlap.states import validate
 from entlap.wgraph import (
     WConvention,
+    WeightedGraph,
     edge_w,
     export_dot,
     graph_from_laplacian,
@@ -233,6 +236,80 @@ class TestClosedFormW:
                 if edges:
                     assert max_w(g, convention) == pytest.approx(bf_max_w(n, edges, inclusive), abs=1e-12)
         assert seen["sparse"] >= 20 and seen["disconnected"] >= 30
+
+
+class TestWAcrossSlices:
+    """Graphs whose edge list spans more than one slice of the W kernel."""
+
+    @staticmethod
+    def _slices(g):
+        per_slice = wgraph._SLICE_ENTRIES // g.vertex_count
+        return -(-g.edge_count() // per_slice)
+
+    def test_float_matches_bruteforce_at_4x8(self, rng):
+        for kind in ("dense", "sparse", "dense", "sparse"):
+            if kind == "dense":
+                rho = _random_density(rng, 4, 8)
+            else:
+                rho = _sparse_density(rng, 4, 8, keep=0.35, split=False)
+            g = _graph_of(rho)
+            edges = bf_edges(laplacian_of_density(rho))
+            assert {(i, j) for i, j, _ in g.edges} == set(edges)
+            if kind == "dense":
+                assert g.edge_count() == 496 and self._slices(g) >= 2
+            for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
+                want = {(i, j): bf_edge_w(32, edges, i, j, inclusive) for i, j in edges}
+                for (i, j), value in want.items():
+                    assert edge_w(g, i, j, convention) == pytest.approx(value, abs=1e-12)
+                assert max_w(g, convention) == pytest.approx(max(want.values()), abs=1e-12)
+
+    def test_exact_matches_bruteforce_on_dense_rational_graph(self, rng):
+        n = 26
+        fractions = {(i, j): Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 12)))
+                     for i in range(n) for j in range(i + 1, n)}
+        w = np.full((n, n), Exact.of(0), dtype=object)
+        for (i, j), value in fractions.items():
+            w[i, j] = w[j, i] = Exact.of(value)
+        g = WeightedGraph(w)
+        assert self._slices(g) >= 2
+        for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
+            assert max_w(g, convention) == Exact.of(bf_max_w(n, fractions, inclusive))
+            for i, j in list(fractions)[::7]:  # every edge would take seconds: edge_w sums all n rows
+                assert edge_w(g, i, j, convention) == Exact.of(bf_edge_w(n, fractions, i, j, inclusive))
+
+
+class TestWMemory:
+    def test_dense_64_vertex_peak_below_512_kib(self, rng):
+        # a kernel that gathers all (E, n) rows or an n^3 broadcast peaks at megabytes here
+        a = rng.random((64, 64))
+        a = np.triu(a, 1) + np.triu(a, 1).T
+        g = WeightedGraph(a)
+        assert g.edge_count() == 2016
+        tracemalloc.start()
+        try:
+            for convention in WConvention:
+                max_w(g, convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
+class TestEdgeIndex:
+    def test_found_once_per_graph(self, monkeypatch, rho3):
+        g = _graph_of(rho3)
+        calls = []
+        nonzero = np.nonzero
+
+        def counting(a):
+            calls.append(a)
+            return nonzero(a)
+
+        monkeypatch.setattr(wgraph.np, "nonzero", counting)
+        assert g.edge_count() == 6 and len(g.edges) == 6
+        for convention in WConvention:
+            max_w(g, convention)
+        assert len(calls) == 1
 
 
 class TestSpectralBound:
