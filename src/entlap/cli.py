@@ -8,6 +8,7 @@ option value, or a path that cannot be read or written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -18,6 +19,7 @@ from .criteria import (DecisionTolerance, classify, cor6_ppt, ppt_oracle, thm3_s
                        thm6_ppt)
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
 from .laplacian import laplacian_of_density
+from .matops import SLICE_ENTRIES
 from .matrixfile import ParseError, emit, parse
 from .states import DensityMatrix, purity_report, validate
 from .wgraph import export_dot, graph_from_laplacian
@@ -196,22 +198,27 @@ def cmd_sweep(args) -> int:
     if not args.start < args.stop:
         raise CliError(EXIT_USAGE, "--from must be < --to")
     tol = DecisionTolerance(args.eps)
-    start, stop = Fraction(args.start), Fraction(args.stop)
+    start = Fraction(args.start)
+    step = (Fraction(args.stop) - start) / (args.steps - 1)
+    # the grid goes in stacks of states whose float matrices fill at most one slice
+    per_stack = max(1, SLICE_ENTRIES // entry.dims.n ** 2)
     rows = []
-    for k in range(args.steps):
+    for first in range(0, args.steps, per_stack):
         # rational grid: the last point is exactly --to, never a rounding past it
-        value = float(start + k * (stop - start) / (args.steps - 1))
-        rho = corpus_mod.build(args.state, value)
-        oracle_verdict, lam_ptb = ppt_oracle(rho, tol)
-        half = _fmt(rho.max_w / 2.0) if rho.max_w is not None else ""
-        rows.append([
-            _fmt(value), _fmt(rho.spectrum[0]), _fmt(lam_ptb), half,
-            oracle_verdict,
-            thm3_separability(rho, tol).verdict.value,
-            thm5_ppt(rho, tol).verdict.value,
-            thm6_ppt(rho, tol).verdict.value,
-            cor6_ppt(rho, tol).verdict.value,
-        ])
+        values = [float(start + k * step) for k in range(first, min(first + per_stack, args.steps))]
+        stack = corpus_mod.build_stack(args.state, values)
+        for k, value in enumerate(values):
+            rho = stack[k]
+            oracle_verdict, lam_ptb = ppt_oracle(rho, tol)
+            half = _fmt(rho.max_w / 2.0) if rho.max_w is not None else ""
+            rows.append([
+                _fmt(value), _fmt(rho.spectrum[0]), _fmt(lam_ptb), half,
+                oracle_verdict,
+                thm3_separability(rho, tol).verdict.value,
+                thm5_ppt(rho, tol).verdict.value,
+                thm6_ppt(rho, tol).verdict.value,
+                cor6_ppt(rho, tol).verdict.value,
+            ])
     header = "param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"
     _write(args.csv, header + "\n" + "\n".join(",".join(row) for row in rows) + "\n")
     return EXIT_OK
@@ -234,6 +241,7 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args only reads the parser and returns a fresh namespace, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entlap",
                      description="Entanglement detection via density-matrix Laplacians and graph spectra")

@@ -27,16 +27,18 @@ if TYPE_CHECKING:
 def laplacian_of_density(m) -> np.ndarray:
     """Read-only L with off-diagonal -|m_ij| and diagonal sum_j |m_ij| (j != i),
     in m's entry type: float for a float or complex array or a DensityMatrix
-    (read as its float matrix), Exact for an Exact object array.
+    (read as its float matrix), Exact for an Exact object array.  A stack
+    (..., n, n) gives the stack of each matrix's Laplacian.
 
     Built as 0 - w with the row sums written onto the diagonal, so an exact
     Laplacian reuses one zero and constructs an Exact only for a non-zero entry.
     """
     w = np.abs(np.asarray(m))
     zero = ZERO if w.dtype == object else 0.0
-    np.fill_diagonal(w, zero)
+    diag = np.arange(w.shape[-1])
+    w[..., diag, diag] = zero
     lap = zero - w
-    np.fill_diagonal(lap, w.sum(axis=1))
+    lap[..., diag, diag] = w.sum(axis=-1)
     lap.flags.writeable = False
     return lap
 

@@ -2,7 +2,9 @@
 
 Everything downstream (Laplacians, graphs, classification criteria) is built on
 these.  Matrices are plain numpy arrays; the design envelope is order <= ~64,
-so no sparsity or blocking is attempted.
+so no sparsity or blocking is attempted.  `eigvals_sym`, `determinant` and
+`partial_transpose` also take a stack (..., n, n) of matrices and act on each,
+with the same arithmetic per matrix as on that matrix alone.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 HERM_TOL = 1e-9
 SIGN_EPS = 1e-12
+
+# Entries per slice of a sliced kernel: 8192 items of 8 bytes are 64 KiB, below
+# glibc's 128 KiB mmap threshold, so a slice reuses heap memory, not fresh pages.
+SLICE_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -56,17 +62,25 @@ class SpectralDecomposition:
         return float(self.eigenvalues[-1])
 
 
-def as_matrix(m) -> np.ndarray:
-    """Validate an n x n matrix with finite entries."""
+def as_stack(m) -> np.ndarray:
+    """Validate an n x n matrix, or a stack (..., n, n) of them, with finite entries."""
     a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if a.size:
         finite = np.all(np.isfinite(a.real))
         if np.iscomplexobj(a):
             finite = finite and np.all(np.isfinite(a.imag))
         if not finite:
             raise ValueError("matrix entries must be finite")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Validate an n x n matrix with finite entries."""
+    a = as_stack(m)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -115,31 +129,32 @@ def eig_sym(m, herm_tol: float = HERM_TOL) -> SpectralDecomposition:
 
 
 def eigvals_sym(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of an exactly Hermitian matrix, read off its lower
-    triangle unchecked: every matrix a validated state derives is exactly
-    Hermitian.  `eig_sym` checks a matrix that is Hermitian only up to rounding.
+    """Ascending eigenvalues of an exactly Hermitian matrix, or of each matrix of
+    a stack, read off the lower triangle unchecked: every matrix a validated
+    state derives is exactly Hermitian.  `eig_sym` checks a matrix that is
+    Hermitian only up to rounding.
     """
     return np.linalg.eigvalsh(m)
 
 
-def determinant(m: np.ndarray) -> float:
-    """Determinant of a Hermitian matrix via LU with partial pivoting, unchecked:
-    its real part, which is all of it for a Hermitian matrix.
+def determinant(m: np.ndarray) -> float | np.ndarray:
+    """Determinant of a Hermitian matrix, or of each matrix of a stack, via LU
+    with partial pivoting, unchecked: its real part, which is all of it for a
+    Hermitian matrix.
     """
-    return float(np.linalg.det(m).real)
+    return np.linalg.det(m).real
 
 
 def partial_transpose(m: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Transpose the second-subsystem indices: P[(a,alpha),(b,beta)] = M[(a,beta),(b,alpha)].
 
     Row index convention r = a*d2 + alpha (subsystem B is the fast index).
-    A reshape, so it works on float, complex and Exact object arrays alike.
+    A reshape, so it works on float, complex and Exact object arrays alike, and
+    on each matrix of a stack (..., n, n).
     """
-    n = m.shape[0]
-    dims.check_order(n)
-    return np.ascontiguousarray(
-        m.reshape(dims.d1, dims.d2, dims.d1, dims.d2).transpose(0, 3, 2, 1).reshape(n, n)
-    )
+    dims.check_order(m.shape[-1])
+    blocks = m.reshape(*m.shape[:-2], dims.d1, dims.d2, dims.d1, dims.d2)
+    return np.ascontiguousarray(blocks.swapaxes(-3, -1).reshape(m.shape))
 
 
 def wolkowicz_bounds(m) -> tuple[float, float]:

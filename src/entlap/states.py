@@ -14,6 +14,12 @@ quantity is floating point, also for exact inputs: the Laplacian and the graph
 are read off the float matrix, and no criterion reads an Exact.  `literal` is
 the one place that picks a state's exact entries over its float ones, for what
 is printed (matrix files, the Laplacian and graph the CLI writes).
+
+A stack of states is one `DensityMatrix` whose arrays have a leading state
+axis: `validate` takes a (b, n, n) stack and checks each state, and every
+derived value of a stack is computed once for all b states by the same kernel
+call as for one.  `rho[k]` is state k; each value it derives is the stack's at
+k, so criteria run on the rows of a stack share one kernel call per value.
 """
 
 from __future__ import annotations
@@ -27,27 +33,54 @@ import numpy as np
 from .errors import AxiomViolation, DimensionMismatch, StateValidationError
 from .exact import Exact
 from .laplacian import laplacian_of_density
-from .matops import BipartiteDims, as_matrix, determinant, eigvals_sym, partial_transpose
-from .wgraph import graph_from_laplacian, is_connected, max_w
+from .matops import BipartiteDims, as_stack, determinant, eigvals_sym, partial_transpose
+from .wgraph import WeightedGraph, graph_from_laplacian, is_connected, max_w
 
 DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
 
 
+# The entries an exact (object) matrix may hold.
+_EXACT_TYPES = (int, Fraction, Exact)
 # An exact entry as an Exact scalar, elementwise over an object array; zeros share Exact.of's one zero.
 _to_exact = np.frompyfunc(lambda v: v if isinstance(v, Exact) else Exact.of(v), 1, 1)
 
 
+class _derived:
+    """A derived value: `compute(rho)` on first read, then kept.  On row k of a
+    stack it is the stack's value at k, computed for the whole stack on the
+    first read by any of its rows.  Like `cached_property`, without its lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rho, owner=None):
+        if rho is None:
+            return self
+        if rho.of_stack is None:
+            value = self.compute(rho)
+        else:
+            stack, k = rho.of_stack
+            value = getattr(stack, self.name)[k]
+        rho.__dict__[self.name] = value  # shadows this non-data descriptor from now on
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated Hermitian, unit-trace, PSD matrix with bipartite dimensions.
+    """Validated Hermitian, unit-trace, PSD matrix with bipartite dimensions,
+    or a stack of them along a leading axis.
 
     `spectrum` is rho's ascending spectrum, solved once by `validate`.
     `entries` is the read-only object matrix of exact entries the state was
     validated from, or None for a float or complex input; `array` was read off
     it.  `exact` turns it into Exact scalars the first time it is read, and
-    `literal` is `exact` when the state has it and `array` otherwise.  States
-    compare by identity.  Construct via `validate()`.
+    `literal` is `exact` when the state has it and `array` otherwise.
+    `of_stack` is (stack, k) for state k of a stack.  States compare by
+    identity.  Construct via `validate()`, and rows of a stack by indexing it.
     """
 
     array: np.ndarray
@@ -55,10 +88,18 @@ class DensityMatrix:
     spectrum: np.ndarray = field(repr=False)
     validation_tolerance: float = DEFAULT_TOL
     entries: np.ndarray | None = field(default=None, repr=False)
+    of_stack: tuple[DensityMatrix, int] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.array.shape[0]
+        return self.array.shape[-1]
+
+    def __getitem__(self, k: int) -> DensityMatrix:
+        """State k of a stack."""
+        if self.array.ndim != 3:
+            raise TypeError("only a stack of states has rows")
+        return DensityMatrix(self.array[k], self.dims, self.spectrum[k], self.validation_tolerance,
+                             None if self.entries is None else self.entries[k], of_stack=(self, k))
 
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum
@@ -75,21 +116,22 @@ class DensityMatrix:
     # Derived matrices, spectra (ascending) and graph scalars, each computed
     # on first read and kept; all but `exact` are float.
     exact = cached_property(lambda self: None if self.entries is None else _read_only(_to_exact(self.entries)))
-    laplacian = cached_property(lambda self: laplacian_of_density(self.array))  # L_rho
-    ptb = cached_property(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
-    lap_ptb = cached_property(lambda self: partial_transpose(self.laplacian, self.dims))  # L^TB
-    phi_minus_i = cached_property(lambda self: self.laplacian + self.array - np.eye(self.n))
-    spec_ptb = cached_property(lambda self: eigvals_sym(self.ptb))
-    spec_lap = cached_property(lambda self: eigvals_sym(self.laplacian))
-    spec_l_plus_ptb = cached_property(lambda self: eigvals_sym(self.laplacian + self.ptb))
-    spec_lap_ptb = cached_property(lambda self: eigvals_sym(self.lap_ptb))
-    spec_phi_minus_i = cached_property(lambda self: eigvals_sym(self.phi_minus_i))
-    det_phi_minus_i = cached_property(lambda self: determinant(self.phi_minus_i))
-    total_degree = cached_property(lambda self: float(np.trace(self.laplacian)))  # d_G = Tr L_rho
-    graph = cached_property(lambda self: graph_from_laplacian(self.laplacian))
-    connected = cached_property(lambda self: is_connected(self.graph))
+    laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
+    ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
+    lap_ptb = _derived(lambda self: partial_transpose(self.laplacian, self.dims))  # L^TB
+    phi_minus_i = _derived(lambda self: self.laplacian + self.array - np.eye(self.n))
+    spec_ptb = _derived(lambda self: eigvals_sym(self.ptb))
+    spec_lap = _derived(lambda self: eigvals_sym(self.laplacian))
+    spec_l_plus_ptb = _derived(lambda self: eigvals_sym(self.laplacian + self.ptb))
+    spec_lap_ptb = _derived(lambda self: eigvals_sym(self.lap_ptb))
+    spec_phi_minus_i = _derived(lambda self: eigvals_sym(self.phi_minus_i))
+    det_phi_minus_i = _derived(lambda self: determinant(self.phi_minus_i))
+    rank = _derived(lambda self: np.sum(self.spectrum > RANK_TOL, axis=-1))  # eigenvalues above RANK_TOL
+    total_degree = _derived(lambda self: np.trace(self.laplacian, axis1=-2, axis2=-1))  # d_G = Tr L_rho
+    graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
+    connected = _derived(lambda self: is_connected(self.graph))
     # wgraph.max_w (EXCLUDED convention), or None when the graph has no edges
-    max_w = cached_property(lambda self: max_w(self.graph) if self.graph.edge_count() else None)
+    max_w = _derived(lambda self: _max_w_or_none(self.graph))
 
 
 @dataclass(frozen=True)
@@ -104,8 +146,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _max_w_or_none(g: WeightedGraph):
+    """max_w, or None for a graph without edges; per graph, as an object array, for a stack."""
+    if g.weights.ndim == 3:
+        best = max_w(g)
+        return np.where(np.isnan(best), None, best)
+    return max_w(g) if g.edge_count() else None
+
+
 def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Validate `raw` as a density matrix, or raise StateValidationError.
+    """Validate `raw` as a density matrix, or a (b, n, n) stack of them, or
+    raise StateValidationError.
 
     `raw` is a float or complex matrix, or an object matrix of exact entries
     (int, Fraction or Exact; any other entry is a TypeError), whose float
@@ -113,36 +164,49 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> DensityMatri
     axioms are listed in order: DimensionMismatch or NotHermitian alone, else
     TraceNotOne and NotPSD.  Hermiticity is enforced exactly by averaging with
     the conjugate transpose once the asymmetry is known to be below `tol`; the
-    averaged matrix's spectrum decides PSD and is stored in the state.
+    averaged matrix's spectrum decides PSD and is stored in the state.  A
+    stack raises the violations of its first failing state, as validating
+    that state alone does.
     """
     a = np.asarray(raw)
     entries = None
     if a.dtype == object:
-        bad = [type(v).__name__ for v in a.flat if not isinstance(v, (int, Fraction, Exact))]
-        if bad:
-            raise TypeError(f"exact entries must be int, Fraction or Exact, got {bad[0]}")
+        if not all(issubclass(t, _EXACT_TYPES) for t in set(map(type, a.flat))):
+            bad = next(v for v in a.flat if not isinstance(v, _EXACT_TYPES))
+            raise TypeError(f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}")
         entries = _read_only(a.copy())
         a = a.astype(float)
-    a = as_matrix(a)
-    if a.shape[0] != dims.n:
-        raise StateValidationError([AxiomViolation("DimensionMismatch", float(a.shape[0] - dims.n))])
-    asym = float(np.max(np.abs(a - a.conj().T)))
-    if asym > tol:
-        raise StateValidationError([AxiomViolation("NotHermitian", asym)])
-    h = (a + a.conj().T) / 2
+    a = as_stack(a)
+    if a.ndim > 3:
+        raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
+    if a.shape[-1] != dims.n:
+        raise StateValidationError([AxiomViolation("DimensionMismatch", float(a.shape[-1] - dims.n))])
+    stack = a.reshape(-1, dims.n, dims.n)  # one state is a stack of one
+    stack_h = stack.swapaxes(1, 2).conj()
+    asym = np.abs(stack - stack_h).max(axis=(1, 2))
+    h = (stack + stack_h) / 2
     if not np.iscomplexobj(h):
         h = h.astype(float)
-    violations: list[AxiomViolation] = []
-    tr = float(np.trace(h).real)
+    tr = np.trace(h, axis1=1, axis2=2).real
+    spectrum = np.linalg.eigvalsh(h)
+    for state in zip(asym.tolist(), tr.tolist(), spectrum[:, 0].tolist()):  # in stack order
+        if violations := _violations(*state, tol):
+            raise StateValidationError(violations)
+    return DensityMatrix(array=_read_only(h.reshape(a.shape)), dims=dims,
+                         spectrum=_read_only(spectrum.reshape(a.shape[:-1])), validation_tolerance=tol,
+                         entries=entries)
+
+
+def _violations(asym: float, tr: float, lambda_min: float, tol: float) -> list[AxiomViolation]:
+    """The axioms one state violates: NotHermitian alone, else TraceNotOne and NotPSD."""
+    if asym > tol:
+        return [AxiomViolation("NotHermitian", asym)]
+    violations = []
     if abs(tr - 1.0) > tol:
         violations.append(AxiomViolation("TraceNotOne", tr))
-    spectrum = np.linalg.eigvalsh(h)
-    if spectrum[0] < -tol:
-        violations.append(AxiomViolation("NotPSD", float(spectrum[0])))
-    if violations:
-        raise StateValidationError(violations)
-    return DensityMatrix(array=_read_only(h), dims=dims, spectrum=_read_only(spectrum),
-                         validation_tolerance=tol, entries=entries)
+    if lambda_min < -tol:
+        violations.append(AxiomViolation("NotPSD", lambda_min))
+    return violations
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -162,7 +226,7 @@ def linear_entropy(rho: DensityMatrix) -> float:
 
 def rank(rho: DensityMatrix) -> int:
     """Number of eigenvalues above RANK_TOL."""
-    return int(np.sum(rho.spectrum > RANK_TOL))
+    return int(rho.rank)
 
 
 def is_full_rank(rho: DensityMatrix) -> bool:

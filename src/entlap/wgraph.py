@@ -3,8 +3,12 @@
 A graph is its dense symmetric weight matrix with a zero diagonal, in the entry
 type of the Laplacian array it was read off: floats, or Exact scalars (an
 object array), so DOT labels and W values stay exact for exact inputs.  Edges
-are chosen on float values, once per graph.  W is one closed form, by the min
-identity |a - b| = a + b - 2 min(a, b), over heap-sized edge slices (`_w_values`).
+are chosen on float values, once per graph.  W is one closed form, by the max
+identity a + b + |a - b| = 2 max(a, b), over heap-sized edge slices (`_w_values`).
+
+A stack of graphs is one WeightedGraph whose weights have a leading axis, read
+off a stack of Laplacians; `g[s]` is graph s.  Its edges are (s, i, j) triples,
+and `is_connected` and `max_w` give one value per graph.
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
@@ -19,6 +23,7 @@ import numpy as np
 
 from .exact import ZERO, Exact
 from .errors import NoEdges, NotAnEdge, VertexOutOfRange
+from .matops import SLICE_ENTRIES
 
 
 class WConvention(str, Enum):
@@ -41,31 +46,33 @@ class WConvention(str, Enum):
 # An off-diagonal Laplacian entry is an edge when its modulus is above this.
 EDGE_THRESHOLD = 1e-12
 
-# Entries per `_w_values` slice: 8192 items of 8 bytes are 64 KiB, below glibc's
-# 128 KiB mmap threshold, so a slice reuses heap memory, not fresh pages.
-_SLICE_ENTRIES = 8192
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Simple weighted graph: symmetric non-negative weights, zero diagonal.
 
-    `weights` is a float array, or an object array of Exact scalars.
+    `weights` is a float array, or an object array of Exact scalars; a (b, n, n)
+    array is a stack of b graphs.
     """
 
     weights: np.ndarray
 
+    def __getitem__(self, k: int) -> WeightedGraph:
+        """Graph k of a stack."""
+        return WeightedGraph(self.weights[k])
+
     @property
     def vertex_count(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-1]
 
     @property
     def exact_weights(self) -> bool:
         return self.weights.dtype == object
 
     @cached_property
-    def _edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (i, j), i < j, of every edge in row-major order, found once."""
+    def _edge_index(self) -> tuple[np.ndarray, ...]:
+        """Endpoint arrays (i, j), i < j, of every edge in row-major order, found
+        once; (s, i, j) for a stack, so the edges of each graph s are contiguous."""
         return np.nonzero(np.triu(self.weights.astype(bool), 1))
 
     @property
@@ -74,11 +81,13 @@ class WeightedGraph:
         return tuple((int(i), int(j), self.weights[i, j]) for i, j in zip(*self._edge_index))
 
     def edge_count(self) -> int:
+        """Number of edges, over all graphs of a stack."""
         return len(self._edge_index[0])
 
 
 def graph_from_laplacian(lap: np.ndarray) -> WeightedGraph:
-    """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above EDGE_THRESHOLD.
+    """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above EDGE_THRESHOLD;
+    the stack of each Laplacian's graph for a stack (..., n, n).
 
     The weights are in lap's entry type, float or Exact.  Edges are chosen on
     lap's float values.  Off the diagonal, those of a state's exact Laplacian
@@ -86,19 +95,20 @@ def graph_from_laplacian(lap: np.ndarray) -> WeightedGraph:
     """
     zero = ZERO if lap.dtype == object else 0.0
     w = zero - np.where(np.triu(np.abs(lap.astype(float, copy=False)) > EDGE_THRESHOLD, 1), lap, zero)
-    w = w + w.T
+    w = w + w.swapaxes(-1, -2)
     w.flags.writeable = False
     return WeightedGraph(w)
 
 
-def is_connected(g: WeightedGraph) -> bool:
-    """True iff all vertices lie in one component (breadth-first, level by level)."""
+def is_connected(g: WeightedGraph) -> bool | np.ndarray:
+    """True iff all vertices lie in one component (breadth-first from vertex 0,
+    level by level); one bool per graph of a stack."""
     adj = g.weights.astype(bool)
     seen = frontier = np.arange(g.vertex_count) == 0
     while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
+        frontier = np.matmul(frontier[..., None, :], adj)[..., 0, :] & ~seen  # boolean: any frontier neighbour
         seen = seen | frontier
-    return bool(seen.all())
+    return seen.all(axis=-1)
 
 
 def _check_vertex(g: WeightedGraph, v: int) -> None:
@@ -112,24 +122,24 @@ def vertex_weight(g: WeightedGraph, i: int) -> Exact | float:
     return g.weights[i].sum()
 
 
-def _w_values(w: np.ndarray, i: np.ndarray, j: np.ndarray, convention: WConvention) -> np.ndarray:
-    """W over the edges (i[e], j[e]), by the closed form
+def _w_values(w: np.ndarray, edges: tuple[np.ndarray, ...], convention: WConvention) -> np.ndarray:
+    """W over the edges (i[e], j[e]), or (s[e], i[e], j[e]) of a stack w, by the closed form
 
-        W[i,j] = 2 (d_i + d_j) - 2 sum_k min(w_ik, w_jk) - 2 w_ij   (EXCLUDED)
+        W[i,j] = 2 sum_k max(w_ik, w_jk) - 2 w_ij   (EXCLUDED)
 
-    with k over all vertices and d the weighted degrees; INCLUSIVE drops the
-    -2 w_ij term.  By |a - b| = a + b - 2 min(a, b) it is exactly `edge_w`'s
-    d_i + d_j + sum_k |w_ik - w_jk| - 2 w_ij: the k = i, j terms are w_ij each,
-    any other k adds w_ik, w_jk or |w_ik - w_jk| as it neighbours i, j or both.
-    Edges go in slices of _SLICE_ENTRIES // n, so no temporary passes 64 KiB.
+    with k over all vertices; INCLUSIVE drops the -2 w_ij term.  It is exactly
+    `edge_w`'s d_i + d_j + sum_{k != i, j} |w_ik - w_jk|, d the weighted
+    degrees: the k = i, j terms of the max sum are w_ij each, and for every
+    other k, 2 max(a, b) = a + b + |a - b|.  One edge reads its two rows of w,
+    O(n).  Edges go in slices of SLICE_ENTRIES // n, so no temporary passes 64 KiB.
     """
-    step = max(1, _SLICE_ENTRIES // w.shape[0])
-    common = np.concatenate([np.minimum(w[i[s:s + step]], w[j[s:s + step]]).sum(axis=1)
-                             for s in range(0, len(i), step)])
-    d = w.sum(axis=1)
-    total = 2 * (d[i] + d[j] - common)
+    row_i, row_j = edges[:-1], edges[:-2] + edges[-1:]  # (s, i) and (s, j) on a stack
+    step = max(1, SLICE_ENTRIES // w.shape[-1])
+    total = 2 * np.concatenate([
+        np.maximum(w[tuple(a[s:s + step] for a in row_i)], w[tuple(a[s:s + step] for a in row_j)]).sum(axis=-1)
+        for s in range(0, len(edges[0]), step)])
     if convention == WConvention.EXCLUDED:
-        total = total - 2 * w[i, j]
+        total = total - 2 * w[edges]
     return total
 
 
@@ -147,16 +157,23 @@ def edge_w(g: WeightedGraph, i: int, j: int,
         _check_vertex(g, v)
     if i == j or not g.weights[i, j]:
         raise NotAnEdge(f"({i}, {j}) is not an edge")
-    value = _w_values(g.weights, np.array([i]), np.array([j]), convention)[0]
+    value = _w_values(g.weights, (np.array([i]), np.array([j])), convention)[0]
     return value if g.exact_weights else float(value)
 
 
-def max_w(g: WeightedGraph, convention: WConvention = WConvention.EXCLUDED) -> Exact | float:
-    """Maximum of edge_w over all edges."""
-    i, j = g._edge_index
-    if not len(i):
+def max_w(g: WeightedGraph, convention: WConvention = WConvention.EXCLUDED) -> Exact | float | np.ndarray:
+    """Maximum of edge_w over all edges.  For a stack of float graphs, one
+    maximum per graph, NaN for a graph without edges."""
+    edges = g._edge_index
+    if g.weights.ndim == 3:
+        best = np.full(len(g.weights), np.nan)
+        if len(edges[0]):
+            first = np.flatnonzero(np.diff(edges[0], prepend=-1))  # each graph's first edge
+            best[edges[0][first]] = np.maximum.reduceat(_w_values(g.weights, edges, convention), first)
+        return best
+    if not len(edges[0]):
         raise NoEdges("graph has no edges")
-    best = _w_values(g.weights, i, j, convention).max()
+    best = _w_values(g.weights, edges, convention).max()
     return best if g.exact_weights else float(best)
 
 

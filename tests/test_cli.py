@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entlap import cli, states
 from entlap.cli import main
-from entlap.corpus import build
+from entlap.corpus import build, get_entry
+from entlap.criteria import DecisionTolerance, cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt, thm6_ppt
 from entlap.laplacian import laplacian_of_density
 from entlap.matrixfile import emit, parse
 from entlap.states import validate
@@ -290,13 +295,79 @@ class TestSweep:
         assert code == 3
 
     @pytest.mark.parametrize("state, name, stop", [("rho6", "a", "1"), ("rho_ab", "x", "0.283")])
-    def test_sweep_builds_no_exact(self, capsys, exact_created, state, name, stop):
-        # no sweep column reads an exact entry, so no grid point builds an Exact
-        with exact_created() as created:
-            code, out, _ = run(capsys, "sweep", "--state", state, "--param-name", name,
-                               "--from", "0.01", "--to", stop, "--steps", "200")
-        assert code == 0 and len(out.splitlines()) == 201
-        assert not created
+    def test_sweep_builds_no_exact(self, capsys, monkeypatch, exact_created, state, name, stop):
+        # no sweep column reads an exact entry, so no grid point builds an Exact; and
+        # the grid is solved as stacks of at most 8192 // n^2 states, one kernel call per stack
+        calls = Counter()
+        for kernel in ("eigvals_sym", "laplacian_of_density", "graph_from_laplacian"):
+            monkeypatch.setattr(states, kernel, lambda *a, _k=kernel, _f=getattr(states, kernel):
+                                calls.update([_k]) or _f(*a))
+        for steps in (200, 2000):
+            calls.clear()
+            with exact_created() as created:
+                code, out, _ = run(capsys, "sweep", "--state", state, "--param-name", name,
+                                   "--from", "0.01", "--to", stop, "--steps", str(steps))
+            assert code == 0 and len(out.splitlines()) == steps + 1
+            assert not created
+            stacks = -(-steps // (8192 // get_entry(state).dims.n ** 2))
+            assert calls["eigvals_sym"] <= 4 * stacks
+            assert calls["laplacian_of_density"] == calls["graph_from_laplacian"] == stacks
+
+
+def _reference_sweep(state: str, start: str, stop: str, steps: int) -> list[str]:
+    """The sweep's CSV rows built point by point: one `build` per grid value and the scalar criteria."""
+    tol = DecisionTolerance(1e-9)
+    lo, hi = Fraction(float(start)), Fraction(float(stop))
+    rows = []
+    for k in range(steps):
+        value = float(lo + k * (hi - lo) / (steps - 1))
+        rho = build(state, value)
+        verdict, lam = ppt_oracle(rho, tol)
+        half = "" if rho.max_w is None else f"{rho.max_w / 2.0:.12g}"
+        cells = [f"{value:.12g}", f"{float(rho.spectrum[0]):.12g}", f"{lam:.12g}", half, verdict]
+        cells += [check(rho, tol).verdict.value for check in (thm3_separability, thm5_ppt, thm6_ppt, cor6_ppt)]
+        rows.append(",".join(cells))
+    return rows
+
+
+def _stacked_sweep(state: str, start: str, stop: str, steps: int) -> list[str]:
+    name = get_entry(state).parameter_name
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "--state", state, "--param-name", name, "--from", start, "--to", stop,
+                     "--steps", str(steps)])
+    assert code == 0
+    return out.getvalue().splitlines()[1:]
+
+
+@st.composite
+def _grids(draw):
+    state = draw(st.sampled_from(["rho6", "rho_ab"]))
+    lo, hi = get_entry(state).parameter_domain
+    ends = draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True))
+    return state, repr(min(ends)), repr(max(ends)), draw(st.integers(2, 300))
+
+
+class TestStackedSweep:
+    """Each row of the stacked sweep is the row the point-by-point loop builds."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(_grids())
+    @example(("rho_ab", "0", "0.283", 2))
+    @example(("rho6", "0.01", "1", 250))  # three stacks of at most 101 states
+    def test_rows_equal_the_point_by_point_rows(self, grid):
+        assert _stacked_sweep(*grid) == _reference_sweep(*grid)
+
+    @pytest.mark.parametrize("grid", [("rho_ab", "0", "0.283", 58), ("rho_ab", "0", "0.283", 1100),
+                                      ("rho6", "0.01", "1", 2)])
+    def test_explicit_grids(self, grid):
+        rows = _stacked_sweep(*grid)
+        assert rows == _reference_sweep(*grid)
+        assert len(rows) == grid[3]
+        if grid[0] == "rho_ab":
+            assert rows[-1].split(",")[0] == "0.283"
+            first = rows[0].split(",")  # x = 0: no edges, so no max W and COR6 lacks its precondition
+            assert first[3] == "" and first[-1] == "PRECONDITION_FAILED"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -342,6 +413,31 @@ class TestCorpus:
 
 
 class TestUsage:
+    def test_one_parser_serves_consecutive_calls(self, capsys, mixed_file):
+        calls = [("classify", "--state", "rho3", "--json"),
+                 ("classify", "--state", "rho3", "--eps", "-1"),  # argparse usage error
+                 ("graph", "--state", "rho6", "--param", "0.5"),
+                 ("sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "1", "--steps", "1"),
+                 ("validate", mixed_file),
+                 ("frobnicate",),
+                 ("corpus", "list"),
+                 ("classify", "--state", "rho5")]
+
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        first = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            first.append(outcome(argv))
+        cli.build_parser.cache_clear()
+        assert [outcome(argv) for argv in calls] == first
+        assert [code for code, _, _ in first] == [0, 3, 0, 3, 0, 3, 0, 0]
+
     def test_unknown_subcommand_exit_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entlap.corpus import build, get_entry, list_entries
+from entlap.corpus import build, build_stack, get_entry, list_entries
 from entlap.errors import ParameterOutOfDomain, UnknownState
 from entlap.exact import Exact
-from entlap.matops import partial_transpose
-from entlap.states import purity, rank
+from entlap.matops import BipartiteDims, partial_transpose
+from entlap.states import purity, rank, validate
 
 
 class TestRegistry:
@@ -85,7 +85,41 @@ class TestStates:
         assert rho.exact[0][0] == Exact.of(Fraction(1, 10))
         assert rho.exact[8][8] == Exact.of(Fraction(3, 20))  # y/N = (3/2)/5
 
+    @pytest.mark.parametrize("a", [0.01, 0.37, Fraction(2, 3), 1.0])
+    def test_rho6_equals_all_81_entries_over_n(self, a):
+        af = Fraction(str(a)) if isinstance(a, float) else a
+        big_n = 400 * af + 1
+        x, y, z = 50 * af, (50 * af + 1) / 2, Fraction(1, 100)
+        diag = [x, x, x, x, x, x, y, x, y]
+        rows = [[diag[i] if i == j else Fraction(0) for j in range(9)] for i in range(9)]
+        for i, j, v in [(0, 1, z), (0, 8, af), (1, 4, z), (2, 3, z), (3, 7, z),
+                        (4, 5, z), (4, 8, af), (5, 6, z), (6, 7, z)]:
+            rows[i][j] = rows[j][i] = v
+        want = validate([[v / big_n for v in row] for row in rows], BipartiteDims(3, 3))
+        rho = build("rho6", a)
+        assert rho.array.tobytes() == want.array.tobytes()
+        assert np.array_equal(rho.exact, want.exact)
+
     def test_rho_ab_parameter_types(self):
         a = build("rho_ab", 0.1)
         b = build("rho_ab", Fraction(1, 10))
         assert np.array_equal(a.array, b.array)
+
+
+class TestStack:
+    @pytest.mark.parametrize("name, params", [("rho6", [0.01, 0.3, Fraction(1, 3), 1.0]),
+                                              ("rho_ab", [0.0, 0.1, 0.283])])
+    def test_rows_are_the_states_build_makes(self, name, params):
+        stack = build_stack(name, params)
+        for k, p in enumerate(params):
+            rho = build(name, p)
+            assert stack[k].array.tobytes() == rho.array.tobytes()
+            assert stack[k].validation_tolerance == rho.validation_tolerance
+            assert np.array_equal(stack[k].exact, rho.exact)
+
+    def test_first_parameter_out_of_domain_raises_its_error(self):
+        with pytest.raises(ParameterOutOfDomain) as alone:
+            build("rho6", 2.0)
+        with pytest.raises(ParameterOutOfDomain) as stacked:
+            build_stack("rho6", [0.5, 2.0, -1.0])
+        assert str(stacked.value) == str(alone.value)

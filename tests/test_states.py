@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entlap.corpus import build, build_rho_ab
-from entlap.errors import StateValidationError
+from entlap.corpus import build
+from entlap.errors import DimensionMismatch, StateValidationError
 from entlap.matops import BipartiteDims
+from entlap import states
 from entlap.states import linear_entropy, purity, purity_report, rank, validate
 
 from _oracles import random_psd
@@ -137,14 +138,88 @@ class TestPurityFunctionals:
 
 class TestRhoAbFamily:
     def test_rank_profile(self):
-        assert rank(build_rho_ab(0.0)) == 4
-        assert rank(build_rho_ab(0.1)) == 4
+        assert rank(build("rho_ab", 0.0)) == 4
+        assert rank(build("rho_ab", 0.1)) == 4
 
     def test_psd_boundary(self):
         # sqrt(0.08) is the exact PSD boundary; the published endpoint 0.283
         # sits 1.5e-4 past it and is admitted only by the relaxed tolerance
-        rho = build_rho_ab(0.283)
+        rho = build("rho_ab", 0.283)
         assert float(rho.eigenvalues()[0]) == pytest.approx(-1.48e-4, abs=2e-6)
         with pytest.raises(StateValidationError):
-            m = build_rho_ab(0.283).array
+            m = build("rho_ab", 0.283).array
             validate(m, BipartiteDims(2, 2), tol=1e-9)
+
+
+# Every value a state derives, read the same way from a single state and from a row of a stack.
+_DERIVED = ("laplacian", "ptb", "lap_ptb", "phi_minus_i", "spec_ptb", "spec_lap", "spec_l_plus_ptb",
+            "spec_lap_ptb", "spec_phi_minus_i", "det_phi_minus_i", "total_degree", "rank", "connected", "max_w")
+
+
+def _stack_members(rng, dims):
+    """Dense, rank-deficient, sparse, disconnected and edgeless states of one dims."""
+    n = dims.n
+    a = random_psd(rng, n)
+    v = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    path = np.eye(n) + np.diag(np.full(n - 1, 0.3), 1) + np.diag(np.full(n - 1, 0.3), -1)
+    split = path.copy()
+    split[n // 2 - 1, n // 2] = split[n // 2, n // 2 - 1] = 0
+    edgeless = np.diag(rng.random(n) + 0.1)
+    return [m / np.trace(m).real for m in (a, v @ v.conj().T, path, split, edgeless)]
+
+
+class TestStacks:
+    @pytest.mark.parametrize("part", [np.asarray, np.real])  # complex states, and their real parts
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_rows_derive_what_single_states_derive(self, rng, d1, d2, part):
+        dims = BipartiteDims(d1, d2)
+        members = [part(m.astype(complex)) for m in _stack_members(rng, dims) + _stack_members(rng, dims)]
+        stack = validate(np.stack(members), dims)
+        for k, m in enumerate(members):
+            row, alone = stack[k], validate(m, dims)
+            assert row.array.tobytes() == alone.array.tobytes()
+            assert row.spectrum.tobytes() == alone.spectrum.tobytes()
+            for name in _DERIVED:
+                got, want = getattr(row, name), getattr(alone, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
+            assert row.graph.weights.tobytes() == alone.graph.weights.tobytes()
+        assert [stack[k].max_w is None for k in range(len(members))] == [False, False, False, False, True] * 2
+
+    def test_rows_share_one_kernel_call_per_value(self, monkeypatch, rng):
+        dims = BipartiteDims(2, 3)
+        stack = validate(np.stack(_stack_members(rng, dims)), dims)
+        calls = []
+        for name in ("eigvals_sym", "laplacian_of_density", "partial_transpose", "graph_from_laplacian",
+                     "is_connected", "max_w"):
+            monkeypatch.setattr(states, name,
+                                lambda *a, _name=name, _f=getattr(states, name): calls.append(_name) or _f(*a))
+        for k in range(5):
+            row = stack[k]
+            row.spec_ptb, row.spec_l_plus_ptb, row.connected, row.max_w
+        assert sorted(calls) == ["eigvals_sym", "eigvals_sym", "graph_from_laplacian", "is_connected",
+                                 "laplacian_of_density", "max_w", "partial_transpose"]
+
+    @pytest.mark.parametrize("bad", [
+        lambda m: m * 0.8,  # TraceNotOne
+        lambda m: m + np.triu(np.full_like(m, 0.1), 1),  # NotHermitian
+        lambda m: m - 0.6 * np.diag(np.diag(m)) + np.diag([0.3, 0, 0, 0]),  # TraceNotOne and NotPSD
+        lambda m: np.diag([0.6, 0.5, -0.1, 0.0]),  # NotPSD
+    ])
+    def test_first_bad_state_raises_its_own_error(self, rng, bad):
+        dims = BipartiteDims(2, 2)
+        good = _stack_members(rng, dims)
+        first, second = bad(good[0]), good[1] * 2
+        with pytest.raises(StateValidationError) as alone:
+            validate(first, dims)
+        with pytest.raises(StateValidationError) as stacked:
+            validate(np.stack([good[2], good[3], first, good[4], second]), dims)
+        assert [(v.axiom, v.magnitude) for v in stacked.value.violations] == \
+               [(v.axiom, v.magnitude) for v in alone.value.violations]
+
+    def test_single_state_has_no_rows(self, rho3):
+        with pytest.raises(TypeError):
+            rho3[0]
+
+    def test_stack_of_stacks_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            validate(np.broadcast_to(np.eye(4) / 4, (2, 3, 4, 4)), BipartiteDims(2, 2))

@@ -243,7 +243,7 @@ class TestWAcrossSlices:
 
     @staticmethod
     def _slices(g):
-        per_slice = wgraph._SLICE_ENTRIES // g.vertex_count
+        per_slice = wgraph.SLICE_ENTRIES // g.vertex_count
         return -(-g.edge_count() // per_slice)
 
     def test_float_matches_bruteforce_at_4x8(self, rng):
@@ -274,8 +274,45 @@ class TestWAcrossSlices:
         assert self._slices(g) >= 2
         for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
             assert max_w(g, convention) == Exact.of(bf_max_w(n, fractions, inclusive))
-            for i, j in list(fractions)[::7]:  # every edge would take seconds: edge_w sums all n rows
+            for i, j in fractions:
                 assert edge_w(g, i, j, convention) == Exact.of(bf_edge_w(n, fractions, i, j, inclusive))
+
+
+class TestStackedGraphs:
+    """A stack of graphs gives each graph's connectivity and max W, as the graph alone does."""
+
+    @staticmethod
+    def _stack(rng, n, count):
+        graphs = []
+        for k in range(count):
+            w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < (0.15, 0.5, 1.0)[k % 3]), 1)
+            graphs.append(w + w.T)
+        graphs[1] = np.zeros((n, n))  # no edges
+        return np.stack(graphs)
+
+    @pytest.mark.parametrize("n, count", [(4, 9), (9, 7), (64, 12)])  # the last spans many W slices
+    def test_matches_each_graph_alone(self, rng, n, count):
+        stack = WeightedGraph(self._stack(rng, n, count))
+        alone = [stack[k] for k in range(count)]
+        assert stack.edge_count() == sum(g.edge_count() for g in alone)
+        assert list(is_connected(stack)) == [is_connected(g) for g in alone]
+        for convention in WConvention:
+            best = max_w(stack, convention)
+            assert np.isnan(best[1])
+            for k, g in enumerate(alone):
+                if g.edge_count():
+                    assert best[k] == max_w(g, convention)
+
+    def test_stack_without_edges(self):
+        stack = WeightedGraph(np.zeros((3, 4, 4)))
+        assert not is_connected(stack).any()
+        assert np.isnan(max_w(stack)).all()
+
+    def test_graph_from_stacked_laplacians(self, rng):
+        states = [_random_density(rng, 2, 3), _sparse_density(rng, 2, 3, keep=0.35, split=True)]
+        stack = graph_from_laplacian(np.stack([laplacian_of_density(rho) for rho in states]))
+        for k, rho in enumerate(states):
+            assert stack[k].weights.tobytes() == _graph_of(rho).weights.tobytes()
 
 
 class TestWMemory:
