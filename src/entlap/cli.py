@@ -15,8 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus as corpus_mod
-from .criteria import (DecisionTolerance, classify, cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt,
-                       thm6_ppt)
+from .criteria import DecisionTolerance, classify, stack_columns
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
 from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
@@ -202,25 +201,18 @@ def cmd_sweep(args) -> int:
     step = (Fraction(args.stop) - start) / (args.steps - 1)
     # the grid goes in stacks of states whose float matrices fill at most one slice
     per_stack = max(1, SLICE_ENTRIES // entry.dims.n ** 2)
-    rows = []
+    lines = ["param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"]
     for first in range(0, args.steps, per_stack):
         # rational grid: the last point is exactly --to, never a rounding past it
         values = [float(start + k * step) for k in range(first, min(first + per_stack, args.steps))]
-        stack = corpus_mod.build_stack(args.state, values)
-        for k, value in enumerate(values):
-            rho = stack[k]
-            oracle_verdict, lam_ptb = ppt_oracle(rho, tol)
-            half = _fmt(rho.max_w / 2.0) if rho.max_w is not None else ""
-            rows.append([
-                _fmt(value), _fmt(rho.spectrum[0]), _fmt(lam_ptb), half,
-                oracle_verdict,
-                thm3_separability(rho, tol).verdict.value,
-                thm5_ppt(rho, tol).verdict.value,
-                thm6_ppt(rho, tol).verdict.value,
-                cor6_ppt(rho, tol).verdict.value,
-            ])
-    header = "param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"
-    _write(args.csv, header + "\n" + "\n".join(",".join(row) for row in rows) + "\n")
+        c = stack_columns(corpus_mod.build_stack(args.state, values), tol)
+        halves = ["" if math.isnan(h) else _fmt(h) for h in c.half_max_w.tolist()]
+        for value, lam_rho, lam_ptb, half, oracle, *verdicts in zip(
+                values, c.lambda_min_rho.tolist(), c.lambda_min_ptb.tolist(), halves, c.oracle.tolist(),
+                c.thm3, c.thm5, c.thm6, c.cor6):
+            lines.append(",".join([_fmt(value), _fmt(lam_rho), _fmt(lam_ptb), half, oracle,
+                                   *(v.value for v in verdicts)]))
+    _write(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

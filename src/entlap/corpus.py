@@ -1,16 +1,19 @@
 """Built-in state corpus with exact rational / radical entries.
 
 Every state that the classifiers and the CLI reference by name is constructed
-here, entry by entry, in exact arithmetic: rows of Fractions and int zeros
-(psi: products of Exact amplitudes) that `validate` takes as given.  It reads
-the float matrix off them, and Exact scalars are built only when the state's
-`exact` is read.  `build_stack` validates a family at many parameters as one
-stack of states.
+here in exact arithmetic.  A rational state or family is a fixed int index
+pattern (n x n) over a short tuple of its distinct values, slot 0 the int 0:
+rho6's 81 entries are five values (0, x, y, z, w), placed by its pattern.
+`validate` takes the values and the pattern as given; it reads the float
+matrix off them, one conversion per value, and Exact scalars are built only
+when the state's `exact` is read.  psi is an object matrix of Exact products.
+`build_stack` validates a family at many parameters as one stack of states:
+the (b, k) values of its states under the family's one pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -38,80 +41,69 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"unsupported parameter type {type(value)!r}")
 
 
-# -- entries ------------------------------------------------------------
-# Each family's exact entries, given its parameter (if any) as a Fraction.
+def _pattern(diagonal, coherences) -> np.ndarray:
+    """A read-only index pattern: slot diagonal[i] at (i, i), slot v at (i, j)
+    and (j, i) for each (i, j, v) of `coherences`, and slot 0 elsewhere."""
+    p = np.diag(diagonal)
+    for i, j, v in coherences:
+        p[i, j] = p[j, i] = v
+    p.flags.writeable = False
+    return p
 
 
-def _psi_entries():
-    """Two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)."""
+# -- values ------------------------------------------------------------
+# Each state's distinct exact values, given its parameter (if any) as a
+# Fraction, in the slots its pattern places them from.
+
+
+def _psi_matrix():
+    """Two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4): an
+    object matrix of Exact products, no pattern."""
     amps = np.array([Exact.of(F(1, 2)), Exact.of(F(1, 2)), Exact.of(F(1, 4)), Exact.radical(F(1, 4), 7)],
                     dtype=object)
     return np.multiply.outer(amps, amps)
 
 
-def _rho1_entries():
-    """2x4 mixed state: uniform 1/8 diagonal with sparse 1/81 and 1/8 coherences."""
-    n, e = 8, F(1, 81)
-    rows = [[F(1, 8) if i == j else F(0) for j in range(n)] for i in range(n)]
-    for i, j, v in [(0, 4, e), (0, 7, e), (1, 6, e), (2, 5, F(1, 8)), (3, 4, e), (3, 7, e)]:
-        rows[i][j] = rows[j][i] = v
-    return rows
+# rho1: 2x4, uniform 1/8 diagonal with sparse 1/81 and 1/8 coherences.
+_RHO1 = _pattern([1] * 8, [(0, 4, 2), (0, 7, 2), (1, 6, 2), (2, 5, 1), (3, 4, 2), (3, 7, 2)])
+# rho2: 2x4, uniform 1/8 diagonal with four 1/81 coherences.
+_RHO2 = _pattern([1] * 8, [(0, 4, 2), (0, 7, 2), (3, 4, 2), (3, 7, 2)])
+# rho3: 2x2, every entry in tenths, the complete coherence graph; slot v is v/10.
+_RHO3 = _pattern([4, 3, 2, 1], [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 2), (1, 3, 1), (2, 3, 1)])
+# rho5: 2x2, 1/4 diagonal with three 1/20 coherences (a path graph).
+_RHO5 = _pattern([1] * 4, [(0, 1, 2), (0, 3, 2), (2, 3, 2)])
+# rho_ab: diag(0.1, 0.2, 0.4, 0.3) with inner-block coherence x in slot 5.
+_RHO_AB = _pattern([1, 2, 3, 4], [(1, 2, 5)])
+# rho6: diagonal x except two y slots, coherences z and w.
+_RHO6 = _pattern([1, 1, 1, 1, 1, 1, 2, 1, 2],
+                 [(0, 1, 3), (0, 8, 4), (1, 4, 3), (2, 3, 3), (3, 7, 3),
+                  (4, 5, 3), (4, 8, 4), (5, 6, 3), (6, 7, 3)])
+
+_EIGHTHS = (0, F(1, 8), F(1, 81))  # rho1 and rho2
+_TENTHS = (0, F(1, 10), F(1, 5), F(3, 10), F(2, 5))  # rho3
+_RHO_AB_DIAGONAL = (0, F(1, 10), F(1, 5), F(2, 5), F(3, 10))  # built once, shared by every x
 
 
-_RHO_AB_DIAGONAL = (F(1, 10), F(1, 5), F(2, 5), F(3, 10))  # built once, shared by every x
-
-
-def _rho_ab_entries(x: Fraction):
-    """2x2 state diag(0.1, 0.2, 0.4, 0.3) with inner-block coherence x.
+def _rho_ab_values(x: Fraction):
+    """rho_ab at coherence x.
 
     PSD up to x = sqrt(0.08) = 0.2828...; the published domain endpoint 0.283
     overshoots that by 1.5e-4, hence the relaxed validation tolerance.
     """
-    d1, d2, d3, d4 = _RHO_AB_DIAGONAL
-    return [[d1, 0, 0, 0], [0, d2, x, 0], [0, x, d3, 0], [0, 0, 0, d4]]
+    return _RHO_AB_DIAGONAL + (x,)
 
 
+def _rho6_values(a: Fraction):
+    """rho6 at a: N = 400a + 1, diagonal 50a except two (50a+1)/2 slots,
+    coherences z = 1/100 and a, all over N.
 
-def _rho2_entries():
-    """2x4 separable full-rank state: uniform 1/8 diagonal with four 1/81 coherences."""
-    n, e = 8, F(1, 81)
-    rows = [[F(1, 8) if i == j else F(0) for j in range(n)] for i in range(n)]
-    for i, j in [(0, 4), (0, 7), (3, 4), (3, 7)]:
-        rows[i][j] = rows[j][i] = e
-    return rows
-
-
-def _rho3_entries():
-    """2x2 NPT entangled state with all entries in tenths (complete coherence graph)."""
-    t = [[4, 2, 1, 1], [2, 3, 2, 1], [1, 2, 2, 1], [1, 1, 1, 1]]
-    return [[F(v, 10) for v in row] for row in t]
-
-
-def _rho5_entries():
-    """2x2 separable full-rank state: 1/4 diagonal with three 1/20 coherences (path graph)."""
-    rows = [[F(1, 4) if i == j else F(0) for j in range(4)] for i in range(4)]
-    for i, j in [(0, 1), (0, 3), (2, 3)]:
-        rows[i][j] = rows[j][i] = F(1, 20)
-    return rows
-
-
-def _rho6_entries(a: Fraction):
-    """3x3 full-rank PPT family: N = 400a + 1, diagonal 50a except two
-    (50a+1)/2 slots, coherences z = 1/100 and a, all over N.
-
-    Each of the four distinct entries is built once, from a = p/q and
+    Each of the four distinct values is built once, from a = p/q and
     m = 400p + q = qN: 50a/N = 50p/m, (50a+1)/2N = (50p+q)/2m, z/N = q/100m
-    and a/N = p/m.  Every other entry is 0.
+    and a/N = p/m.
     """
     p, q = a.numerator, a.denominator
     m = 400 * p + q
-    x, y, z, w = F(50 * p, m), F(50 * p + q, 2 * m), F(q, 100 * m), F(p, m)
-    diag = [x, x, x, x, x, x, y, x, y]
-    rows = [[diag[i] if i == j else 0 for j in range(9)] for i in range(9)]
-    for i, j, v in [(0, 1, z), (0, 8, w), (1, 4, z), (2, 3, z), (3, 7, z),
-                    (4, 5, z), (4, 8, w), (5, 6, z), (6, 7, z)]:
-        rows[i][j] = rows[j][i] = v
-    return rows
+    return 0, F(50 * p, m), F(50 * p + q, 2 * m), F(q, 100 * m), F(p, m)
 
 
 # -- registry ----------------------------------------------------------
@@ -119,15 +111,17 @@ def _rho6_entries(a: Fraction):
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """A corpus state or family: `entries` gives its exact entries (taking the
-    parameter as a Fraction for a family), validated with `tol`."""
+    """A corpus state or family: `values` gives its distinct exact values
+    (taking the parameter as a Fraction for a family), which `pattern` places;
+    with no pattern, `values` gives the object matrix itself.  Validated with `tol`."""
 
     name: str
     dims: BipartiteDims
     parameter_name: str | None
     parameter_domain: tuple[float, float] | None
     description: str
-    entries: Callable[..., object]
+    values: Callable[..., object]
+    pattern: np.ndarray | None = field(default=None, repr=False, compare=False)
     tol: float = DEFAULT_TOL
 
     @cached_property
@@ -138,24 +132,24 @@ class CorpusEntry:
 
 _ENTRIES = (
     CorpusEntry("psi", BipartiteDims(2, 2), None, None,
-                "two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)", _psi_entries),
+                "two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)", _psi_matrix),
     CorpusEntry("rho1", BipartiteDims(2, 4), None, None,
                 "2x4 mixed state: uniform 1/8 diagonal with sparse 1/81 and 1/8 coherences",
-                _rho1_entries),
+                lambda: _EIGHTHS, _RHO1),
     CorpusEntry("rho_ab", BipartiteDims(2, 2), "x", (0.0, 0.283),
                 "2x2 family diag(0.1,0.2,0.4,0.3) with coherence x; NPT exactly for x > sqrt(3)/10",
-                _rho_ab_entries, tol=5e-4),
+                _rho_ab_values, _RHO_AB, tol=5e-4),
     CorpusEntry("rho2", BipartiteDims(2, 4), None, None,
                 "2x4 separable full-rank state: uniform 1/8 diagonal with four 1/81 coherences",
-                _rho2_entries),
+                lambda: _EIGHTHS, _RHO2),
     CorpusEntry("rho3", BipartiteDims(2, 2), None, None,
                 "2x2 NPT entangled state with all entries in tenths (complete coherence graph)",
-                _rho3_entries),
+                lambda: _TENTHS, _RHO3),
     CorpusEntry("rho5", BipartiteDims(2, 2), None, None,
                 "2x2 separable full-rank state: 1/4 diagonal with three 1/20 coherences",
-                _rho5_entries),
+                lambda: (0, F(1, 4), F(1, 20)), _RHO5),
     CorpusEntry("rho6", BipartiteDims(3, 3), "a", (0.01, 1.0),
-                "3x3 full-rank PPT family over a in [0.01, 1] with N = 400a + 1", _rho6_entries),
+                "3x3 full-rank PPT family over a in [0.01, 1] with N = 400a + 1", _rho6_values, _RHO6),
 )
 
 
@@ -174,7 +168,8 @@ def get_entry(name: str) -> CorpusEntry:
 def build(name: str, parameter=None) -> DensityMatrix:
     """Build a corpus state by name, checking the parameter domain."""
     entry = get_entry(name)
-    return validate(_entries(entry, parameter), entry.dims, tol=entry.tol)
+    return validate(np.array(_values(entry, parameter), dtype=object), entry.dims, tol=entry.tol,
+                    pattern=entry.pattern)
 
 
 def build_stack(name: str, parameters) -> DensityMatrix:
@@ -185,24 +180,28 @@ def build_stack(name: str, parameters) -> DensityMatrix:
     error that building its states one by one, in order, raises first.
     """
     entry = get_entry(name)
-    states = []
+
+    def stack(values):
+        return validate(np.array(values, dtype=object), entry.dims, tol=entry.tol, pattern=entry.pattern)
+
+    values = []
     for p in parameters:
         try:
-            states.append(_entries(entry, p))
+            values.append(_values(entry, p))
         except ParameterOutOfDomain:
-            if states:  # an earlier state's validation error comes first
-                validate(np.array(states, dtype=object), entry.dims, tol=entry.tol)
+            if values:  # an earlier state's validation error comes first
+                stack(values)
             raise
-    return validate(np.array(states, dtype=object), entry.dims, tol=entry.tol)
+    return stack(values)
 
 
-def _entries(entry: CorpusEntry, parameter):
-    """The entry's exact entries at `parameter`, checked against its domain."""
+def _values(entry: CorpusEntry, parameter):
+    """The entry's exact values at `parameter`, checked against its domain."""
     name = entry.name
     if entry.parameter_name is None:
         if parameter is not None:
             raise ParameterOutOfDomain(f"state {name!r} takes no parameter")
-        return entry.entries()
+        return entry.values()
     if parameter is None:
         raise ParameterOutOfDomain(f"state {name!r} requires parameter {entry.parameter_name!r}")
     try:
@@ -214,4 +213,4 @@ def _entries(entry: CorpusEntry, parameter):
         lo, hi = entry.parameter_domain
         raise ParameterOutOfDomain(
             f"{entry.parameter_name} = {parameter} outside [{lo}, {hi}] for state {name!r}")
-    return entry.entries(p)
+    return entry.values(p)

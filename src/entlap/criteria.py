@@ -21,7 +21,11 @@ asserts what that strength licenses:
     scalars; COR4A additionally carries a permanent direction caveat.
 
 Every inequality is evaluated with a symmetric eps band (DecisionTolerance);
-inside the band the verdict is INCONCLUSIVE rather than a coin flip.
+inside the band the verdict is INCONCLUSIVE rather than a coin flip.  Each
+band comparison is written once (`_below`, `_at_least`, `_above`) for numbers
+and arrays alike: `stack_columns` gives the oracle and the sweep's criteria
+over a whole stack of states as columns, by the same comparisons on the
+stack's arrays, so a criterion on `rho[k]` and entry k of its column agree.
 """
 
 from __future__ import annotations
@@ -100,6 +104,25 @@ def _is_small_dims(dims: BipartiteDims) -> bool:
     return (dims.d1, dims.d2) in _IFF_DIMS
 
 
+# -- band comparisons ---------------------------------------------------
+# Each on numbers or, elementwise, on arrays.
+
+
+def _below(a, b, eps):
+    """a < b - eps: below the band around b."""
+    return a < b - eps
+
+
+def _at_least(a, b, eps):
+    """a >= b - eps: not below the band around b."""
+    return a >= b - eps
+
+
+def _above(a, b, eps):
+    """a > b + eps: above the band around b."""
+    return a > b + eps
+
+
 def _not_full_rank(cid: CriterionId, rho: DensityMatrix) -> CriterionResult | None:
     r = rank(rho)
     if r < rho.n:
@@ -118,7 +141,7 @@ def _disconnected(cid: CriterionId, rho: DensityMatrix) -> CriterionResult | Non
 def ppt_oracle(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> tuple[str, float]:
     """Peres ground truth: NPT iff lambda_min(rho^TB) < -eps."""
     lam = float(rho.spec_ptb[0])
-    return ("NPT" if lam < -tol.eps else "PPT"), lam
+    return ("NPT" if _below(lam, 0.0, tol.eps) else "PPT"), lam
 
 
 # -- criteria ----------------------------------------------------------
@@ -153,10 +176,10 @@ def thm3_separability(rho: DensityMatrix, tol: DecisionTolerance = DecisionToler
     mu = float(rho.spec_l_plus_ptb[0])
     scalars = {"lambda_min_l_plus_ptb": mu}
     if _is_small_dims(rho.dims):
-        if mu < -tol.eps:
+        if _below(mu, 0.0, tol.eps):
             return CriterionResult(CriterionId.THM3_SEP_2x2, Verdict.ENTANGLED_NPT, scalars)
         return CriterionResult(CriterionId.THM3_SEP_2x2, Verdict.SEPARABLE, scalars)
-    if mu < -tol.eps:
+    if _below(mu, 0.0, tol.eps):
         return CriterionResult(CriterionId.COR4_NPTES, Verdict.ENTANGLED_NPT, scalars)
     return CriterionResult(
         CriterionId.COR4_NPTES, Verdict.INCONCLUSIVE, scalars,
@@ -171,7 +194,7 @@ def thm5_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -
     spread = float(rho.spec_lap_ptb[-1] - rho.spec_lap_ptb[0])
     lam_min_rho = float(rho.spectrum[0])
     scalars = {"lambda_min_rho": lam_min_rho, "laplacian_ptb_spread": spread}
-    if lam_min_rho >= spread - tol.eps:
+    if _at_least(lam_min_rho, spread, tol.eps):
         return CriterionResult(CriterionId.THM5_PPT, Verdict.PPT, scalars)
     return CriterionResult(CriterionId.THM5_PPT, Verdict.INCONCLUSIVE, scalars,
                            caveat="violation may or may not indicate a negative partial transpose")
@@ -187,7 +210,7 @@ def thm6_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -
     lam_max_lap = float(rho.spec_lap[-1])
     lam_min_rho = float(rho.spectrum[0])
     scalars = {"lambda_min_rho": lam_min_rho, "lambda_max_laplacian": lam_max_lap}
-    if lam_min_rho >= lam_max_lap - tol.eps:
+    if _at_least(lam_min_rho, lam_max_lap, tol.eps):
         return CriterionResult(CriterionId.THM6_PPT, Verdict.PPT, scalars)
     return CriterionResult(CriterionId.THM6_PPT, Verdict.INCONCLUSIVE, scalars)
 
@@ -215,7 +238,7 @@ def thm3b_check(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()
     mu = float(rho.spec_l_plus_ptb[0])
     half = rho.max_w / 2.0
     scalars = {"lambda_min_l_plus_ptb": mu, "half_max_w": half}
-    if mu > half + tol.eps:
+    if _above(mu, half, tol.eps):
         caveat = ("bound violated on a connected graph: by contraposition the state "
                   "cannot have a negative partial transpose")
     else:
@@ -231,7 +254,7 @@ def thm4a_check(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()
     """
     mu = float(rho.spec_l_plus_ptb[0])
     scalars = {"one_plus_total_degree": 1.0 + rho.total_degree, "lambda_min_l_plus_ptb": mu}
-    if mu > 1.0 + rho.total_degree + tol.eps:
+    if _above(mu, 1.0 + rho.total_degree, tol.eps):
         return CriterionResult(CriterionId.THM4A_BOUND, Verdict.ENTANGLED_NPT, scalars)
     return CriterionResult(CriterionId.THM4A_BOUND, Verdict.INCONCLUSIVE, scalars)
 
@@ -251,7 +274,7 @@ def cor4a_nptes(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()
     rhs = (rho.n - 1) * (half + lam_max_ptb)
     scalars = {"one_plus_total_degree": lhs, "rhs": rhs,
                "half_max_w": half, "lambda_max_ptb": lam_max_ptb}
-    if lhs < rhs - tol.eps:
+    if _below(lhs, rhs, tol.eps):
         return CriterionResult(CriterionId.COR4A_NPTES, Verdict.ENTANGLED_NPT, scalars,
                                caveat=DIRECTION_CAVEAT)
     return CriterionResult(
@@ -270,7 +293,7 @@ def cor6_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -
     half = rho.max_w / 2.0
     lam_min_rho = float(rho.spectrum[0])
     scalars = {"lambda_min_rho": lam_min_rho, "half_max_w": half}
-    if lam_min_rho > half + tol.eps:
+    if _above(lam_min_rho, half, tol.eps):
         verdict = Verdict.SEPARABLE if _is_small_dims(rho.dims) else Verdict.PPT
         return CriterionResult(CriterionId.COR6_PPT, verdict, scalars)
     return CriterionResult(CriterionId.COR6_PPT, Verdict.INCONCLUSIVE, scalars)
@@ -278,6 +301,7 @@ def cor6_ppt(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -
 
 # -- assembler ---------------------------------------------------------
 
+_ORDER = {cid: k for k, cid in enumerate(CriterionId)}  # classify reports in CriterionId order
 _CONTRADICTS_NPT = {Verdict.SEPARABLE, Verdict.PPT}
 _CONTRADICTS_PPT = {Verdict.ENTANGLED_NPT}
 
@@ -290,8 +314,7 @@ def classify(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance(),
               cor4a_nptes, cor6_ppt]
     if (rho.dims.d1, rho.dims.d2) == (2, 2):
         checks.append(thm3a_bounds)
-    order = {cid: k for k, cid in enumerate(CriterionId)}
-    results = sorted((check(rho, tol) for check in checks), key=lambda r: order[r.criterion_id])
+    results = sorted((check(rho, tol) for check in checks), key=lambda r: _ORDER[r.criterion_id])
     contra = _CONTRADICTS_PPT if oracle_verdict == "PPT" else _CONTRADICTS_NPT
     return ClassificationReport(
         state_id=state_id,
@@ -300,4 +323,58 @@ def classify(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance(),
         oracle_lambda_min_ptb=oracle_lam,
         results=tuple(results),
         consistency_flags=tuple(r.criterion_id for r in results if r.verdict in contra),
+    )
+
+
+# -- columns -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StackColumns:
+    """The oracle and the sweep's criteria over a stack of states, one entry
+    per state.  Verdict columns are object arrays of Verdict members."""
+
+    oracle: np.ndarray  # "NPT" | "PPT", as ppt_oracle gives it
+    lambda_min_ptb: np.ndarray
+    thm3: np.ndarray  # thm3_separability: THM3_SEP_2x2, or COR4_NPTES beyond 2x2 / 2x3
+    thm5: np.ndarray
+    thm6: np.ndarray
+    cor6: np.ndarray
+    lambda_min_rho: np.ndarray
+    half_max_w: np.ndarray  # max W / 2, NaN where the graph has no edges
+
+
+def _verdicts(default: Verdict, *cases) -> np.ndarray:
+    """A verdict column: `default`, overwritten by each (mask, verdict) of `cases` in turn."""
+    out = np.empty(len(cases[0][0]), dtype=object)
+    out[:] = default  # np.full would store the member's str value, not the member
+    for mask, verdict in cases:
+        out[mask] = verdict
+    return out
+
+
+def stack_columns(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> StackColumns:
+    """ppt_oracle, thm3_separability, thm5_ppt, thm6_ppt and cor6_ppt on every
+    state of a stack, as columns: entry k is what each gives on rho[k], by the
+    same band comparisons on the stack's arrays.  No result object is built."""
+    eps = tol.eps
+    lam_rho, lam_ptb, mu = rho.spectrum[:, 0], rho.spec_ptb[:, 0], rho.spec_l_plus_ptb[:, 0]
+    half = np.array(rho.max_w, dtype=float) / 2.0  # a graph without edges has None: NaN
+    spread = rho.spec_lap_ptb[:, -1] - rho.spec_lap_ptb[:, 0]
+    deficient = rho.rank < rho.n
+    small = _is_small_dims(rho.dims)
+    return StackColumns(
+        oracle=np.where(_below(lam_ptb, 0.0, eps), "NPT", "PPT"),
+        lambda_min_ptb=lam_ptb,
+        thm3=_verdicts(Verdict.SEPARABLE if small else Verdict.INCONCLUSIVE,
+                       (_below(mu, 0.0, eps), Verdict.ENTANGLED_NPT)),
+        thm5=_verdicts(Verdict.INCONCLUSIVE, (_at_least(lam_rho, spread, eps), Verdict.PPT),
+                       (deficient, Verdict.PRECONDITION_FAILED)),
+        thm6=_verdicts(Verdict.INCONCLUSIVE, (_at_least(lam_rho, rho.spec_lap[:, -1], eps), Verdict.PPT),
+                       (deficient, Verdict.PRECONDITION_FAILED)),
+        cor6=_verdicts(Verdict.INCONCLUSIVE,
+                       (_above(lam_rho, half, eps), Verdict.SEPARABLE if small else Verdict.PPT),
+                       (deficient | ~rho.connected, Verdict.PRECONDITION_FAILED)),
+        lambda_min_rho=lam_rho,
+        half_max_w=half,
     )

@@ -1,19 +1,21 @@
 """Density-matrix validation, the per-state analysis record, and purity / mixedness functionals.
 
-A validated `DensityMatrix` is the one record every criterion reads.  `validate`
-takes the state's entries as given: a float or complex array, or an object
-matrix of exact entries (int, Fraction or Exact), whose float matrix it reads
-off once and whose entries it keeps.  It solves rho's spectrum once and stores
-it.  Every other derived matrix and spectrum (L_rho, rho^TB, L^TB,
-phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB and phi(rho) - I;
-det(phi(rho) - I)), the coherence graph's total degree, connectivity and max W,
-and the exact entries as Exact scalars are cached properties, computed the
-first time they are read.  Criteria called one after another on the same state
-share that work, and a criterion computes only what it reads.  Every decision
-quantity is floating point, also for exact inputs: the Laplacian and the graph
-are read off the float matrix, and no criterion reads an Exact.  `literal` is
-the one place that picks a state's exact entries over its float ones, for what
-is printed (matrix files, the Laplacian and graph the CLI writes).
+A validated `DensityMatrix` is the one record every criterion reads.
+`validate` takes the state's entries as given: a float or complex array, or
+exact entries (int, Fraction or Exact), as an object matrix or as a state's
+distinct values and the index pattern that places them, whose float matrix it
+reads off with one conversion per value and whose entries it keeps.  It solves
+rho's spectrum once and stores it.  Every other derived matrix and spectrum
+(L_rho, rho^TB, L^TB, phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB
+and phi(rho) - I; det(phi(rho) - I)), the coherence graph's total degree,
+connectivity and max W, and the exact entries as Exact scalars are cached
+properties, computed the first time they are read.  Criteria called one after
+another on the same state share that work, and a criterion computes only what
+it reads.  Every decision quantity is floating point, also for exact inputs:
+the Laplacian and the graph are read off the float matrix, and no criterion
+reads an Exact.  `literal` is the one place that picks a state's exact entries
+over its float ones, for what is printed (matrix files, the Laplacian and graph
+the CLI writes).
 
 A stack of states is one `DensityMatrix` whose arrays have a leading state
 axis: `validate` takes a (b, n, n) stack and checks each state, and every
@@ -24,6 +26,7 @@ k, so criteria run on the rows of a stack share one kernel call per value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -154,28 +157,39 @@ def _max_w_or_none(g: WeightedGraph):
     return max_w(g) if g.edge_count() else None
 
 
-def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
+             pattern: np.ndarray | None = None) -> DensityMatrix:
     """Validate `raw` as a density matrix, or a (b, n, n) stack of them, or
     raise StateValidationError.
 
-    `raw` is a float or complex matrix, or an object matrix of exact entries
-    (int, Fraction or Exact; any other entry is a TypeError), whose float
-    matrix is read off once and whose entries the state keeps.  The violated
-    axioms are listed in order: DimensionMismatch or NotHermitian alone, else
-    TraceNotOne and NotPSD.  Hermiticity is enforced exactly by averaging with
-    the conjugate transpose once the asymmetry is known to be below `tol`; the
-    averaged matrix's spectrum decides PSD and is stored in the state.  A
-    stack raises the violations of its first failing state, as validating
-    that state alone does.
+    `raw` is a float or complex matrix, or exact entries: int, Fraction or
+    Exact, any other entry a TypeError.  Exact entries are either an object
+    matrix, or, with `pattern`, the distinct values (..., k) of each state
+    that the int index matrix `pattern` (n, n) picks its entries from.  An
+    object matrix is its own values under the identity pattern.  The state
+    keeps its entries, `values[..., pattern]`, and its float matrix is read
+    off them with each value converted to float once.  The violated axioms
+    are listed in order: DimensionMismatch or NotHermitian alone, else
+    TraceNotOne and NotPSD.  Hermiticity is enforced exactly by averaging
+    with the conjugate transpose once the asymmetry is known to be below
+    `tol`; the averaged matrix's spectrum decides PSD and is stored in the
+    state.  A stack raises the violations of its first failing state, as
+    validating that state alone does.
     """
     a = np.asarray(raw)
     entries = None
-    if a.dtype == object:
-        if not all(issubclass(t, _EXACT_TYPES) for t in set(map(type, a.flat))):
-            bad = next(v for v in a.flat if not isinstance(v, _EXACT_TYPES))
+    if pattern is not None or a.dtype == object:
+        values = a.astype(object, copy=False)
+        if pattern is None:  # the identity pattern over the matrix's own entries
+            pattern = np.arange(math.prod(a.shape[-2:])).reshape(a.shape[-2:])
+            values = values.reshape(a.shape[:-2] + (pattern.size,))
+        if not all(issubclass(t, _EXACT_TYPES) for t in set(map(type, values.flat))):
+            bad = next(v for v in values.flat if not isinstance(v, _EXACT_TYPES))
             raise TypeError(f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}")
-        entries = _read_only(a.copy())
-        a = a.astype(float)
+        # take, unlike values[..., pattern], lays out each state's matrix contiguously,
+        # so a stack's kernels add up each state's entries in the order they do alone
+        entries = _read_only(np.take(values, pattern, axis=-1))
+        a = np.take(values.astype(float), pattern, axis=-1)
     a = as_stack(a)
     if a.ndim > 3:
         raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")

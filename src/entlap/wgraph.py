@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,6 +47,14 @@ class WConvention(str, Enum):
 EDGE_THRESHOLD = 1e-12
 
 
+@cache
+def _upper(n: int) -> np.ndarray:
+    """The read-only mask of the strict upper triangle of an n x n matrix, built once per order."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Simple weighted graph: symmetric non-negative weights, zero diagonal.
@@ -73,7 +81,7 @@ class WeightedGraph:
     def _edge_index(self) -> tuple[np.ndarray, ...]:
         """Endpoint arrays (i, j), i < j, of every edge in row-major order, found
         once; (s, i, j) for a stack, so the edges of each graph s are contiguous."""
-        return np.nonzero(np.triu(self.weights.astype(bool), 1))
+        return np.nonzero(self.weights.astype(bool) & _upper(self.vertex_count))
 
     @property
     def edges(self) -> tuple[tuple[int, int, Exact | float], ...]:
@@ -94,7 +102,8 @@ def graph_from_laplacian(lap: np.ndarray) -> WeightedGraph:
     equal its float Laplacian bit for bit, so the two graphs have the same edges.
     """
     zero = ZERO if lap.dtype == object else 0.0
-    w = zero - np.where(np.triu(np.abs(lap.astype(float, copy=False)) > EDGE_THRESHOLD, 1), lap, zero)
+    edge = (np.abs(lap.astype(float, copy=False)) > EDGE_THRESHOLD) & _upper(lap.shape[-1])
+    w = zero - np.where(edge, lap, zero)
     w = w + w.swapaxes(-1, -2)
     w.flags.writeable = False
     return WeightedGraph(w)

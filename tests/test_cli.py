@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,12 +298,16 @@ class TestSweep:
 
     @pytest.mark.parametrize("state, name, stop", [("rho6", "a", "1"), ("rho_ab", "x", "0.283")])
     def test_sweep_builds_no_exact(self, capsys, monkeypatch, exact_created, state, name, stop):
-        # no sweep column reads an exact entry, so no grid point builds an Exact; and
+        # no sweep column reads an exact entry, so no grid point builds an Exact; each
+        # state's distinct values, and its grid value, are converted to float once; and
         # the grid is solved as stacks of at most 8192 // n^2 states, one kernel call per stack
         calls = Counter()
         for kernel in ("eigvals_sym", "laplacian_of_density", "graph_from_laplacian"):
             monkeypatch.setattr(states, kernel, lambda *a, _k=kernel, _f=getattr(states, kernel):
                                 calls.update([_k]) or _f(*a))
+        to_float = Fraction.__float__
+        monkeypatch.setattr(Fraction, "__float__", lambda f: calls.update(["float"]) or to_float(f))
+        entry = get_entry(state)
         for steps in (200, 2000):
             calls.clear()
             with exact_created() as created:
@@ -309,7 +315,8 @@ class TestSweep:
                                    "--from", "0.01", "--to", stop, "--steps", str(steps))
             assert code == 0 and len(out.splitlines()) == steps + 1
             assert not created
-            stacks = -(-steps // (8192 // get_entry(state).dims.n ** 2))
+            assert calls["float"] <= steps * (entry.pattern.max() + 1)  # one per value slot, slot 0 the int 0
+            stacks = -(-steps // (8192 // entry.dims.n ** 2))
             assert calls["eigvals_sym"] <= 4 * stacks
             assert calls["laplacian_of_density"] == calls["graph_from_laplacian"] == stacks
 
@@ -368,6 +375,20 @@ class TestStackedSweep:
             assert rows[-1].split(",")[0] == "0.283"
             first = rows[0].split(",")  # x = 0: no edges, so no max W and COR6 lacks its precondition
             assert first[3] == "" and first[-1] == "PRECONDITION_FAILED"
+
+
+_REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("key", [key for key in _REFERENCE["cli"] if key.startswith("sweep ")])
+def test_sweep_output_matches_the_benchmark_reference(key):
+    # the benchmark checks every sweep's CSV by its digest; so does tier-1, without a benchmark run
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(key.split())
+    text = out.getvalue()
+    assert code == _REFERENCE["cli"][key]["rc"] and len(text.encode()) == _REFERENCE["cli"][key]["bytes"]
+    assert hashlib.sha256(text.encode()).hexdigest() == _REFERENCE["cli"][key]["sha256"]
 
 
 @pytest.mark.parametrize("argv, code, message", [

@@ -14,6 +14,7 @@ from entlap.criteria import (
     cor6_ppt,
     ppt_oracle,
     purity_test,
+    stack_columns,
     thm3_separability,
     thm3a_bounds,
     thm3b_check,
@@ -459,3 +460,92 @@ class TestSharedAnalysis:
         for rho in states():
             classify(rho)
         assert solved and all(solved)
+
+
+# -- columns over a stack --------------------------------------------------
+
+_COLUMN_DIMS = (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3), BipartiteDims(2, 4))
+
+
+def _column_ensemble(dims, seed=29):
+    """Raw states for one stack: Hilbert-Schmidt random (mostly NPT), pure
+    (rank 1, NPT when entangled), pure-product mixtures (rank 2), weak-coherence
+    mixtures with the maximally mixed state (full rank, where THM5, THM6 and
+    COR6 fire), block-diagonal pinchings (disconnected) and diagonal states (no edges)."""
+    rng = make_rng(seed)
+    n, half = dims.n, dims.n // 2
+    raws = []
+    for _ in range(6):
+        hs = random_density(rng, dims).array
+        raws += [hs, random_pure_density(rng, dims).array, random_mixture_density(rng, dims).array]
+        raws += [(1 - t) * np.eye(n) / n + t * hs for t in (0.02, 0.1, 0.3)]
+        pinched = hs.copy()
+        pinched[:half, half:] = pinched[half:, :half] = 0
+        raws += [pinched, np.diag(rng.dirichlet(np.ones(n))).astype(complex)]
+    return raws
+
+
+def _scalar_row(rho, tol):
+    """The sweep's row by the scalar oracle and criteria."""
+    verdict, lam = ppt_oracle(rho, tol)
+    half = float("nan") if rho.max_w is None else rho.max_w / 2.0
+    return (verdict, lam, thm3_separability(rho, tol).verdict, thm5_ppt(rho, tol).verdict,
+            thm6_ppt(rho, tol).verdict, cor6_ppt(rho, tol).verdict, rho.spectrum[0], half)
+
+
+def _column_rows(stack, tol):
+    c = stack_columns(stack, tol)
+    for column in (c.thm3, c.thm5, c.thm6, c.cor6):
+        assert all(type(v) is Verdict for v in column)
+    return list(zip(c.oracle.tolist(), c.lambda_min_ptb, c.thm3, c.thm5, c.thm6, c.cor6, c.lambda_min_rho,
+                    c.half_max_w))
+
+
+def _bits(row):
+    """A row with each float as its bits (NaN included), so rows compare for identity."""
+    return tuple(float(v).hex() if isinstance(v, (float, np.floating)) else v for v in row)
+
+
+# Per threshold: its verdict's index in a row, and a state's margin to the band
+# edge, the eps at which the state's verdict flips (not positive: never flips).
+_THRESHOLDS = {
+    "oracle": (0, lambda r: -r.spec_ptb[0]),
+    "thm3": (2, lambda r: -r.spec_l_plus_ptb[0]),
+    "thm5": (3, lambda r: r.spec_lap_ptb[-1] - r.spec_lap_ptb[0] - r.spectrum[0] if r.rank == r.n else 0.0),
+    "thm6": (4, lambda r: r.spec_lap[-1] - r.spectrum[0] if r.rank == r.n else 0.0),
+    "cor6": (5, lambda r: r.spectrum[0] - r.max_w / 2.0 if r.rank == r.n and r.connected else 0.0),
+}
+
+
+class TestStackColumns:
+    """Entry k of each column is what the scalar oracle or criterion gives on state k."""
+
+    @pytest.mark.parametrize("dims", _COLUMN_DIMS, ids=str)
+    def test_columns_are_the_scalar_criteria(self, dims):
+        raws = _column_ensemble(dims)
+        alone = [validate(raw, dims) for raw in raws]
+        tol = DecisionTolerance()
+        rows = _column_rows(validate(np.stack(raws), dims), tol)
+        assert [_bits(row) for row in rows] == [_bits(_scalar_row(rho, tol)) for rho in alone]
+        oracle, thm5, cor6, half = ({row[k] for row in rows} for k in (0, 3, 5, 7))
+        assert oracle == {"NPT", "PPT"}
+        assert {Verdict.PPT, Verdict.INCONCLUSIVE, Verdict.PRECONDITION_FAILED} <= thm5
+        assert Verdict.PRECONDITION_FAILED in cor6 and Verdict.INCONCLUSIVE in cor6
+        assert any(np.isnan(h) for h in half)  # the diagonal states have no edges
+
+    @pytest.mark.parametrize("dims", _COLUMN_DIMS, ids=str)
+    def test_columns_at_the_band_edges(self, dims):
+        # eps at each threshold's smallest margin and its float neighbours puts
+        # that state on, just inside and just outside the band's edge
+        raws = _column_ensemble(dims)
+        alone = [validate(raw, dims) for raw in raws]
+        stack = validate(np.stack(raws), dims)
+        for name, (column, margin) in _THRESHOLDS.items():
+            m, k = min((float(margin(rho)), k) for k, rho in enumerate(alone) if margin(rho) > 0)
+            seen = set()
+            for eps in (m / 2, np.nextafter(m, 0), m, np.nextafter(m, np.inf), 2 * m):
+                tol = DecisionTolerance(float(eps))
+                rows = _column_rows(stack, tol)
+                assert [_bits(row) for row in rows] == [_bits(_scalar_row(rho, tol)) for rho in alone], (name, eps)
+                seen.add(rows[k][column])
+            assert len(seen) == 2, name  # the band's edge passed over state k

@@ -1,10 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from entlap.corpus import build
-from entlap.errors import DimensionMismatch, StateValidationError
+from entlap import corpus
+from entlap.corpus import build, build_stack, get_entry
+from entlap.errors import DimensionMismatch, ParameterOutOfDomain, StateValidationError
 from entlap.matops import BipartiteDims
 from entlap import states
 from entlap.states import linear_entropy, purity, purity_report, rank, validate
@@ -98,6 +100,105 @@ class TestExactCompanion:
         assert a == a
         assert a != b
         assert not (a == b)
+
+
+def _factored_points():
+    """(entry, values) of every patterned corpus state at its sample points."""
+    for name, param in corpus_points():
+        entry = get_entry(name)
+        if entry.pattern is not None:
+            yield entry, entry.values() if param is None else entry.values(Fraction(str(param)))
+
+
+def _both_ways(values, entry, tol=None):
+    """`validate` on values and pattern, and on the object matrix they make; a raised error in place of a state."""
+    values = np.array(values, dtype=object)
+    tol = entry.tol if tol is None else tol
+    out = []
+    for args in ((values, entry.pattern), (values[..., entry.pattern], None)):
+        try:
+            out.append(validate(args[0], entry.dims, tol=tol, pattern=args[1]))
+        except (StateValidationError, TypeError) as exc:
+            out.append(exc)
+    return out
+
+
+def _violations(exc):
+    return [(v.axiom, v.magnitude) for v in exc.violations]
+
+
+class TestFactoredValidate:
+    """A state's values and index pattern validate as the object matrix they make does."""
+
+    def _assert_same_state(self, factored, matrix):
+        assert factored.array.tobytes() == matrix.array.tobytes()
+        assert factored.spectrum.tobytes() == matrix.spectrum.tobytes()
+        assert factored.entries.shape == matrix.entries.shape and not factored.entries.flags.writeable
+        assert all(a is b for a, b in zip(factored.entries.flat, matrix.entries.flat))
+        assert np.array_equal(factored.exact, matrix.exact)
+
+    def test_every_patterned_corpus_state(self):
+        for entry, values in _factored_points():
+            self._assert_same_state(*_both_ways(values, entry))
+
+    def test_a_stack_of_values(self):
+        entry = get_entry("rho6")
+        values = [entry.values(Fraction(a, 100)) for a in (1, 37, 50, 100)]
+        factored, matrix = _both_ways(values, entry)
+        self._assert_same_state(factored, matrix)
+        assert factored.array.shape == (4, 9, 9) and factored.array.flags.c_contiguous
+
+    @pytest.mark.parametrize("name, values, tol", [
+        ("rho6", (0, Fraction(2, 9), Fraction(1, 9), 0, 0), None),  # trace 2 * 6/9 + 2/9: TraceNotOne
+        ("rho_ab", (0, Fraction(1, 10), Fraction(1, 5), Fraction(2, 5), Fraction(3, 10), Fraction(3, 10)),
+         1e-9),  # NotPSD
+        ("rho5", (0, Fraction(1, 2), Fraction(1, 2)), None),  # TraceNotOne and NotPSD
+    ])
+    def test_violations(self, name, values, tol):
+        entry = get_entry(name)
+        factored, matrix = _both_ways(values, entry, tol)
+        assert isinstance(factored, StateValidationError) and _violations(factored) == _violations(matrix)
+        # the first failing state of a stack raises its own violations
+        good = entry.values(Fraction(1, 10)) if entry.parameter_name else entry.values()
+        stacked, _ = _both_ways([good, values, good], entry, tol)
+        assert _violations(stacked) == _violations(factored)
+
+    def test_not_hermitian(self):
+        entry = get_entry("rho5")
+        pattern = entry.pattern.copy()
+        pattern[0, 1] = 0  # rho5's (1, 0) coherence has no mirror
+        with pytest.raises(StateValidationError) as factored:
+            validate(np.array(entry.values(), dtype=object), entry.dims, pattern=pattern)
+        with pytest.raises(StateValidationError) as matrix:
+            validate(np.array(entry.values(), dtype=object)[pattern], entry.dims)
+        assert _violations(factored.value) == _violations(matrix.value) == [("NotHermitian", 0.05)]
+
+    @pytest.mark.parametrize("bad", [0.25, 0.25 + 0j, "1/4", None])
+    def test_value_of_another_type_is_a_type_error(self, bad):
+        entry = get_entry("rho5")
+        factored, matrix = _both_ways((0, Fraction(1, 4), bad), entry)
+        assert isinstance(factored, TypeError) and isinstance(matrix, TypeError)
+        message = f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}"
+        assert str(factored) == str(matrix) == message
+
+    def test_float_values_with_a_pattern_are_a_type_error(self):
+        entry = get_entry("rho5")
+        with pytest.raises(TypeError, match="got float"):
+            validate(np.array([0.0, 0.25, 0.05]), entry.dims, pattern=entry.pattern)
+
+    def test_invalid_state_before_an_out_of_domain_parameter(self, monkeypatch):
+        # with rho_ab's tolerance at 1e-9, x = 0.283 (in the domain) is not PSD:
+        # its validation error comes before the error of x = 1 after it
+        tight = replace(get_entry("rho_ab"), tol=1e-9)
+        monkeypatch.setattr(corpus, "get_entry", lambda name: tight)
+        with pytest.raises(StateValidationError) as alone:
+            corpus.build("rho_ab", 0.283)
+        with pytest.raises(StateValidationError) as stacked:
+            build_stack("rho_ab", [0.1, 0.283, 1.0])
+        assert _violations(stacked.value) == _violations(alone.value)
+        assert alone.value.violations[0].axiom == "NotPSD"
+        with pytest.raises(ParameterOutOfDomain):
+            build_stack("rho_ab", [0.1, 0.2, 1.0])
 
 
 class TestPurityFunctionals:
