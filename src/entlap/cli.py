@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import corpus as corpus_mod
 from .criteria import DecisionTolerance, classify, stack_columns
@@ -20,7 +19,7 @@ from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
 from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
 from .matrixfile import ParseError, emit, parse
-from .states import DensityMatrix, purity_report, validate
+from .states import DensityMatrix, purity_report
 from .wgraph import export_dot, graph_from_laplacian
 
 EXIT_OK = 0
@@ -45,6 +44,12 @@ class CliError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
+
+
+# A sweep's CSV row, each number as _fmt writes it; without edges the
+# half_max_w cell (NaN) is written empty.
+_ROW = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s,%s"
+_ROW_NO_EDGES = "%.12g,%.12g,%.12g,%.0s,%s,%s,%s,%s,%s"
 
 
 def _round12(x: float) -> float:
@@ -102,8 +107,7 @@ def _load_state(args) -> tuple[DensityMatrix, str]:
         label = args.state if args.param is None else f"{args.state}({args.param})"
         return rho, label
     if getattr(args, "file", None):
-        parsed = parse(_read(args.file))
-        return validate(parsed.array, parsed.dims), args.file
+        return parse(_read(args.file)).validate(), args.file
     raise CliError(EXIT_USAGE, "provide a matrix file or --state NAME")
 
 
@@ -116,7 +120,7 @@ def _add_state_args(p: argparse.ArgumentParser, file_optional: bool = True):
 def cmd_validate(args) -> int:
     parsed = parse(_read(args.file))
     try:
-        rho = validate(parsed.array, parsed.dims, tol=args.tol)
+        rho = parsed.validate(tol=args.tol)
     except StateValidationError as exc:
         for v in exc.violations:
             print(str(v))
@@ -185,6 +189,19 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _grid(start: float, stop: float, steps: int) -> list[float]:
+    """The float of each rational start + k (stop - start) / (steps - 1), k < steps.
+
+    Point k is (a + k b) / den in ints; int true division rounds it correctly,
+    as float(Fraction) does, and the last point is exactly `stop`, never a
+    rounding past it.
+    """
+    (start_p, start_q), (stop_p, stop_q) = start.as_integer_ratio(), stop.as_integer_ratio()
+    gaps = steps - 1
+    a, b, den = start_p * stop_q * gaps, stop_p * start_q - start_p * stop_q, start_q * stop_q * gaps
+    return [(a + k * b) / den for k in range(steps)]
+
+
 def cmd_sweep(args) -> int:
     entry = corpus_mod.get_entry(args.state)
     if entry.parameter_name is None:
@@ -197,21 +214,19 @@ def cmd_sweep(args) -> int:
     if not args.start < args.stop:
         raise CliError(EXIT_USAGE, "--from must be < --to")
     tol = DecisionTolerance(args.eps)
-    start = Fraction(args.start)
-    step = (Fraction(args.stop) - start) / (args.steps - 1)
+    grid = _grid(args.start, args.stop, args.steps)
     # the grid goes in stacks of states whose float matrices fill at most one slice
     per_stack = max(1, SLICE_ENTRIES // entry.dims.n ** 2)
     lines = ["param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"]
     for first in range(0, args.steps, per_stack):
-        # rational grid: the last point is exactly --to, never a rounding past it
-        values = [float(start + k * step) for k in range(first, min(first + per_stack, args.steps))]
+        values = grid[first:first + per_stack]
         c = stack_columns(corpus_mod.build_stack(args.state, values), tol)
-        halves = ["" if math.isnan(h) else _fmt(h) for h in c.half_max_w.tolist()]
-        for value, lam_rho, lam_ptb, half, oracle, *verdicts in zip(
-                values, c.lambda_min_rho.tolist(), c.lambda_min_ptb.tolist(), halves, c.oracle.tolist(),
-                c.thm3, c.thm5, c.thm6, c.cor6):
-            lines.append(",".join([_fmt(value), _fmt(lam_rho), _fmt(lam_ptb), half, oracle,
-                                   *(v.value for v in verdicts)]))
+        for value, lam_rho, lam_ptb, half, oracle, thm3, thm5, thm6, cor6 in zip(
+                values, c.lambda_min_rho.tolist(), c.lambda_min_ptb.tolist(), c.half_max_w.tolist(),
+                c.oracle.tolist(), c.thm3, c.thm5, c.thm6, c.cor6):
+            # a verdict's _value_ is its str, read without the Enum's `value` property
+            lines.append((_ROW_NO_EDGES if math.isnan(half) else _ROW) % (
+                value, lam_rho, lam_ptb, half, oracle, thm3._value_, thm5._value_, thm6._value_, cor6._value_))
     _write(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -4,9 +4,12 @@ Every state that the classifiers and the CLI reference by name is constructed
 here in exact arithmetic.  A rational state or family is a fixed int index
 pattern (n x n) over a short tuple of its distinct values, slot 0 the int 0:
 rho6's 81 entries are five values (0, x, y, z, w), placed by its pattern.
-`validate` takes the values and the pattern as given; it reads the float
-matrix off them, one conversion per value, and Exact scalars are built only
-when the state's `exact` is read.  psi is an object matrix of Exact products.
+A family reads its parameter as an exact ratio (p, q) of ints, checks it
+against its domain by integer cross-multiplication, and gives its values as
+floats by int division, each bit for bit the float of the exact value;
+`validate` takes those floats and the pattern, and builds the exact values
+from (p, q) only when the state's `entries` are read.  A fixed state's floats
+are converted once per process.  psi is an object matrix of Exact products.
 `build_stack` validates a family at many parameters as one stack of states:
 the (b, k) values of its states under the family's one pattern.
 """
@@ -14,6 +17,7 @@ the (b, k) values of its states under the family's one pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -28,16 +32,16 @@ from .states import DEFAULT_TOL, DensityMatrix, validate
 F = Fraction
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """`value` as the ratio (p, q) of ints in lowest terms, q > 0, of its exact
+    value.  A float is read as its shortest decimal repr, so 0.1 is 1/10, not
+    the raw binary; ValueError or OverflowError when it is not finite."""
     if isinstance(value, float):
-        # str() gives the shortest decimal repr, so 0.1 -> 1/10, not the raw binary
-        return Fraction(str(value))
+        return Decimal(str(value)).as_integer_ratio()
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
     if isinstance(value, str):
-        return Fraction(value)
+        return Fraction(value).as_integer_ratio()
     raise TypeError(f"unsupported parameter type {type(value)!r}")
 
 
@@ -53,7 +57,10 @@ def _pattern(diagonal, coherences) -> np.ndarray:
 
 # -- values ------------------------------------------------------------
 # Each state's distinct exact values, given its parameter (if any) as a
-# Fraction, in the slots its pattern places them from.
+# Fraction, in the slots its pattern places them from; and a family's values
+# as floats, given its parameter as (p, q).  Python's int true division
+# rounds correctly, as float(Fraction) does, so each float equals the float
+# of its exact value bit for bit.
 
 
 def _psi_matrix():
@@ -82,6 +89,7 @@ _RHO6 = _pattern([1, 1, 1, 1, 1, 1, 2, 1, 2],
 _EIGHTHS = (0, F(1, 8), F(1, 81))  # rho1 and rho2
 _TENTHS = (0, F(1, 10), F(1, 5), F(3, 10), F(2, 5))  # rho3
 _RHO_AB_DIAGONAL = (0, F(1, 10), F(1, 5), F(2, 5), F(3, 10))  # built once, shared by every x
+_RHO_AB_DIAGONAL_FLOATS = tuple(map(float, _RHO_AB_DIAGONAL))
 
 
 def _rho_ab_values(x: Fraction):
@@ -91,6 +99,11 @@ def _rho_ab_values(x: Fraction):
     overshoots that by 1.5e-4, hence the relaxed validation tolerance.
     """
     return _RHO_AB_DIAGONAL + (x,)
+
+
+def _rho_ab_floats(p: int, q: int):
+    """_rho_ab_values(p/q) as floats."""
+    return _RHO_AB_DIAGONAL_FLOATS + (p / q,)
 
 
 def _rho6_values(a: Fraction):
@@ -106,6 +119,12 @@ def _rho6_values(a: Fraction):
     return 0, F(50 * p, m), F(50 * p + q, 2 * m), F(q, 100 * m), F(p, m)
 
 
+def _rho6_floats(p: int, q: int):
+    """_rho6_values(p/q) as floats: each value's int quotient."""
+    m = 400 * p + q
+    return 0.0, 50 * p / m, (50 * p + q) / (2 * m), q / (100 * m), p / m
+
+
 # -- registry ----------------------------------------------------------
 
 
@@ -113,7 +132,9 @@ def _rho6_values(a: Fraction):
 class CorpusEntry:
     """A corpus state or family: `values` gives its distinct exact values
     (taking the parameter as a Fraction for a family), which `pattern` places;
-    with no pattern, `values` gives the object matrix itself.  Validated with `tol`."""
+    with no pattern, `values` gives the object matrix itself.  A family's
+    `floats` gives its values as floats from the parameter's ratio (p, q).
+    Validated with `tol`."""
 
     name: str
     dims: BipartiteDims
@@ -123,11 +144,25 @@ class CorpusEntry:
     values: Callable[..., object]
     pattern: np.ndarray | None = field(default=None, repr=False, compare=False)
     tol: float = DEFAULT_TOL
+    floats: Callable[[int, int], tuple[float, ...]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def _bounds(self) -> tuple[Fraction, Fraction]:
-        """The parameter domain as exact decimals."""
-        return tuple(map(_to_fraction, self.parameter_domain))
+    def _bounds(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The parameter domain as exact decimal ratios."""
+        return tuple(map(_ratio, self.parameter_domain))
+
+    @cached_property
+    def _fixed_floats(self) -> tuple[float, ...]:
+        """A fixed state's values as floats, converted once."""
+        return tuple(map(float, self.values()))
+
+    def exact_at(self, ratio: tuple[int, int] | None):
+        """The exact values at the parameter p/q of `ratio` (p, q), or a fixed state's at None."""
+        return self.values() if ratio is None else self.values(Fraction(*ratio))
+
+    def floats_at(self, ratio: tuple[int, int] | None) -> tuple[float, ...]:
+        """`exact_at(ratio)` as floats, bit for bit."""
+        return self._fixed_floats if ratio is None else self.floats(*ratio)
 
 
 _ENTRIES = (
@@ -138,7 +173,7 @@ _ENTRIES = (
                 lambda: _EIGHTHS, _RHO1),
     CorpusEntry("rho_ab", BipartiteDims(2, 2), "x", (0.0, 0.283),
                 "2x2 family diag(0.1,0.2,0.4,0.3) with coherence x; NPT exactly for x > sqrt(3)/10",
-                _rho_ab_values, _RHO_AB, tol=5e-4),
+                _rho_ab_values, _RHO_AB, tol=5e-4, floats=_rho_ab_floats),
     CorpusEntry("rho2", BipartiteDims(2, 4), None, None,
                 "2x4 separable full-rank state: uniform 1/8 diagonal with four 1/81 coherences",
                 lambda: _EIGHTHS, _RHO2),
@@ -149,7 +184,8 @@ _ENTRIES = (
                 "2x2 separable full-rank state: 1/4 diagonal with three 1/20 coherences",
                 lambda: (0, F(1, 4), F(1, 20)), _RHO5),
     CorpusEntry("rho6", BipartiteDims(3, 3), "a", (0.01, 1.0),
-                "3x3 full-rank PPT family over a in [0.01, 1] with N = 400a + 1", _rho6_values, _RHO6),
+                "3x3 full-rank PPT family over a in [0.01, 1] with N = 400a + 1", _rho6_values, _RHO6,
+                floats=_rho6_floats),
 )
 
 
@@ -168,8 +204,7 @@ def get_entry(name: str) -> CorpusEntry:
 def build(name: str, parameter=None) -> DensityMatrix:
     """Build a corpus state by name, checking the parameter domain."""
     entry = get_entry(name)
-    return validate(np.array(_values(entry, parameter), dtype=object), entry.dims, tol=entry.tol,
-                    pattern=entry.pattern)
+    return _validate(entry, [_ratio_in_domain(entry, parameter)], one=True)
 
 
 def build_stack(name: str, parameters) -> DensityMatrix:
@@ -180,37 +215,47 @@ def build_stack(name: str, parameters) -> DensityMatrix:
     error that building its states one by one, in order, raises first.
     """
     entry = get_entry(name)
-
-    def stack(values):
-        return validate(np.array(values, dtype=object), entry.dims, tol=entry.tol, pattern=entry.pattern)
-
-    values = []
-    for p in parameters:
+    ratios = []
+    for parameter in parameters:
         try:
-            values.append(_values(entry, p))
+            ratios.append(_ratio_in_domain(entry, parameter))
         except ParameterOutOfDomain:
-            if values:  # an earlier state's validation error comes first
-                stack(values)
+            if ratios:  # an earlier state's validation error comes first
+                _validate(entry, ratios)
             raise
-    return stack(values)
+    return _validate(entry, ratios)
 
 
-def _values(entry: CorpusEntry, parameter):
-    """The entry's exact values at `parameter`, checked against its domain."""
+def _validate(entry: CorpusEntry, ratios: list, one: bool = False) -> DensityMatrix:
+    """The stack of the entry's states at `ratios`, or with `one` the state at
+    ratios[0]: validated from their float values, with their exact values
+    built from the ratios only when their entries are first read."""
+    rows = 0 if one else slice(None)
+    if entry.pattern is None:  # psi: its object matrix of Exact products
+        return validate(np.array([entry.values() for _ in ratios], dtype=object)[rows], entry.dims, tol=entry.tol)
+    return validate(np.array([entry.floats_at(r) for r in ratios])[rows], entry.dims, tol=entry.tol,
+                    pattern=entry.pattern,
+                    exact_values=lambda: np.array([entry.exact_at(r) for r in ratios], dtype=object)[rows])
+
+
+def _ratio_in_domain(entry: CorpusEntry, parameter) -> tuple[int, int] | None:
+    """The entry's parameter as a ratio (p, q), checked against its domain;
+    None for a state without a parameter."""
     name = entry.name
     if entry.parameter_name is None:
         if parameter is not None:
             raise ParameterOutOfDomain(f"state {name!r} takes no parameter")
-        return entry.values()
+        return None
     if parameter is None:
         raise ParameterOutOfDomain(f"state {name!r} requires parameter {entry.parameter_name!r}")
     try:
-        p = _to_fraction(parameter)
-    except ValueError:
+        p, q = _ratio(parameter)
+    except (ValueError, OverflowError):
         raise ParameterOutOfDomain(
             f"{entry.parameter_name} = {parameter!r} is not a finite number for state {name!r}") from None
-    if not entry._bounds[0] <= p <= entry._bounds[1]:
+    (lo_p, lo_q), (hi_p, hi_q) = entry._bounds
+    if not (lo_p * q <= p * lo_q and p * hi_q <= hi_p * q):  # lo <= p/q <= hi, every q positive
         lo, hi = entry.parameter_domain
         raise ParameterOutOfDomain(
             f"{entry.parameter_name} = {parameter} outside [{lo}, {hi}] for state {name!r}")
-    return entry.values(p)
+    return p, q

@@ -359,7 +359,7 @@ def stack_columns(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance
     same band comparisons on the stack's arrays.  No result object is built."""
     eps = tol.eps
     lam_rho, lam_ptb, mu = rho.spectrum[:, 0], rho.spec_ptb[:, 0], rho.spec_l_plus_ptb[:, 0]
-    half = np.array(rho.max_w, dtype=float) / 2.0  # a graph without edges has None: NaN
+    half = rho.max_w / 2.0  # NaN where a graph has no edges
     spread = rho.spec_lap_ptb[:, -1] - rho.spec_lap_ptb[:, 0]
     deficient = rho.rank < rho.n
     small = _is_small_dims(rho.dims)

@@ -17,8 +17,10 @@ Entry grammar (one token, no internal whitespace):
 
 Decimals are parsed exactly (via Fraction of the decimal string), so emit ->
 parse round-trips are exact for every literal the emitter produces.  `parse`
-returns a real file as its object matrix of Exact entries, which `validate`
-takes as given, and a file with an imaginary part as a complex array.
+returns a real file as its object matrix of Exact entries and a file with an
+imaginary part as a complex array, each with the entries' float values it
+computed for its range check; `ParsedMatrix.validate` hands `validate` those
+floats, and a real file's Exact entries as the state's exact entries.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import DimensionMismatch, EntlapError
 from .exact import ZERO, Exact
 from .matops import BipartiteDims
-from .states import DensityMatrix
+from .states import DEFAULT_TOL, DensityMatrix, validate
 
 _DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RATIONAL = r"\d+/\d+"
@@ -102,6 +104,12 @@ def _float_value(real: Exact, imag: Exact) -> float | complex:
 class ParsedMatrix:
     array: np.ndarray  # object array of Exact entries, or a complex array when any entry has an imaginary part
     dims: BipartiteDims
+    floats: np.ndarray  # each entry's float (or complex) value, as parse computed it for its range check
+
+    def validate(self, tol: float = DEFAULT_TOL) -> DensityMatrix:
+        """`states.validate` on the float values, keeping the Exact entries of a real file."""
+        real = self.array.dtype == object  # a copy for the state, whose entries are read-only
+        return validate(self.floats, self.dims, tol=tol, exact_values=self.array.copy if real else None)
 
 
 def parse(text: str) -> ParsedMatrix:
@@ -145,9 +153,11 @@ def parse(text: str) -> ParsedMatrix:
     n, d1, d2 = header
     if len(rows) != n:
         raise ParseError(len(text.splitlines()) or 1, 1, f"expected {n} rows, got {len(rows)}")
-    if any(not im.is_zero() for row in rows for _, im, _ in row):
-        return ParsedMatrix(array=np.array([[value for _, _, value in row] for row in rows]), dims=dims)
-    return ParsedMatrix(array=np.array([[re_ for re_, _, _ in row] for row in rows], dtype=object), dims=dims)
+    floats = np.array([[value for _, _, value in row] for row in rows])
+    if floats.dtype == complex:
+        return ParsedMatrix(array=floats, dims=dims, floats=floats)
+    return ParsedMatrix(array=np.array([[re_ for re_, _, _ in row] for row in rows], dtype=object), dims=dims,
+                        floats=floats)
 
 
 def format_scalar(value: Exact | float) -> str:

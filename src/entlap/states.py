@@ -4,12 +4,15 @@ A validated `DensityMatrix` is the one record every criterion reads.
 `validate` takes the state's entries as given: a float or complex array, or
 exact entries (int, Fraction or Exact), as an object matrix or as a state's
 distinct values and the index pattern that places them, whose float matrix it
-reads off with one conversion per value and whose entries it keeps.  It solves
-rho's spectrum once and stores it.  Every other derived matrix and spectrum
-(L_rho, rho^TB, L^TB, phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB
-and phi(rho) - I; det(phi(rho) - I)), the coherence graph's total degree,
-connectivity and max W, and the exact entries as Exact scalars are cached
-properties, computed the first time they are read.  Criteria called one after
+reads off with one conversion per value and whose entries it keeps.  A caller
+that has the float values already (the corpus, the matrix-file parser) hands
+them over with a function that builds the exact values, called only when the
+state's entries are read.  `validate` solves rho's spectrum once and stores it.
+Every other derived matrix and spectrum (L_rho, rho^TB, L^TB, phi(rho) - I;
+the spectra of rho^TB, L, L + rho^TB, L^TB and phi(rho) - I;
+det(phi(rho) - I)), the coherence graph's total degree, connectivity and
+max W, and the exact entries, also as Exact scalars, are cached properties,
+computed the first time they are read.  Criteria called one after
 another on the same state share that work, and a criterion computes only what
 it reads.  Every decision quantity is floating point, also for exact inputs:
 the Laplacian and the graph are read off the float matrix, and no criterion
@@ -27,9 +30,11 @@ k, so criteria run on the rows of a stack share one kernel call per value.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .errors import AxiomViolation, DimensionMismatch, StateValidationError
 from .exact import Exact
 from .laplacian import laplacian_of_density
 from .matops import BipartiteDims, as_stack, determinant, eigvals_sym, partial_transpose
-from .wgraph import WeightedGraph, graph_from_laplacian, is_connected, max_w
+from .wgraph import graph_from_laplacian, is_connected, max_w
 
 DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
@@ -51,11 +56,13 @@ _to_exact = np.frompyfunc(lambda v: v if isinstance(v, Exact) else Exact.of(v), 
 
 class _derived:
     """A derived value: `compute(rho)` on first read, then kept.  On row k of a
-    stack it is the stack's value at k, computed for the whole stack on the
-    first read by any of its rows.  Like `cached_property`, without its lock."""
+    stack it is `row(value, k)` of the stack's value, by default its entry k,
+    computed for the whole stack on the first read by any of its rows.  Like
+    `cached_property`, without its lock."""
 
-    def __init__(self, compute):
+    def __init__(self, compute, row=operator.getitem):
         self.compute = compute
+        self.row = row
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -67,7 +74,7 @@ class _derived:
             value = self.compute(rho)
         else:
             stack, k = rho.of_stack
-            value = getattr(stack, self.name)[k]
+            value = self.row(getattr(stack, self.name), k)
         rho.__dict__[self.name] = value  # shadows this non-data descriptor from now on
         return value
 
@@ -79,8 +86,9 @@ class DensityMatrix:
 
     `spectrum` is rho's ascending spectrum, solved once by `validate`.
     `entries` is the read-only object matrix of exact entries the state was
-    validated from, or None for a float or complex input; `array` was read off
-    it.  `exact` turns it into Exact scalars the first time it is read, and
+    validated from, or None for a float or complex input; `array` holds their
+    float values.  `entries_source` builds them the first time `entries` is
+    read, `exact` turns them into Exact scalars the first time it is read, and
     `literal` is `exact` when the state has it and `array` otherwise.
     `of_stack` is (stack, k) for state k of a stack.  States compare by
     identity.  Construct via `validate()`, and rows of a stack by indexing it.
@@ -90,7 +98,7 @@ class DensityMatrix:
     dims: BipartiteDims
     spectrum: np.ndarray = field(repr=False)
     validation_tolerance: float = DEFAULT_TOL
-    entries: np.ndarray | None = field(default=None, repr=False)
+    entries_source: Callable[[], np.ndarray] | None = field(default=None, repr=False)
     of_stack: tuple[DensityMatrix, int] | None = field(default=None, repr=False)
 
     @property
@@ -102,7 +110,7 @@ class DensityMatrix:
         if self.array.ndim != 3:
             raise TypeError("only a stack of states has rows")
         return DensityMatrix(self.array[k], self.dims, self.spectrum[k], self.validation_tolerance,
-                             None if self.entries is None else self.entries[k], of_stack=(self, k))
+                             of_stack=(self, k))
 
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum
@@ -116,8 +124,10 @@ class DensityMatrix:
         """The entries to print: `exact` when the state has exact entries, else `array`."""
         return self.array if self.exact is None else self.exact
 
-    # Derived matrices, spectra (ascending) and graph scalars, each computed
-    # on first read and kept; all but `exact` are float.
+    # The exact entries, then derived matrices, spectra (ascending) and graph
+    # scalars, each computed on first read and kept; all but these two are float.
+    entries = _derived(lambda self: None if self.entries_source is None else _read_only(self.entries_source()),
+                       row=lambda entries, k: None if entries is None else entries[k])
     exact = cached_property(lambda self: None if self.entries is None else _read_only(_to_exact(self.entries)))
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
     ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
@@ -133,8 +143,10 @@ class DensityMatrix:
     total_degree = _derived(lambda self: np.trace(self.laplacian, axis1=-2, axis2=-1))  # d_G = Tr L_rho
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
     connected = _derived(lambda self: is_connected(self.graph))
-    # wgraph.max_w (EXCLUDED convention), or None when the graph has no edges
-    max_w = _derived(lambda self: _max_w_or_none(self.graph))
+    # wgraph.max_w (EXCLUDED convention); None when the graph has no edges, and
+    # a stack's is NaN there, which each of its rows reads as None
+    max_w = _derived(lambda self: max_w(self.graph) if self.graph.weights.ndim == 3 or self.graph.edge_count()
+                     else None, row=lambda best, k: None if math.isnan(best[k]) else float(best[k]))
 
 
 @dataclass(frozen=True)
@@ -149,16 +161,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _max_w_or_none(g: WeightedGraph):
-    """max_w, or None for a graph without edges; per graph, as an object array, for a stack."""
-    if g.weights.ndim == 3:
-        best = max_w(g)
-        return np.where(np.isnan(best), None, best)
-    return max_w(g) if g.edge_count() else None
-
-
-def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
-             pattern: np.ndarray | None = None) -> DensityMatrix:
+def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL, pattern: np.ndarray | None = None,
+             exact_values: Callable[[], np.ndarray] | None = None) -> DensityMatrix:
     """Validate `raw` as a density matrix, or a (b, n, n) stack of them, or
     raise StateValidationError.
 
@@ -166,10 +170,13 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     Exact, any other entry a TypeError.  Exact entries are either an object
     matrix, or, with `pattern`, the distinct values (..., k) of each state
     that the int index matrix `pattern` (n, n) picks its entries from.  An
-    object matrix is its own values under the identity pattern.  The state
-    keeps its entries, `values[..., pattern]`, and its float matrix is read
-    off them with each value converted to float once.  The violated axioms
-    are listed in order: DimensionMismatch or NotHermitian alone, else
+    object matrix is its own values under the identity pattern.  The state's
+    float matrix is read off the values with each value converted to float
+    once, and it keeps its entries, `values[..., pattern]`.  A caller that has
+    the float values already passes them as `raw`, with or without `pattern`,
+    and `exact_values`, which gives the exact values they are the floats of:
+    it is called only when the state's `entries` are first read.  The violated
+    axioms are listed in order: DimensionMismatch or NotHermitian alone, else
     TraceNotOne and NotPSD.  Hermiticity is enforced exactly by averaging
     with the conjugate transpose once the asymmetry is known to be below
     `tol`; the averaged matrix's spectrum decides PSD and is stored in the
@@ -177,19 +184,23 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     validating that state alone does.
     """
     a = np.asarray(raw)
-    entries = None
-    if pattern is not None or a.dtype == object:
-        values = a.astype(object, copy=False)
+    if exact_values is None and (pattern is not None or a.dtype == object):
+        values = a.astype(object)  # a copy: the entries are read from it later, and `raw` may change
         if pattern is None:  # the identity pattern over the matrix's own entries
             pattern = np.arange(math.prod(a.shape[-2:])).reshape(a.shape[-2:])
             values = values.reshape(a.shape[:-2] + (pattern.size,))
         if not all(issubclass(t, _EXACT_TYPES) for t in set(map(type, values.flat))):
             bad = next(v for v in values.flat if not isinstance(v, _EXACT_TYPES))
             raise TypeError(f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}")
+        a, exact_values = values.astype(float), lambda: values
+    entries_source = exact_values
+    if pattern is not None:
         # take, unlike values[..., pattern], lays out each state's matrix contiguously,
         # so a stack's kernels add up each state's entries in the order they do alone
-        entries = _read_only(np.take(values, pattern, axis=-1))
-        a = np.take(values.astype(float), pattern, axis=-1)
+        a = np.take(a, pattern, axis=-1)
+        if exact_values is not None:
+            def entries_source():
+                return np.take(exact_values(), pattern, axis=-1)
     a = as_stack(a)
     if a.ndim > 3:
         raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
@@ -208,7 +219,7 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
             raise StateValidationError(violations)
     return DensityMatrix(array=_read_only(h.reshape(a.shape)), dims=dims,
                          spectrum=_read_only(spectrum.reshape(a.shape[:-1])), validation_tolerance=tol,
-                         entries=entries)
+                         entries_source=entries_source)
 
 
 def _violations(asym: float, tr: float, lambda_min: float, tol: float) -> list[AxiomViolation]:

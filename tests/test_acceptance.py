@@ -1,15 +1,15 @@
 """Acceptance suite: reference-value checks and seeded property ensembles.
 
 Each test prints one [PASS]/[FAIL] line per checked item (run with -s to see
-them).  Six tests reproduce the documented paper discrepancies (README "Known
-discrepancies"): the four `reference_*` tests and the two `criterion_08`
-claim tests (purity soundness, sign-test/oracle agreement).  Each asserts the
-proven fact that refutes the quoted figure or claim, by closed forms and by
-the independent routes in `_oracles.py`, and prints the quoted value next to
-the reproduced one.  All six must pass; none may be xfailed, skipped or
-loosened.  Reproduce the table with
+them).  Seven tests reproduce the documented paper discrepancies (README "Known
+discrepancies"): the four `reference_*` tests and the three `criterion_08`
+claim tests (purity soundness, sign-test/oracle agreement, THM6 on the 4x4
+Werner state).  Each asserts the proven fact that refutes the quoted figure
+or claim, by closed forms and by the independent routes in `_oracles.py`, and
+prints the quoted value next to the reproduced one.  All seven must pass;
+none may be xfailed, skipped or loosened.  Reproduce the table with
 
-    pytest tests/test_acceptance.py -s -k "reference_ or purity_soundness or sign_test"
+    pytest tests/test_acceptance.py -s -k "reference_ or purity_soundness or sign_test or thm6_werner"
 """
 
 import math
@@ -650,6 +650,78 @@ def test_criterion_08_soundness_of_spectral_ppt_tests():
               f"fired {fired6} times"),
         check("8. graph-functional PPT test sound whenever it fires", ok and fired_c6 > 50,
               f"fired {fired_c6} times"),
+    ]
+    _all(checks)
+
+
+def _is_zero(m) -> bool:
+    return all(v == 0 for v in m.flat)
+
+
+def test_criterion_08_thm6_werner_4x4_refutation():
+    """Claimed: THM6, lambda_min(rho) >= lambda_max(L_rho), certifies PPT.
+
+    It certifies an NPT state in 4x4.  The Werner state rho = a I + b V on
+    C^4 (x) C^4, V the swap, at p = 13/25 has a = p/12 + (1-p)/20 = 101/1500
+    and b = (1-p)/20 - p/12 = -29/1500.  V squares to I, so rho has the two
+    eigenvalues a + b (symmetric vectors) and a - b (antisymmetric ones), and
+    b < 0 makes lambda_min(rho) = a + b = 6/125.  The coherence graph is the
+    matching (ij)-(ji), i != j, with weight |b|, so L has the eigenvalues 0
+    and 2|b|: lambda_max(L) = 29/750 <= 6/125, and THM6 fires.  But
+    rho^TB = a I + b d P_Phi, with d P_Phi = sum_ij |ii><jj| of eigenvalues d
+    and 0, so lambda_min(rho^TB) = a + 4b = -1/100: the state is NPT.
+    Asserted in Fraction arithmetic, rho^TB by the brute-force transpose: the
+    closed forms of a, b, rho^TB and L (L cross-checked against the
+    brute-force Laplacian in floats), each value by its eigenvector and each
+    two-level spectrum by its minimal polynomial; and that classify reports
+    THM6_PPT = PPT with the oracle NPT and THM6_PPT in consistency_flags.
+    """
+    d, p = 4, Fraction(13, 25)
+    a = p / (d * (d - 1)) + (1 - p) / (d * (d + 1))
+    b = (1 - p) / (d * (d + 1)) - p / (d * (d - 1))
+    n = d * d
+    eye = np.array([[Fraction(int(r == c)) for c in range(n)] for r in range(n)], dtype=object)
+    # V|ij> = |ji>; sum_ij |ii><jj| = d P_Phi; u = |01> - |10> is antisymmetric
+    swap = np.array([[Fraction(int(c == (r % d) * d + r // d)) for c in range(n)] for r in range(n)],
+                    dtype=object)
+    d_p_phi = np.array([[Fraction(int(r % (d + 1) == 0 and c % (d + 1) == 0)) for c in range(n)]
+                        for r in range(n)], dtype=object)
+    e_00, phi = eye[:, 0], np.array([Fraction(int(r % (d + 1) == 0)) for r in range(n)], dtype=object)
+    u = eye[:, 1] - eye[:, d]
+    rho = a * eye + b * swap
+    lam_rho, lam_l, lam_ptb = a + b, 2 * abs(b), a + d * b
+    lap = sum(abs(b) * np.outer(eye[:, i * d + j] - eye[:, j * d + i], eye[:, i * d + j] - eye[:, j * d + i])
+              for i in range(d) for j in range(i + 1, d))
+    ptb = bf_partial_transpose(rho, d, d)
+    state = validate(rho, BipartiteDims(d, d))
+    report = classify(state)
+    thm6 = next(r for r in report.results if r.criterion_id == CriterionId.THM6_PPT)
+    checks = [
+        check("8. Werner d = 4, p = 13/25: a = 101/1500, b = -29/1500, trace 1",
+              (a, b, sum(rho[k, k] for k in range(n))) == (Fraction(101, 1500), Fraction(-29, 1500), 1)),
+        check("8. lambda_min(rho) = a + b = 6/125: rho e_00 = (a+b) e_00, rho u = (a-b) u, "
+              "(rho - (a+b)I)(rho - (a-b)I) = 0",
+              lam_rho == Fraction(6, 125) and np.array_equal(rho @ e_00, lam_rho * e_00)
+              and np.array_equal(rho @ u, (a - b) * u)
+              and _is_zero((rho - lam_rho * eye) @ (rho - (a - b) * eye)) and lam_rho < a - b),
+        check("8. L is the matching (ij)-(ji) with weight |b| (cross-checked in floats against bf_laplacian)",
+              np.array_equal(bf_laplacian(rho), lap.astype(float))),
+        check("8. lambda_max(L) = 2|b| = 29/750: L u = 2|b| u, L (L - 2|b| I) = 0",
+              lam_l == Fraction(29, 750) and np.array_equal(lap @ u, lam_l * u)
+              and _is_zero(lap @ (lap - lam_l * eye))),
+        check("8. rho^TB = a I + b d P_Phi by the brute-force transpose",
+              np.array_equal(ptb, a * eye + b * d_p_phi)),
+        check("8. lambda_min(rho^TB) = a + 4b = -1/100: rho^TB phi = (a+4b) phi, rho^TB u = a u, "
+              "(rho^TB - aI)(rho^TB - (a+4b)I) = 0",
+              lam_ptb == Fraction(-1, 100) and np.array_equal(ptb @ phi, lam_ptb * phi)
+              and np.array_equal(ptb @ u, a * u) and _is_zero((ptb - a * eye) @ (ptb - lam_ptb * eye))),
+        check("8. THM6 fires on an NPT state: lambda_min(rho) >= lambda_max(L) and lambda_min(rho^TB) < 0",
+              lam_rho >= lam_l and lam_ptb < 0,
+              f"quoted: THM6 certifies PPT; reproduced {lam_rho} >= {lam_l}, lambda_min(rho^TB) = {lam_ptb}"),
+        check("8. classify reports THM6_PPT = PPT, the oracle NPT, and flags THM6_PPT",
+              thm6.verdict == Verdict.PPT and report.oracle_verdict == "NPT"
+              and CriterionId.THM6_PPT in report.consistency_flags,
+              f"lambda_min(rho^TB) = {report.oracle_lambda_min_ptb:.6f}"),
     ]
     _all(checks)
 

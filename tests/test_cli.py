@@ -298,16 +298,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("state, name, stop", [("rho6", "a", "1"), ("rho_ab", "x", "0.283")])
     def test_sweep_builds_no_exact(self, capsys, monkeypatch, exact_created, state, name, stop):
-        # no sweep column reads an exact entry, so no grid point builds an Exact; each
-        # state's distinct values, and its grid value, are converted to float once; and
-        # the grid is solved as stacks of at most 8192 // n^2 states, one kernel call per stack
+        # no sweep column reads an exact entry, so no grid point builds an Exact or a
+        # Fraction, nor converts one to float: the grid and the family's values are
+        # int quotients; and the grid is solved as stacks of at most 8192 // n^2
+        # states, one kernel call per stack
         calls = Counter()
         for kernel in ("eigvals_sym", "laplacian_of_density", "graph_from_laplacian"):
             monkeypatch.setattr(states, kernel, lambda *a, _k=kernel, _f=getattr(states, kernel):
                                 calls.update([_k]) or _f(*a))
-        to_float = Fraction.__float__
+        to_float, new = Fraction.__float__, Fraction.__new__
         monkeypatch.setattr(Fraction, "__float__", lambda f: calls.update(["float"]) or to_float(f))
+        monkeypatch.setattr(Fraction, "__new__", lambda *a, **k: calls.update(["fraction"]) or new(*a, **k))
         entry = get_entry(state)
+        fractions = {}
         for steps in (200, 2000):
             calls.clear()
             with exact_created() as created:
@@ -315,10 +318,29 @@ class TestSweep:
                                    "--from", "0.01", "--to", stop, "--steps", str(steps))
             assert code == 0 and len(out.splitlines()) == steps + 1
             assert not created
-            assert calls["float"] <= steps * (entry.pattern.max() + 1)  # one per value slot, slot 0 the int 0
+            assert calls["float"] == 0
+            fractions[steps] = calls["fraction"]
             stacks = -(-steps // (8192 // entry.dims.n ** 2))
             assert calls["eigvals_sym"] <= 4 * stacks
             assert calls["laplacian_of_density"] == calls["graph_from_laplacian"] == stacks
+        assert fractions[2000] == fractions[200]
+
+
+class TestGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True),
+           st.integers(2, 5000))
+    @example([0.0, 0.283], 58)
+    @example([0.01, 1.0], 200)
+    @example([-1e308, 1e308], 5000)
+    @example([5e-324, 1e-323], 3)
+    def test_int_grid_is_the_fraction_grid(self, ends, steps):
+        start, stop = sorted(ends)
+        lo, hi = Fraction(start), Fraction(stop)
+        want = [float(lo + k * (hi - lo) / (steps - 1)) for k in range(steps)]
+        grid = cli._grid(start, stop, steps)
+        assert [x.hex() for x in grid] == [x.hex() for x in want]  # bit for bit, the sign of zero too
+        assert grid[-1] == stop
 
 
 def _reference_sweep(state: str, start: str, stop: str, steps: int) -> list[str]:

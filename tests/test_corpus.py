@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from entlap import corpus
 from entlap.corpus import build, build_stack, get_entry, list_entries
 from entlap.errors import ParameterOutOfDomain, UnknownState
 from entlap.exact import Exact
@@ -35,7 +38,7 @@ class TestRegistry:
         with pytest.raises(ParameterOutOfDomain):
             build("psi", 0.5)  # no parameter accepted
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "abc"])
     def test_unreadable_parameter_is_out_of_domain(self, value):
         with pytest.raises(ParameterOutOfDomain, match="^a = .* is not a finite number"):
             build("rho6", value)
@@ -123,3 +126,69 @@ class TestStack:
         with pytest.raises(ParameterOutOfDomain) as stacked:
             build_stack("rho6", [0.5, 2.0, -1.0])
         assert str(stacked.value) == str(alone.value)
+
+
+def _family_points():
+    """(family, float parameter): in the family's domain, or anywhere."""
+    def in_domain(name):
+        return st.tuples(st.just(name), st.floats(*get_entry(name).parameter_domain))
+    return st.sampled_from(["rho6", "rho_ab"]).flatmap(in_domain)
+
+
+def _neighbours(x):
+    return [float(np.nextafter(x, -np.inf)), x, float(np.nextafter(x, np.inf))]
+
+
+class TestIntPath:
+    """A family's parameter is read as the ratio Fraction(str(v)) gives, and its
+    float values by int division are the floats of its exact values, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_family_points())
+    @example(("rho6", 0.01))
+    @example(("rho6", 1.0))
+    @example(("rho6", 0.123456789012345))
+    @example(("rho_ab", 0.0))
+    @example(("rho_ab", 0.283))
+    @example(("rho_ab", 1e-05))
+    @example(("rho_ab", 2.5e-300))
+    @example(("rho_ab", 5e-324))
+    def test_floats_are_the_exact_values_floats(self, point):
+        name, v = point
+        entry = get_entry(name)
+        ratio = corpus._ratio_in_domain(entry, v)
+        assert ratio == Fraction(str(v)).as_integer_ratio()
+        want = np.array(entry.values(Fraction(str(v))), dtype=object).astype(float)
+        assert np.array(entry.floats_at(ratio)).tobytes() == want.tobytes()
+        assert np.array_equal(build(name, v).entries, np.take(entry.values(Fraction(str(v))), entry.pattern))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["rho6", "rho_ab"]), st.floats(allow_nan=False, allow_infinity=False))
+    @example("rho6", 0.0)
+    @example("rho_ab", -0.0)
+    def test_domain_is_the_fraction_comparison(self, name, v):
+        entry = get_entry(name)
+        lo, hi = (Fraction(str(bound)) for bound in entry.parameter_domain)
+        for x in [v, *_neighbours(entry.parameter_domain[0]), *_neighbours(entry.parameter_domain[1])]:
+            if lo <= Fraction(str(x)) <= hi:
+                assert corpus._ratio_in_domain(entry, x) == Fraction(str(x)).as_integer_ratio()
+            else:
+                with pytest.raises(ParameterOutOfDomain, match="outside"):
+                    corpus._ratio_in_domain(entry, x)
+
+    @pytest.mark.parametrize("name", ["rho6", "rho_ab"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "abc"])
+    def test_not_a_finite_number_in_a_stack(self, name, value):
+        with pytest.raises(ParameterOutOfDomain, match="is not a finite number"):
+            build_stack(name, [get_entry(name).parameter_domain[1], value])
+
+    def test_exact_values_are_built_when_first_read(self, monkeypatch):
+        built = []
+        counted = replace(get_entry("rho6"), values=lambda a: built.append(a) or corpus._rho6_values(a))
+        monkeypatch.setattr(corpus, "get_entry", lambda name: counted)
+        stack = build_stack("rho6", [0.01, 0.5, 1.0])
+        rho = build("rho6", 0.37)
+        assert built == []
+        assert rho.entries[0][0] == Fraction(50 * 37, 400 * 37 + 100)  # 50p/m at a = p/q = 37/100
+        assert stack[2].entries[0][0] == Fraction(50, 401)  # a = 1: 50/401
+        assert built == [Fraction(37, 100), Fraction(1, 100), Fraction(1, 2), Fraction(1)]

@@ -8,6 +8,7 @@ from entlap.corpus import build, list_entries
 from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
 from entlap.matrixfile import ParseError, emit, format_scalar, parse, parse_entry
+from entlap.states import validate
 
 
 class TestEntryGrammar:
@@ -87,6 +88,28 @@ class TestParse:
             parsed = parse(text)
         assert len(created) == 27 == sum(tok != "0" for line in text.splitlines()[1:] for tok in line.split())
         assert sum(v is ZERO for v in parsed.array.flat) == 81 - 27
+
+    def test_validate_reads_the_floats_parse_computed(self, monkeypatch):
+        # the state of a parsed file is the state of its Exact entries, bit for bit,
+        # with no entry converted to float again
+        for rho in (build("rho6", 0.37), build("psi"), build("rho3")):
+            parsed = parse(emit(rho))
+            to_float, calls = Exact.__float__, []
+            monkeypatch.setattr(Exact, "__float__", lambda e: calls.append(e) or to_float(e))
+            state = parsed.validate()
+            monkeypatch.setattr(Exact, "__float__", to_float)
+            assert calls == []
+            want = validate(parsed.array, parsed.dims)
+            assert state.array.tobytes() == want.array.tobytes()
+            assert state.spectrum.tobytes() == want.spectrum.tobytes()
+            assert all(a is b for a, b in zip(state.entries.flat, parsed.array.flat))
+            assert not state.entries.flags.writeable and parsed.array.flags.writeable
+
+    def test_validate_a_complex_file(self):
+        parsed = parse("dims 4 2 2\n1/2 0 0 0+1/4i\n0 0 0 0\n0 0 0 0\n0-1/4i 0 0 1/2\n")
+        state = parsed.validate()
+        assert state.array.tobytes() == validate(parsed.array, parsed.dims).array.tobytes()
+        assert state.entries is None and state.exact is None
 
     def test_row_length_checked(self):
         with pytest.raises(ParseError):

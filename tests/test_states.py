@@ -84,6 +84,13 @@ class TestExactCompanion:
             assert rho.exact.astype(float).tobytes() == rho.array.tobytes()
             assert not rho.exact.flags.writeable and not rho.entries.flags.writeable
 
+    def test_entries_are_the_input_at_validation(self):
+        # entries are placed when first read, from validate's own copy of the input
+        m = np.array([[Fraction(1, 4) if i == j else 0 for j in range(4)] for i in range(4)], dtype=object)
+        rho = validate(m, BipartiteDims(2, 2))
+        m[0, 0] = Fraction(1, 2)
+        assert rho.entries[0, 0] == Fraction(1, 4) and float(rho.exact[0, 0]) == rho.array[0, 0] == 0.25
+
     def test_float_input_has_no_exact_entries(self):
         rho = _dm(np.eye(4) / 4, 2, 2)
         assert rho.entries is None and rho.exact is None
