@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import corpus as corpus_mod
-from .criteria import DecisionTolerance, classify, stack_columns
+from .criteria import ORACLE_VERDICTS, DecisionTolerance, classify, cor6, oracle, thm3, thm5, thm6
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
 from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
@@ -213,20 +213,24 @@ def cmd_sweep(args) -> int:
         raise CliError(EXIT_USAGE, "steps must be >= 2")
     if not args.start < args.stop:
         raise CliError(EXIT_USAGE, "--from must be < --to")
-    tol = DecisionTolerance(args.eps)
     grid = _grid(args.start, args.stop, args.steps)
     # the grid goes in stacks of states whose float matrices fill at most one slice
     per_stack = max(1, SLICE_ENTRIES // entry.dims.n ** 2)
     lines = ["param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"]
     for first in range(0, args.steps, per_stack):
         values = grid[first:first + per_stack]
-        c = stack_columns(corpus_mod.build_stack(args.state, values), tol)
-        for value, lam_rho, lam_ptb, half, oracle, thm3, thm5, thm6, cor6 in zip(
-                values, c.lambda_min_rho.tolist(), c.lambda_min_ptb.tolist(), c.half_max_w.tolist(),
-                c.oracle.tolist(), c.thm3, c.thm5, c.thm6, c.cor6):
-            # a verdict's _value_ is its str, read without the Enum's `value` property
+        stack = corpus_mod.build_stack(args.state, values)
+        codes, lam_ptbs = oracle(stack, args.eps)
+        columns = [[ORACLE_VERDICTS[c] for c in codes.tolist()]]
+        for criterion in (thm3, thm5, thm6, cor6):
+            table, codes, scalars = criterion(stack, args.eps)
+            names = [outcome.verdict.value for outcome in table.outcomes]
+            columns.append([names[c] for c in codes.tolist()])
+        lam_rhos, halves = scalars["lambda_min_rho"], scalars["half_max_w"]  # COR6's; NaN halves: no edges
+        for value, lam_rho, lam_ptb, half, oracle_v, thm3_v, thm5_v, thm6_v, cor6_v in zip(
+                values, lam_rhos.tolist(), lam_ptbs.tolist(), halves.tolist(), *columns):
             lines.append((_ROW_NO_EDGES if math.isnan(half) else _ROW) % (
-                value, lam_rho, lam_ptb, half, oracle, thm3._value_, thm5._value_, thm6._value_, cor6._value_))
+                value, lam_rho, lam_ptb, half, oracle_v, thm3_v, thm5_v, thm6_v, cor6_v))
     _write(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 

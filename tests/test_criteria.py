@@ -5,21 +5,32 @@ import pytest
 
 import entlap.states
 from entlap.corpus import build
+from entlap import criteria
 from entlap.criteria import (
+    ORACLE_VERDICTS,
     CriterionId,
     DecisionTolerance,
     Verdict,
     classify,
+    cor4a,
     cor4a_nptes,
+    cor6,
     cor6_ppt,
+    oracle,
     ppt_oracle,
     purity_test,
-    stack_columns,
+    thm1,
+    thm3,
     thm3_separability,
+    thm3a,
     thm3a_bounds,
+    thm3b,
     thm3b_check,
+    thm4a,
     thm4a_check,
+    thm5,
     thm5_ppt,
+    thm6,
     thm6_ppt,
 )
 from entlap.errors import WrongDimensions
@@ -464,14 +475,27 @@ class TestSharedAnalysis:
 
 # -- columns over a stack --------------------------------------------------
 
-_COLUMN_DIMS = (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3), BipartiteDims(2, 4))
+_COLUMN_DIMS = (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3), BipartiteDims(2, 4),
+                BipartiteDims(4, 4))
+
+
+def _werner(d, p):
+    """The Werner state a I + b V on C^d x C^d (V the swap): full rank, its
+    coherence graph the matching (ij)-(ji), NPT iff p > 1/2."""
+    a = p / (d * (d - 1)) + (1 - p) / (d * (d + 1))
+    b = (1 - p) / (d * (d + 1)) - p / (d * (d - 1))
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    return a * np.eye(d * d) + b * swap
 
 
 def _column_ensemble(dims, seed=29):
     """Raw states for one stack: Hilbert-Schmidt random (mostly NPT), pure
     (rank 1, NPT when entangled), pure-product mixtures (rank 2), weak-coherence
     mixtures with the maximally mixed state (full rank, where THM5, THM6 and
-    COR6 fire), block-diagonal pinchings (disconnected) and diagonal states (no edges)."""
+    COR6 fire), block-diagonal pinchings of those and of pure states
+    (disconnected; rank 2 for a pure one), diagonal states (no edges) and,
+    for d x d, Werner states (at d = 4, p = 13/25 THM6 certifies PPT on an
+    NPT state)."""
     rng = make_rng(seed)
     n, half = dims.n, dims.n // 2
     raws = []
@@ -479,59 +503,99 @@ def _column_ensemble(dims, seed=29):
         hs = random_density(rng, dims).array
         raws += [hs, random_pure_density(rng, dims).array, random_mixture_density(rng, dims).array]
         raws += [(1 - t) * np.eye(n) / n + t * hs for t in (0.02, 0.1, 0.3)]
-        pinched = hs.copy()
-        pinched[:half, half:] = pinched[half:, :half] = 0
-        raws += [pinched, np.diag(rng.dirichlet(np.ones(n))).astype(complex)]
+        pinched, pinched_pure = hs.copy(), random_pure_density(rng, dims).array.copy()
+        for m in (pinched, pinched_pure):
+            m[:half, half:] = m[half:, :half] = 0
+        raws += [pinched, pinched_pure, np.diag(rng.dirichlet(np.ones(n))).astype(complex)]
+    if dims.d1 == dims.d2:
+        raws += [_werner(dims.d1, p).astype(complex) for p in (0.3, 13 / 25, 0.8)]
     return raws
 
 
-def _scalar_row(rho, tol):
-    """The sweep's row by the scalar oracle and criteria."""
-    verdict, lam = ppt_oracle(rho, tol)
-    half = float("nan") if rho.max_w is None else rho.max_w / 2.0
-    return (verdict, lam, thm3_separability(rho, tol).verdict, thm5_ppt(rho, tol).verdict,
-            thm6_ppt(rho, tol).verdict, cor6_ppt(rho, tol).verdict, rho.spectrum[0], half)
+# Each criterion, written once over a state or a stack, and the public
+# function that reads its result on one state.
+_CRITERIA = {"thm1": (thm1, purity_test), "thm3": (thm3, thm3_separability), "thm5": (thm5, thm5_ppt),
+             "thm6": (thm6, thm6_ppt), "thm3a": (thm3a, thm3a_bounds), "thm3b": (thm3b, thm3b_check),
+             "thm4a": (thm4a, thm4a_check), "cor4a": (cor4a, cor4a_nptes), "cor6": (cor6, cor6_ppt)}
 
 
-def _column_rows(stack, tol):
-    c = stack_columns(stack, tol)
-    for column in (c.thm3, c.thm5, c.thm6, c.cor6):
-        assert all(type(v) is Verdict for v in column)
-    return list(zip(c.oracle.tolist(), c.lambda_min_ptb, c.thm3, c.thm5, c.thm6, c.cor6, c.lambda_min_rho,
-                    c.half_max_w))
+def _names(dims):
+    """The oracle and the criteria that run in dims (THM3A only in 2x2)."""
+    return ["oracle"] + [name for name in _CRITERIA if name != "thm3a" or (dims.d1, dims.d2) == (2, 2)]
 
 
-def _bits(row):
-    """A row with each float as its bits (NaN included), so rows compare for identity."""
-    return tuple(float(v).hex() if isinstance(v, (float, np.floating)) else v for v in row)
+def _identity(result):
+    """What must agree bit for bit: id, verdict, scalar names in order with their bits, caveat."""
+    return (result.criterion_id, result.verdict, [(k, float(v).hex()) for k, v in result.scalars.items()],
+            result.caveat)
 
 
-# Per threshold: its verdict's index in a row, and a state's margin to the band
-# edge, the eps at which the state's verdict flips (not positive: never flips).
+def _stack_rows(name, stack, tol):
+    """Each row's outcome, read off the codes and scalars of the whole stack."""
+    if name == "oracle":
+        codes, lam = oracle(stack, tol.eps)
+        assert codes.dtype == np.int8
+        return [(ORACLE_VERDICTS[code], float(x).hex()) for code, x in zip(codes, lam)]
+    table, codes, scalars = _CRITERIA[name][0](stack, tol.eps)
+    assert codes.dtype == np.int8 and codes.shape == stack.array.shape[:1]
+    return [_identity(criteria._result(stack[k], table, code, {s: v[k] for s, v in scalars.items()}))
+            for k, code in enumerate(codes)]
+
+
+def _alone_rows(name, states, tol):
+    """Each state's outcome, by the public function on the state validated alone."""
+    if name == "oracle":
+        return [(verdict, lam.hex()) for verdict, lam in (ppt_oracle(rho, tol) for rho in states)]
+    return [_identity(_CRITERIA[name][1](rho, tol)) for rho in states]
+
+
+def _outcome(row):
+    """The verdict of a row, with its caveat for a criterion (THM3B's verdict never changes)."""
+    return row[0] if len(row) == 2 else (row[1], row[3])
+
+
+# Per threshold: a state's margin to the band edge, the eps at which its
+# outcome flips (not positive: it never flips).  THM4A never fires, since
+# lambda_min(L + rho^TB) is at most the mean eigenvalue (1 + d_G) / n, so every
+# margin of it is negative.
 _THRESHOLDS = {
-    "oracle": (0, lambda r: -r.spec_ptb[0]),
-    "thm3": (2, lambda r: -r.spec_l_plus_ptb[0]),
-    "thm5": (3, lambda r: r.spec_lap_ptb[-1] - r.spec_lap_ptb[0] - r.spectrum[0] if r.rank == r.n else 0.0),
-    "thm6": (4, lambda r: r.spec_lap[-1] - r.spectrum[0] if r.rank == r.n else 0.0),
-    "cor6": (5, lambda r: r.spectrum[0] - r.max_w / 2.0 if r.rank == r.n and r.connected else 0.0),
+    "oracle": lambda r: -r.spec_ptb[0],
+    "thm1": lambda r: abs(r.det_phi_minus_i),
+    "thm3": lambda r: -r.spec_l_plus_ptb[0],
+    "thm5": lambda r: r.spec_lap_ptb[-1] - r.spec_lap_ptb[0] - r.spectrum[0] if r.rank == r.n else 0.0,
+    "thm6": lambda r: r.spec_lap[-1] - r.spectrum[0] if r.rank == r.n else 0.0,
+    "thm3a": lambda r: -r.spec_l_plus_ptb[0],
+    "thm3b": lambda r: r.spec_l_plus_ptb[0] - r.max_w / 2.0 if r.connected else 0.0,
+    "thm4a": lambda r: r.spec_l_plus_ptb[0] - (1.0 + r.total_degree),
+    "cor4a": lambda r: ((r.n - 1) * (r.max_w / 2.0 + r.spec_ptb[-1]) - (1.0 + r.total_degree)
+                        if r.connected else 0.0),
+    "cor6": lambda r: r.spectrum[0] - r.max_w / 2.0 if r.rank == r.n and r.connected else 0.0,
 }
 
 
 class TestStackColumns:
-    """Entry k of each column is what the scalar oracle or criterion gives on state k."""
+    """Row k of the oracle's and each criterion's codes over a stack is the
+    result of the state validated alone."""
 
     @pytest.mark.parametrize("dims", _COLUMN_DIMS, ids=str)
     def test_columns_are_the_scalar_criteria(self, dims):
         raws = _column_ensemble(dims)
         alone = [validate(raw, dims) for raw in raws]
+        stack = validate(np.stack(raws), dims)
         tol = DecisionTolerance()
-        rows = _column_rows(validate(np.stack(raws), dims), tol)
-        assert [_bits(row) for row in rows] == [_bits(_scalar_row(rho, tol)) for rho in alone]
-        oracle, thm5, cor6, half = ({row[k] for row in rows} for k in (0, 3, 5, 7))
-        assert oracle == {"NPT", "PPT"}
-        assert {Verdict.PPT, Verdict.INCONCLUSIVE, Verdict.PRECONDITION_FAILED} <= thm5
-        assert Verdict.PRECONDITION_FAILED in cor6 and Verdict.INCONCLUSIVE in cor6
-        assert any(np.isnan(h) for h in half)  # the diagonal states have no edges
+        rows = {name: _stack_rows(name, stack, tol) for name in _names(dims)}
+        for name, column in rows.items():
+            assert column == _alone_rows(name, alone, tol), name
+        outcomes = {name: {_outcome(row) for row in column} for name, column in rows.items()}
+        assert outcomes["oracle"] == {"NPT", "PPT"}
+        assert {Verdict.PPT, Verdict.INCONCLUSIVE, Verdict.PRECONDITION_FAILED} <= {v for v, _ in outcomes["thm5"]}
+        assert {(Verdict.PRECONDITION_FAILED, "state is not full rank"),
+                (Verdict.PRECONDITION_FAILED, "coherence graph is not connected")} <= outcomes["cor6"]
+        assert len(outcomes["thm3b"]) == 3 and len(outcomes["cor4a"]) == 3
+        assert np.isnan(cor6(stack, tol.eps)[2]["half_max_w"]).any()  # the diagonal states have no edges
+        if dims == BipartiteDims(4, 4):  # THM6's refutation: PPT certified on an NPT Werner state
+            pairs = {(o[0], _outcome(t)) for o, t in zip(rows["oracle"], rows["thm6"])}
+            assert ("NPT", (Verdict.PPT, None)) in pairs
 
     @pytest.mark.parametrize("dims", _COLUMN_DIMS, ids=str)
     def test_columns_at_the_band_edges(self, dims):
@@ -540,12 +604,16 @@ class TestStackColumns:
         raws = _column_ensemble(dims)
         alone = [validate(raw, dims) for raw in raws]
         stack = validate(np.stack(raws), dims)
-        for name, (column, margin) in _THRESHOLDS.items():
-            m, k = min((float(margin(rho)), k) for k, rho in enumerate(alone) if margin(rho) > 0)
+        for name in _names(dims):
+            margins = [float(_THRESHOLDS[name](rho)) for rho in alone]
+            flips = any(m > 0 for m in margins)
+            # the smallest positive margin; if none flips (THM4A), the state nearest the band
+            m, k = min((m, k) for k, m in enumerate(margins) if m > 0) if flips else \
+                min((-m, k) for k, m in enumerate(margins))
             seen = set()
             for eps in (m / 2, np.nextafter(m, 0), m, np.nextafter(m, np.inf), 2 * m):
                 tol = DecisionTolerance(float(eps))
-                rows = _column_rows(stack, tol)
-                assert [_bits(row) for row in rows] == [_bits(_scalar_row(rho, tol)) for rho in alone], (name, eps)
-                seen.add(rows[k][column])
-            assert len(seen) == 2, name  # the band's edge passed over state k
+                rows = _stack_rows(name, stack, tol)
+                assert rows == _alone_rows(name, alone, tol), (name, eps)
+                seen.add(_outcome(rows[k]))
+            assert len(seen) == (2 if flips else 1), name  # the band's edge passed over state k
