@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +397,20 @@ class TestStackedSweep:
             assert rows[-1].split(",")[0] == "0.283"
             first = rows[0].split(",")  # x = 0: no edges, so no max W and COR6 lacks its precondition
             assert first[3] == "" and first[-1] == "PRECONDITION_FAILED"
+
+
+_REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("key", [key for key in _REFERENCE["cli"] if key.startswith("sweep ")])
+def test_sweep_output_matches_the_benchmark_reference(key):
+    # the benchmark checks every sweep's CSV by its digest; so does tier-1, without a benchmark run
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(key.split())
+    text = out.getvalue()
+    assert code == _REFERENCE["cli"][key]["rc"] and len(text.encode()) == _REFERENCE["cli"][key]["bytes"]
+    assert hashlib.sha256(text.encode()).hexdigest() == _REFERENCE["cli"][key]["sha256"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
