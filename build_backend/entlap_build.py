@@ -1,12 +1,15 @@
 """A PEP 517 build backend for entlap that needs nothing but the standard library.
 
-`pyproject.toml` names it with `backend-path`, so `pip install .` works
-offline, with no setuptools or wheel to fetch.  `build_wheel` writes a
-py3-none-any wheel of `src/entlap` with its METADATA, WHEEL,
-entry_points.txt and RECORD, read off `pyproject.toml`; `build_sdist` writes
-the source tree as a tar.gz.
+`pyproject.toml` names it with `backend-path` and `requires = []`, so `pip
+install .` works offline, with no setuptools, wheel or TOML library to fetch,
+on every Python the project supports.  `build_wheel` writes a py3-none-any
+wheel of `src/entlap` with its METADATA, WHEEL, entry_points.txt and RECORD,
+read off `pyproject.toml`; `build_editable` (PEP 660) writes the same
+metadata with a .pth file that puts this tree's `src` on sys.path, for `pip
+install -e .`; `build_sdist` writes the source tree as a tar.gz.
 """
 
+import ast
 import base64
 import hashlib
 import io
@@ -14,16 +17,26 @@ import tarfile
 import zipfile
 from pathlib import Path
 
-try:
-    import tomllib
-except ModuleNotFoundError:  # Python 3.10: pyproject.toml asks for tomli there
-    import tomli as tomllib
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _project() -> dict:
-    return tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    """The `[project]` table of pyproject.toml, with its subtables as dicts.
+
+    It reads the TOML that file holds: `key = value` lines, each value a string
+    or an array of strings on one line, which are also Python literals.  Any
+    other value stops the build with an error rather than being misread.
+    """
+    project, table = {}, None
+    for line in (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            head = line.strip("[]").split(".")
+            table = (project if len(head) == 1 else project.setdefault(head[1], {})) if head[0] == "project" else None
+        elif table is not None and line and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            table[key.strip()] = ast.literal_eval(value.strip())
+    return project
 
 
 def _metadata(p: dict) -> str:
@@ -41,11 +54,9 @@ def _record_line(name: str, data: bytes) -> str:
     return f"{name},sha256={digest},{len(data)}"
 
 
-def build_wheel(wheel_directory, config_settings=None, metadata_directory=None) -> str:
-    p = _project()
+def _wheel(wheel_directory, p: dict, files: dict) -> str:
+    """Write a py3-none-any wheel of `files` with the project's dist-info; its name."""
     dist_info = f"{p['name']}-{p['version']}.dist-info"
-    files = {path.relative_to(ROOT / "src").as_posix(): path.read_bytes()
-             for path in sorted((ROOT / "src" / p["name"]).rglob("*.py"))}
     files[f"{dist_info}/METADATA"] = _metadata(p).encode()
     files[f"{dist_info}/WHEEL"] = (b"Wheel-Version: 1.0\nGenerator: entlap_build\nRoot-Is-Purelib: true\n"
                                    b"Tag: py3-none-any\n")
@@ -58,6 +69,17 @@ def build_wheel(wheel_directory, config_settings=None, metadata_directory=None) 
         for name, data in files.items():
             whl.writestr(name, data)
     return wheel_name
+
+
+def build_wheel(wheel_directory, config_settings=None, metadata_directory=None) -> str:
+    p = _project()
+    return _wheel(wheel_directory, p, {path.relative_to(ROOT / "src").as_posix(): path.read_bytes()
+                                       for path in sorted((ROOT / "src" / p["name"]).rglob("*.py"))})
+
+
+def build_editable(wheel_directory, config_settings=None, metadata_directory=None) -> str:
+    p = _project()
+    return _wheel(wheel_directory, p, {f"__editable__.{p['name']}.pth": f"{ROOT / 'src'}\n".encode()})
 
 
 def build_sdist(sdist_directory, config_settings=None) -> str:

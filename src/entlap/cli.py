@@ -220,13 +220,13 @@ def cmd_sweep(args) -> int:
     for first in range(0, args.steps, per_stack):
         values = grid[first:first + per_stack]
         stack = corpus_mod.build_stack(args.state, values)
-        codes, lam_ptbs = oracle(stack, args.eps)
-        columns = [[ORACLE_VERDICTS[c] for c in codes.tolist()]]
+        oracle_codes, lam_ptbs = oracle(stack, args.eps)
+        columns = [[ORACLE_VERDICTS[c] for c in oracle_codes.tolist()]]
         for criterion in (thm3, thm5, thm6, cor6):
-            table, codes, scalars = criterion(stack, args.eps)
+            table, codes, _ = criterion(stack, args.eps)
             names = [outcome.verdict.value for outcome in table.outcomes]
             columns.append([names[c] for c in codes.tolist()])
-        lam_rhos, halves = scalars["lambda_min_rho"], scalars["half_max_w"]  # COR6's; NaN halves: no edges
+        lam_rhos, halves = stack.spectrum.T[0], stack.max_w / 2.0  # COR6's scalars; NaN halves: no edges
         for value, lam_rho, lam_ptb, half, oracle_v, thm3_v, thm5_v, thm6_v, cor6_v in zip(
                 values, lam_rhos.tolist(), lam_ptbs.tolist(), halves.tolist(), *columns):
             lines.append((_ROW_NO_EDGES if math.isnan(half) else _ROW) % (

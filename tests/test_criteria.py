@@ -589,7 +589,7 @@ class TestStackColumns:
         outcomes = {name: {_outcome(row) for row in column} for name, column in rows.items()}
         assert outcomes["oracle"] == {"NPT", "PPT"}
         assert {Verdict.PPT, Verdict.INCONCLUSIVE, Verdict.PRECONDITION_FAILED} <= {v for v, _ in outcomes["thm5"]}
-        assert {(Verdict.PRECONDITION_FAILED, "state is not full rank"),
+        assert {(Verdict.INCONCLUSIVE, None), (Verdict.PRECONDITION_FAILED, "state is not full rank"),
                 (Verdict.PRECONDITION_FAILED, "coherence graph is not connected")} <= outcomes["cor6"]
         assert len(outcomes["thm3b"]) == 3 and len(outcomes["cor4a"]) == 3
         assert np.isnan(cor6(stack, tol.eps)[2]["half_max_w"]).any()  # the diagonal states have no edges
@@ -606,8 +606,9 @@ class TestStackColumns:
         stack = validate(np.stack(raws), dims)
         for name in _names(dims):
             margins = [float(_THRESHOLDS[name](rho)) for rho in alone]
-            flips = any(m > 0 for m in margins)
-            # the smallest positive margin; if none flips (THM4A), the state nearest the band
+            flips = name != "thm4a"
+            # the smallest positive margin (every threshold but THM4A's must have
+            # one); THM4A never flips, so the state nearest its band
             m, k = min((m, k) for k, m in enumerate(margins) if m > 0) if flips else \
                 min((-m, k) for k, m in enumerate(margins))
             seen = set()
