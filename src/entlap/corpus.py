@@ -2,16 +2,17 @@
 
 Every state that the classifiers and the CLI reference by name is constructed
 here in exact arithmetic.  A rational state or family is a fixed int index
-pattern (n x n) over a short tuple of its distinct values, slot 0 the int 0:
-rho6's 81 entries are five values (0, x, y, z, w), placed by its pattern.
-A family reads its parameter as an exact ratio (p, q) of ints, checks it
-against its domain by integer cross-multiplication, and gives its values as
-floats by int division, each bit for bit the float of the exact value;
-`validate` takes those floats and the pattern, and builds the exact values
-from (p, q) only when the state's `entries` are read.  A fixed state's floats
-are converted once per process.  psi is an object matrix of Exact products.
-`build_stack` validates a family at many parameters as one stack of states:
-the (b, k) values of its states under the family's one pattern.
+pattern (n x n) over a short tuple of its distinct values, slot 0 zero: rho6's
+81 entries are five values (0, x, y, z, w), placed by its pattern.  Each value
+is given once, as an int ratio (n, d): its float is n / d, bit for bit the
+float of the exact value Fraction(n, d).  A family reads its parameter as an
+exact ratio (p, q) of ints, checks it against its domain by integer
+cross-multiplication, and gives its value ratios from (p, q).  The corpus
+places the floats by the pattern and `validate` takes that float matrix, with
+the exact values, placed the same way, built only when the state's `entries`
+are read.  psi is an object matrix of Exact products.  `build_stack`
+validates a family at many parameters as one stack of states: the (b, k)
+values of its states under the family's one pattern.
 """
 
 from __future__ import annotations
@@ -56,11 +57,8 @@ def _pattern(diagonal, coherences) -> np.ndarray:
 
 
 # -- values ------------------------------------------------------------
-# Each state's distinct exact values, given its parameter (if any) as a
-# Fraction, in the slots its pattern places them from; and a family's values
-# as floats, given its parameter as (p, q).  Python's int true division
-# rounds correctly, as float(Fraction) does, so each float equals the float
-# of its exact value bit for bit.
+# Each state's distinct values as int ratios (n, d), given a family's
+# parameter as its ratio (p, q), in the slots its pattern places them from.
 
 
 def _psi_matrix():
@@ -86,43 +84,29 @@ _RHO6 = _pattern([1, 1, 1, 1, 1, 1, 2, 1, 2],
                  [(0, 1, 3), (0, 8, 4), (1, 4, 3), (2, 3, 3), (3, 7, 3),
                   (4, 5, 3), (4, 8, 4), (5, 6, 3), (6, 7, 3)])
 
-_EIGHTHS = (0, F(1, 8), F(1, 81))  # rho1 and rho2
-_TENTHS = (0, F(1, 10), F(1, 5), F(3, 10), F(2, 5))  # rho3
-_RHO_AB_DIAGONAL = (0, F(1, 10), F(1, 5), F(2, 5), F(3, 10))  # built once, shared by every x
-_RHO_AB_DIAGONAL_FLOATS = tuple(map(float, _RHO_AB_DIAGONAL))
+_EIGHTHS = ((0, 1), (1, 8), (1, 81))  # rho1 and rho2
+_TENTHS = ((0, 1), (1, 10), (1, 5), (3, 10), (2, 5))  # rho3
+_RHO_AB_DIAGONAL = ((0, 1), (1, 10), (1, 5), (2, 5), (3, 10))
 
 
-def _rho_ab_values(x: Fraction):
-    """rho_ab at coherence x.
+def _rho_ab_values(p: int, q: int):
+    """rho_ab at coherence x = p/q.
 
     PSD up to x = sqrt(0.08) = 0.2828...; the published domain endpoint 0.283
     overshoots that by 1.5e-4, hence the relaxed validation tolerance.
     """
-    return _RHO_AB_DIAGONAL + (x,)
+    return _RHO_AB_DIAGONAL + ((p, q),)
 
 
-def _rho_ab_floats(p: int, q: int):
-    """_rho_ab_values(p/q) as floats."""
-    return _RHO_AB_DIAGONAL_FLOATS + (p / q,)
-
-
-def _rho6_values(a: Fraction):
-    """rho6 at a: N = 400a + 1, diagonal 50a except two (50a+1)/2 slots,
+def _rho6_values(p: int, q: int):
+    """rho6 at a = p/q: N = 400a + 1, diagonal 50a except two (50a+1)/2 slots,
     coherences z = 1/100 and a, all over N.
 
-    Each of the four distinct values is built once, from a = p/q and
-    m = 400p + q = qN: 50a/N = 50p/m, (50a+1)/2N = (50p+q)/2m, z/N = q/100m
-    and a/N = p/m.
+    With m = 400p + q = qN: 50a/N = 50p/m, (50a+1)/2N = (50p+q)/2m, z/N =
+    q/100m and a/N = p/m.
     """
-    p, q = a.numerator, a.denominator
     m = 400 * p + q
-    return 0, F(50 * p, m), F(50 * p + q, 2 * m), F(q, 100 * m), F(p, m)
-
-
-def _rho6_floats(p: int, q: int):
-    """_rho6_values(p/q) as floats: each value's int quotient."""
-    m = 400 * p + q
-    return 0.0, 50 * p / m, (50 * p + q) / (2 * m), q / (100 * m), p / m
+    return (0, 1), (50 * p, m), (50 * p + q, 2 * m), (q, 100 * m), (p, m)
 
 
 # -- registry ----------------------------------------------------------
@@ -130,11 +114,10 @@ def _rho6_floats(p: int, q: int):
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """A corpus state or family: `values` gives its distinct exact values
-    (taking the parameter as a Fraction for a family), which `pattern` places;
-    with no pattern, `values` gives the object matrix itself.  A family's
-    `floats` gives its values as floats from the parameter's ratio (p, q).
-    Validated with `tol`."""
+    """A corpus state or family: `values` gives its distinct values as int
+    ratios (n, d) (taking a family's parameter as its ratio (p, q)), which
+    `pattern` places; with no pattern, `values` gives the object matrix
+    itself.  Validated with `tol`."""
 
     name: str
     dims: BipartiteDims
@@ -144,25 +127,20 @@ class CorpusEntry:
     values: Callable[..., object]
     pattern: np.ndarray | None = field(default=None, repr=False, compare=False)
     tol: float = DEFAULT_TOL
-    floats: Callable[[int, int], tuple[float, ...]] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _bounds(self) -> tuple[tuple[int, int], tuple[int, int]]:
         """The parameter domain as exact decimal ratios."""
         return tuple(map(_ratio, self.parameter_domain))
 
-    @cached_property
-    def _fixed_floats(self) -> tuple[float, ...]:
-        """A fixed state's values as floats, converted once."""
-        return tuple(map(float, self.values()))
-
-    def exact_at(self, ratio: tuple[int, int] | None):
+    def exact_at(self, ratio: tuple[int, int] | None) -> list[Fraction]:
         """The exact values at the parameter p/q of `ratio` (p, q), or a fixed state's at None."""
-        return self.values() if ratio is None else self.values(Fraction(*ratio))
+        return [Fraction(n, d) for n, d in self.values(*ratio or ())]
 
-    def floats_at(self, ratio: tuple[int, int] | None) -> tuple[float, ...]:
-        """`exact_at(ratio)` as floats, bit for bit."""
-        return self._fixed_floats if ratio is None else self.floats(*ratio)
+    def floats_at(self, ratio: tuple[int, int] | None) -> list[float]:
+        """`exact_at(ratio)` as floats, bit for bit: int true division rounds
+        correctly, as float(Fraction) does."""
+        return [n / d for n, d in self.values(*ratio or ())]
 
 
 _ENTRIES = (
@@ -173,7 +151,7 @@ _ENTRIES = (
                 lambda: _EIGHTHS, _RHO1),
     CorpusEntry("rho_ab", BipartiteDims(2, 2), "x", (0.0, 0.283),
                 "2x2 family diag(0.1,0.2,0.4,0.3) with coherence x; NPT exactly for x > sqrt(3)/10",
-                _rho_ab_values, _RHO_AB, tol=5e-4, floats=_rho_ab_floats),
+                _rho_ab_values, _RHO_AB, tol=5e-4),
     CorpusEntry("rho2", BipartiteDims(2, 4), None, None,
                 "2x4 separable full-rank state: uniform 1/8 diagonal with four 1/81 coherences",
                 lambda: _EIGHTHS, _RHO2),
@@ -182,10 +160,9 @@ _ENTRIES = (
                 lambda: _TENTHS, _RHO3),
     CorpusEntry("rho5", BipartiteDims(2, 2), None, None,
                 "2x2 separable full-rank state: 1/4 diagonal with three 1/20 coherences",
-                lambda: (0, F(1, 4), F(1, 20)), _RHO5),
+                lambda: ((0, 1), (1, 4), (1, 20)), _RHO5),
     CorpusEntry("rho6", BipartiteDims(3, 3), "a", (0.01, 1.0),
-                "3x3 full-rank PPT family over a in [0.01, 1] with N = 400a + 1", _rho6_values, _RHO6,
-                floats=_rho6_floats),
+                "3x3 full-rank PPT family over a in [0.01, 1] with N = 400a + 1", _rho6_values, _RHO6),
 )
 
 
@@ -209,7 +186,7 @@ def build(name: str, parameter=None) -> DensityMatrix:
 
 def build_stack(name: str, parameters) -> DensityMatrix:
     """The states of family `name` at each of `parameters`, validated as one
-    stack: `stack[k]` is the state `build(name, parameters[k])` builds.
+    stack: slice k of each of its values is that of `build(name, parameters[k])`.
 
     Each parameter is checked against the domain, and the stack raises the
     error that building its states one by one, in order, raises first.
@@ -233,9 +210,14 @@ def _validate(entry: CorpusEntry, ratios: list, one: bool = False) -> DensityMat
     rows = 0 if one else slice(None)
     if entry.pattern is None:  # psi: its object matrix of Exact products
         return validate(np.array([entry.values() for _ in ratios], dtype=object)[rows], entry.dims, tol=entry.tol)
-    return validate(np.array([entry.floats_at(r) for r in ratios])[rows], entry.dims, tol=entry.tol,
-                    pattern=entry.pattern,
-                    exact_values=lambda: np.array([entry.exact_at(r) for r in ratios], dtype=object)[rows])
+
+    def place(values):
+        # take, unlike values[..., pattern], lays out each state's matrix contiguously,
+        # so a stack's kernels add up each state's entries in the order they do alone
+        return np.take(values[rows], entry.pattern, axis=-1)
+
+    return validate(place(np.array([entry.floats_at(r) for r in ratios])), entry.dims, tol=entry.tol,
+                    exact_values=lambda: place(np.array([entry.exact_at(r) for r in ratios], dtype=object)))
 
 
 def _ratio_in_domain(entry: CorpusEntry, parameter) -> tuple[int, int] | None:

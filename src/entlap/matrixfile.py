@@ -13,8 +13,10 @@ Entry grammar (one token, no internal whitespace):
     core        := decimal | rational | radical
     decimal     := '0.25', '1e-3', '7', ...
     rational    := 'p/q'          (integers, q > 0)
-    radical     := 'sqrt(k)' ['/q'] | 'p*sqrt(k)' ['/q']   (k positive integer)
+    radical     := 'sqrt(k)' ['/q'] | 'p*sqrt(k)' ['/q']   (integer 1 <= k <= 10**12)
 
+A radicand is reduced to its square-free part by trial division, whose time
+grows as sqrt(k), so one above MAX_RADICAND (10**12, ~0.3 s) is a ParseError.
 Decimals are parsed exactly (via Fraction of the decimal string), so emit ->
 parse round-trips are exact for every literal the emitter produces.  `parse`
 returns a real file as its object matrix of Exact entries and a file with an
@@ -44,6 +46,7 @@ _RADICAL = r"(?:\d+\*)?sqrt\(\d+\)(?:/\d+)?"
 _CORE = rf"(?:{_RADICAL}|{_RATIONAL}|{_DECIMAL})"
 _ENTRY_RE = re.compile(rf"^(?P<re_sign>[+-]?)(?P<re_core>{_CORE})(?:(?P<im_sign>[+-])(?P<im_core>{_CORE})i)?$")
 _RADICAL_RE = re.compile(r"^(?:(?P<p>\d+)\*)?sqrt\((?P<k>\d+)\)(?:/(?P<q>\d+))?$")
+MAX_RADICAND = 10**12
 
 
 class ParseError(EntlapError):
@@ -63,6 +66,8 @@ def _parse_core(core: str) -> Exact:
         k = int(rad.group("k"))
         if k == 0:
             raise ValueError("radicand must be positive")
+        if k > MAX_RADICAND:
+            raise ValueError(f"radicand above the limit {MAX_RADICAND}")
         return Exact.radical(Fraction(p, q), k)
     if "/" in core:
         num, den = core.split("/")

@@ -2,12 +2,11 @@
 
 A validated `DensityMatrix` is the one record every criterion reads.
 `validate` takes the state's entries as given: a float or complex array, or
-exact entries (int, Fraction or Exact), as an object matrix or as a state's
-distinct values and the index pattern that places them, whose float matrix it
-reads off with one conversion per value and whose entries it keeps.  A caller
-that has the float values already (the corpus, the matrix-file parser) hands
-them over with a function that builds the exact values, called only when the
-state's entries are read.  `validate` solves rho's spectrum once and stores it.
+exact entries (int, Fraction or Exact) as an object matrix, whose float matrix
+it reads off with one conversion per entry and whose entries it keeps.  A
+caller that has the float matrix already (the corpus, the matrix-file parser)
+hands it over with a function that builds the exact entries, called only when
+the state's entries are read.  `validate` solves rho's spectrum once and stores it.
 Every other derived matrix and spectrum (L_rho, rho^TB, L^TB, phi(rho) - I;
 the spectra of rho^TB, L, L + rho^TB, L^TB and phi(rho) - I;
 det(phi(rho) - I)), the coherence graph's total degree, connectivity and
@@ -23,14 +22,11 @@ the CLI writes).
 A stack of states is one `DensityMatrix` whose arrays have a leading state
 axis: `validate` takes a (b, n, n) stack and checks each state, and every
 derived value of a stack is computed once for all b states by the same kernel
-call as for one.  `rho[k]` is state k; each value it derives is the stack's at
-k, so criteria run on the rows of a stack share one kernel call per value.
+call as for one.  Slice k of a stack's value is what state k derives alone.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -55,14 +51,11 @@ _to_exact = np.frompyfunc(lambda v: v if isinstance(v, Exact) else Exact.of(v), 
 
 
 class _derived:
-    """A derived value: `compute(rho)` on first read, then kept.  On row k of a
-    stack it is `row(value, k)` of the stack's value, by default its entry k,
-    computed for the whole stack on the first read by any of its rows.  Like
-    `cached_property`, without its lock."""
+    """A derived value: `compute(rho)` on first read, then kept.  Like
+    `cached_property`, without the lock that Python 3.11's takes on every first read."""
 
-    def __init__(self, compute, row=operator.getitem):
+    def __init__(self, compute):
         self.compute = compute
-        self.row = row
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -70,12 +63,7 @@ class _derived:
     def __get__(self, rho, owner=None):
         if rho is None:
             return self
-        if rho.of_stack is None:
-            value = self.compute(rho)
-        else:
-            stack, k = rho.of_stack
-            value = self.row(getattr(stack, self.name), k)
-        rho.__dict__[self.name] = value  # shadows this non-data descriptor from now on
+        value = rho.__dict__[self.name] = self.compute(rho)  # shadows this non-data descriptor from now on
         return value
 
 
@@ -89,9 +77,8 @@ class DensityMatrix:
     validated from, or None for a float or complex input; `array` holds their
     float values.  `entries_source` builds them the first time `entries` is
     read, `exact` turns them into Exact scalars the first time it is read, and
-    `literal` is `exact` when the state has it and `array` otherwise.
-    `of_stack` is (stack, k) for state k of a stack.  States compare by
-    identity.  Construct via `validate()`, and rows of a stack by indexing it.
+    `literal` is `exact` when the state has it and `array` otherwise.  States
+    compare by identity.  Construct via `validate()`.
     """
 
     array: np.ndarray
@@ -99,18 +86,10 @@ class DensityMatrix:
     spectrum: np.ndarray = field(repr=False)
     validation_tolerance: float = DEFAULT_TOL
     entries_source: Callable[[], np.ndarray] | None = field(default=None, repr=False)
-    of_stack: tuple[DensityMatrix, int] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.array.shape[-1]
-
-    def __getitem__(self, k: int) -> DensityMatrix:
-        """State k of a stack."""
-        if self.array.ndim != 3:
-            raise TypeError("only a stack of states has rows")
-        return DensityMatrix(self.array[k], self.dims, self.spectrum[k], self.validation_tolerance,
-                             of_stack=(self, k))
 
     def eigenvalues(self) -> np.ndarray:
         return self.spectrum
@@ -126,8 +105,7 @@ class DensityMatrix:
 
     # The exact entries, then derived matrices, spectra (ascending) and graph
     # scalars, each computed on first read and kept; all but these two are float.
-    entries = _derived(lambda self: None if self.entries_source is None else _read_only(self.entries_source()),
-                       row=lambda entries, k: None if entries is None else entries[k])
+    entries = _derived(lambda self: None if self.entries_source is None else _read_only(self.entries_source()))
     exact = cached_property(lambda self: None if self.entries is None else _read_only(_to_exact(self.entries)))
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
     ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
@@ -144,9 +122,9 @@ class DensityMatrix:
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
     connected = _derived(lambda self: is_connected(self.graph))
     # wgraph.max_w (EXCLUDED convention); None when the graph has no edges, and
-    # a stack's is NaN there, which each of its rows reads as None
+    # a stack's is NaN there
     max_w = _derived(lambda self: max_w(self.graph) if self.graph.weights.ndim == 3 or self.graph.edge_count()
-                     else None, row=lambda best, k: None if math.isnan(best[k]) else float(best[k]))
+                     else None)
 
 
 @dataclass(frozen=True)
@@ -161,46 +139,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL, pattern: np.ndarray | None = None,
+def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
              exact_values: Callable[[], np.ndarray] | None = None) -> DensityMatrix:
     """Validate `raw` as a density matrix, or a (b, n, n) stack of them, or
     raise StateValidationError.
 
-    `raw` is a float or complex matrix, or exact entries: int, Fraction or
-    Exact, any other entry a TypeError.  Exact entries are either an object
-    matrix, or, with `pattern`, the distinct values (..., k) of each state
-    that the int index matrix `pattern` (n, n) picks its entries from.  An
-    object matrix is its own values under the identity pattern.  The state's
-    float matrix is read off the values with each value converted to float
-    once, and it keeps its entries, `values[..., pattern]`.  A caller that has
-    the float values already passes them as `raw`, with or without `pattern`,
-    and `exact_values`, which gives the exact values they are the floats of:
-    it is called only when the state's `entries` are first read.  The violated
-    axioms are listed in order: DimensionMismatch or NotHermitian alone, else
-    TraceNotOne and NotPSD.  Hermiticity is enforced exactly by averaging
-    with the conjugate transpose once the asymmetry is known to be below
-    `tol`; the averaged matrix's spectrum decides PSD and is stored in the
-    state.  A stack raises the violations of its first failing state, as
-    validating that state alone does.
+    `raw` is a float or complex matrix, or an object matrix of exact entries:
+    int, Fraction or Exact, any other entry a TypeError.  The state's float
+    matrix is read off the exact entries with each entry converted to float
+    once, and it keeps its entries.  A caller that has the float matrix
+    already passes it as `raw`, and `exact_values`, which gives the exact
+    entries it is the floats of: it is called only when the state's `entries`
+    are first read.  The violated axioms are listed in order:
+    DimensionMismatch or NotHermitian alone, else TraceNotOne and NotPSD.
+    Hermiticity is enforced exactly by averaging with the conjugate transpose
+    once the asymmetry is known to be below `tol`; the averaged matrix's
+    spectrum decides PSD and is stored in the state.  A stack raises the
+    violations of its first failing state, as validating that state alone does.
     """
     a = np.asarray(raw)
-    if exact_values is None and (pattern is not None or a.dtype == object):
-        values = a.astype(object)  # a copy: the entries are read from it later, and `raw` may change
-        if pattern is None:  # the identity pattern over the matrix's own entries
-            pattern = np.arange(math.prod(a.shape[-2:])).reshape(a.shape[-2:])
-            values = values.reshape(a.shape[:-2] + (pattern.size,))
+    if exact_values is None and a.dtype == object:
+        values = a.copy()  # the entries are read from it later, and `raw` may change
         if not all(issubclass(t, _EXACT_TYPES) for t in set(map(type, values.flat))):
             bad = next(v for v in values.flat if not isinstance(v, _EXACT_TYPES))
             raise TypeError(f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}")
         a, exact_values = values.astype(float), lambda: values
-    entries_source = exact_values
-    if pattern is not None:
-        # take, unlike values[..., pattern], lays out each state's matrix contiguously,
-        # so a stack's kernels add up each state's entries in the order they do alone
-        a = np.take(a, pattern, axis=-1)
-        if exact_values is not None:
-            def entries_source():
-                return np.take(exact_values(), pattern, axis=-1)
     a = as_stack(a)
     if a.ndim > 3:
         raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
@@ -219,7 +182,7 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL, pattern: np.nda
             raise StateValidationError(violations)
     return DensityMatrix(array=_read_only(h.reshape(a.shape)), dims=dims,
                          spectrum=_read_only(spectrum.reshape(a.shape[:-1])), validation_tolerance=tol,
-                         entries_source=entries_source)
+                         entries_source=exact_values)
 
 
 def _violations(asym: float, tr: float, lambda_min: float, tol: float) -> list[AxiomViolation]:

@@ -7,8 +7,8 @@ are chosen on float values, once per graph.  W is one closed form, by the max
 identity a + b + |a - b| = 2 max(a, b), over heap-sized edge slices (`_w_values`).
 
 A stack of graphs is one WeightedGraph whose weights have a leading axis, read
-off a stack of Laplacians; `g[s]` is graph s.  Its edges are (s, i, j) triples,
-and `is_connected` and `max_w` give one value per graph.
+off a stack of Laplacians.  Its edges are (s, i, j) triples, and
+`is_connected` and `max_w` give one value per graph.
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
@@ -64,10 +64,6 @@ class WeightedGraph:
     """
 
     weights: np.ndarray
-
-    def __getitem__(self, k: int) -> WeightedGraph:
-        """Graph k of a stack."""
-        return WeightedGraph(self.weights[k])
 
     @property
     def vertex_count(self) -> int:

@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -75,6 +78,18 @@ class TestValidate:
         assert code == 1
         assert err == "error: line 2, column 1: entry is outside the floating-point range\n"
         assert out == ""
+
+    def test_radicand_above_the_limit_exit_1(self, tmp_path):
+        # trial division would take hours to factor this radicand (~1e10 steps), so
+        # the CLI runs in a child process that a timeout stops if it does not exit
+        path = tmp_path / "radical.mat"
+        path.write_text("dims 4 2 2\n1/4 0 0 0\n0 1/4 0 sqrt(100000000000000000039)/4\n0 0 1/4 0\n0 0 0 1/4\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "entlap.cli", "validate", str(path)], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: line 3, column 9: radicand above the limit 1000000000000\n"
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.mat"))
@@ -295,6 +310,27 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--state", "rho6", "--param-name", "a",
                          "--from", "0.5", "--to", "0.1", "--steps", "5")
         assert code == 3
+
+    @pytest.mark.parametrize("criterion", ["thm5", "thm6"])
+    def test_each_criterion_writes_its_own_column(self, capsys, monkeypatch, criterion):
+        # the corpus sweeps give THM5 and THM6 the same verdict on every row, so a
+        # stub that moves each row to another outcome of the criterion's table
+        # shows which column it writes
+        argv = ["sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "1", "--steps", "200"]
+        real = getattr(cli, criterion)
+
+        def moved(rho, eps):
+            table, codes, scalars = real(rho, eps)
+            return table, (codes + 1) % len(table.outcomes), scalars
+
+        _, before, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, criterion, moved)
+        _, after, _ = run(capsys, *argv)
+        before, after = ([row.split(",") for row in out.splitlines()] for out in (before, after))
+        column = before[0].index(criterion)
+        assert len(after) == len(before) == 201
+        for b, a in zip(before[1:], after[1:]):
+            assert [i for i, (x, y) in enumerate(zip(b, a)) if x != y] == [column]
 
     @pytest.mark.parametrize("state, name, stop", [("rho6", "a", "1"), ("rho_ab", "x", "0.283")])
     def test_sweep_builds_no_exact(self, capsys, monkeypatch, exact_created, state, name, stop):

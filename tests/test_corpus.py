@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -116,9 +115,10 @@ class TestStack:
         stack = build_stack(name, params)
         for k, p in enumerate(params):
             rho = build(name, p)
-            assert stack[k].array.tobytes() == rho.array.tobytes()
-            assert stack[k].validation_tolerance == rho.validation_tolerance
-            assert np.array_equal(stack[k].exact, rho.exact)
+            assert stack.array[k].tobytes() == rho.array.tobytes()
+            assert stack.spectrum[k].tobytes() == rho.spectrum.tobytes()
+            assert stack.validation_tolerance == rho.validation_tolerance
+            assert np.array_equal(stack.exact[k], rho.exact)
 
     def test_first_parameter_out_of_domain_raises_its_error(self):
         with pytest.raises(ParameterOutOfDomain) as alone:
@@ -158,9 +158,15 @@ class TestIntPath:
         entry = get_entry(name)
         ratio = corpus._ratio_in_domain(entry, v)
         assert ratio == Fraction(str(v)).as_integer_ratio()
-        want = np.array(entry.values(Fraction(str(v))), dtype=object).astype(float)
+        exact = entry.exact_at(ratio)
+        assert all(type(x) is Fraction for x in exact)
+        if name == "rho_ab":
+            assert exact[-1] == Fraction(str(v))  # the coherence x itself
+        want = np.array(exact, dtype=object).astype(float)
         assert np.array(entry.floats_at(ratio)).tobytes() == want.tobytes()
-        assert np.array_equal(build(name, v).entries, np.take(entry.values(Fraction(str(v))), entry.pattern))
+        rho = build(name, v)
+        assert rho.array.tobytes() == np.take(want, entry.pattern).tobytes()
+        assert np.array_equal(rho.entries, np.take(np.array(exact, dtype=object), entry.pattern))
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["rho6", "rho_ab"]), st.floats(allow_nan=False, allow_infinity=False))
@@ -184,11 +190,11 @@ class TestIntPath:
 
     def test_exact_values_are_built_when_first_read(self, monkeypatch):
         built = []
-        counted = replace(get_entry("rho6"), values=lambda a: built.append(a) or corpus._rho6_values(a))
-        monkeypatch.setattr(corpus, "get_entry", lambda name: counted)
+        exact_at = corpus.CorpusEntry.exact_at
+        monkeypatch.setattr(corpus.CorpusEntry, "exact_at", lambda self, r: built.append(r) or exact_at(self, r))
         stack = build_stack("rho6", [0.01, 0.5, 1.0])
         rho = build("rho6", 0.37)
         assert built == []
         assert rho.entries[0][0] == Fraction(50 * 37, 400 * 37 + 100)  # 50p/m at a = p/q = 37/100
-        assert stack[2].entries[0][0] == Fraction(50, 401)  # a = 1: 50/401
-        assert built == [Fraction(37, 100), Fraction(1, 100), Fraction(1, 2), Fraction(1)]
+        assert stack.entries[2][0][0] == Fraction(50, 401)  # a = 1: 50/401
+        assert built == [(37, 100), (1, 100), (1, 2), (1, 1)]

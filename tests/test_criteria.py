@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +128,26 @@ class TestPurityTest:
         res = purity_test(rho)
         assert res.verdict == Verdict.MIXED
         assert res.scalars["det"] > 0
+
+    def test_negative_determinant_with_an_even_count_is_mixed(self):
+        """det < -eps with an even count of eigenvalues below -eps reports MIXED.
+
+        The branch needs an eigenvalue of phi(rho) - I inside (-eps, 0]: a seeded
+        search of 4,000 random, pure and product-mixture states at each of 2x2,
+        2x3, 3x3, 2x4 and 4x4 found no state that reaches it at eps = 1e-9, so
+        a stand-in carries the two values THM1 reads.  Spectrum (-0.9, -0.8,
+        -5e-4, 3.0) at eps = 1e-3: det = -1.08e-3 lies below the band, and so
+        do two eigenvalues (-5e-4 is inside it); with one below, as in the
+        second state of the stack, THM1 reports CONSISTENT_WITH_PURE.
+        """
+        tol = DecisionTolerance(1e-3)
+        spec = np.array([[-0.9, -0.8, -5e-4, 3.0], [-0.5, 0.2, 1.0, 2.0]])  # the second has one below
+        det = np.prod(spec, axis=-1)
+        assert det[0] == pytest.approx(-1.08e-3)
+        res = purity_test(SimpleNamespace(det_phi_minus_i=det[0], spec_phi_minus_i=spec[0]), tol)
+        assert res.verdict == Verdict.MIXED and res.scalars["negative_eigenvalue_count"] == 2
+        table, codes, _ = thm1(SimpleNamespace(det_phi_minus_i=det, spec_phi_minus_i=spec), tol.eps)
+        assert [table.outcomes[c].verdict for c in codes] == [Verdict.MIXED, Verdict.CONSISTENT_WITH_PURE]
 
 
 class TestThm3Separability:
@@ -538,8 +559,10 @@ def _stack_rows(name, stack, tol):
         return [(ORACLE_VERDICTS[code], float(x).hex()) for code, x in zip(codes, lam)]
     table, codes, scalars = _CRITERIA[name][0](stack, tol.eps)
     assert codes.dtype == np.int8 and codes.shape == stack.array.shape[:1]
-    return [_identity(criteria._result(stack[k], table, code, {s: v[k] for s, v in scalars.items()}))
-            for k, code in enumerate(codes)]
+    # _result reads a state's rank only, for an outcome that reports it
+    return [_identity(criteria._result(SimpleNamespace(rank=rank), table, code,
+                                       {s: v[k] for s, v in scalars.items()}))
+            for k, (code, rank) in enumerate(zip(codes, stack.rank))]
 
 
 def _alone_rows(name, states, tol):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from entlap.corpus import build, list_entries
 from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
-from entlap.matrixfile import ParseError, emit, format_scalar, parse, parse_entry
+from entlap.matrixfile import MAX_RADICAND, ParseError, emit, format_scalar, parse, parse_entry
 from entlap.states import validate
 
 
@@ -25,6 +25,12 @@ class TestEntryGrammar:
         assert parse_entry("sqrt(7)/8") == (Exact.radical(Fraction(1, 8), 7), Exact())
         assert parse_entry("5*sqrt(7)/16") == (Exact.radical(Fraction(5, 16), 7), Exact())
         assert parse_entry("-sqrt(2)") == (Exact.radical(-1, 2), Exact())
+
+    def test_radicand_limit(self):
+        assert parse_entry(f"sqrt({MAX_RADICAND})/2") == (Exact.of(500000), Exact())  # 10**12 = (10**6)**2
+        for bad in (f"sqrt({MAX_RADICAND + 1})", f"1/2+3*sqrt({10**30})i"):
+            with pytest.raises(ValueError, match="radicand above the limit"):
+                parse_entry(bad)
 
     def test_complex_suffix(self):
         re_, im = parse_entry("1/4+1/2i")

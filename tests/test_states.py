@@ -109,25 +109,9 @@ class TestExactCompanion:
         assert not (a == b)
 
 
-def _factored_points():
-    """(entry, values) of every patterned corpus state at its sample points."""
-    for name, param in corpus_points():
-        entry = get_entry(name)
-        if entry.pattern is not None:
-            yield entry, entry.values() if param is None else entry.values(Fraction(str(param)))
-
-
-def _both_ways(values, entry, tol=None):
-    """`validate` on values and pattern, and on the object matrix they make; a raised error in place of a state."""
-    values = np.array(values, dtype=object)
-    tol = entry.tol if tol is None else tol
-    out = []
-    for args in ((values, entry.pattern), (values[..., entry.pattern], None)):
-        try:
-            out.append(validate(args[0], entry.dims, tol=tol, pattern=args[1]))
-        except (StateValidationError, TypeError) as exc:
-            out.append(exc)
-    return out
+def _object_matrix(entry, values):
+    """The object matrix that `entry`'s pattern makes of value ratios (n, d)."""
+    return np.array([Fraction(n, d) for n, d in values], dtype=object)[..., entry.pattern]
 
 
 def _violations(exc):
@@ -135,63 +119,74 @@ def _violations(exc):
 
 
 class TestFactoredValidate:
-    """A state's values and index pattern validate as the object matrix they make does."""
+    """`build` and `build_stack` validate a state as the object matrix its pattern makes does."""
 
-    def _assert_same_state(self, factored, matrix):
-        assert factored.array.tobytes() == matrix.array.tobytes()
-        assert factored.spectrum.tobytes() == matrix.spectrum.tobytes()
-        assert factored.entries.shape == matrix.entries.shape and not factored.entries.flags.writeable
-        assert all(a is b for a, b in zip(factored.entries.flat, matrix.entries.flat))
-        assert np.array_equal(factored.exact, matrix.exact)
+    def _assert_same_state(self, built, matrix):
+        assert built.array.tobytes() == matrix.array.tobytes()
+        assert built.spectrum.tobytes() == matrix.spectrum.tobytes()
+        assert built.entries.shape == matrix.entries.shape and not built.entries.flags.writeable
+        assert [(type(a), a) for a in built.entries.flat] == [(type(b), b) for b in matrix.entries.flat]
+        assert np.array_equal(built.exact, matrix.exact)
 
     def test_every_patterned_corpus_state(self):
-        for entry, values in _factored_points():
-            self._assert_same_state(*_both_ways(values, entry))
+        for name, param in corpus_points():
+            entry = get_entry(name)
+            if entry.pattern is not None:
+                values = entry.values(*corpus._ratio_in_domain(entry, param) or ())
+                matrix = validate(_object_matrix(entry, values), entry.dims, tol=entry.tol)
+                self._assert_same_state(build(name, param), matrix)
 
     def test_a_stack_of_values(self):
         entry = get_entry("rho6")
-        values = [entry.values(Fraction(a, 100)) for a in (1, 37, 50, 100)]
-        factored, matrix = _both_ways(values, entry)
-        self._assert_same_state(factored, matrix)
-        assert factored.array.shape == (4, 9, 9) and factored.array.flags.c_contiguous
+        params = [Fraction(a, 100) for a in (1, 37, 50, 100)]
+        matrices = [_object_matrix(entry, entry.values(*a.as_integer_ratio())) for a in params]
+        built = build_stack("rho6", params)
+        self._assert_same_state(built, validate(np.stack(matrices), entry.dims))
+        assert built.array.shape == (4, 9, 9) and built.array.flags.c_contiguous
 
     @pytest.mark.parametrize("name, values, tol", [
-        ("rho6", (0, Fraction(2, 9), Fraction(1, 9), 0, 0), None),  # trace 2 * 6/9 + 2/9: TraceNotOne
-        ("rho_ab", (0, Fraction(1, 10), Fraction(1, 5), Fraction(2, 5), Fraction(3, 10), Fraction(3, 10)),
-         1e-9),  # NotPSD
-        ("rho5", (0, Fraction(1, 2), Fraction(1, 2)), None),  # TraceNotOne and NotPSD
+        ("rho6", ((0, 1), (2, 9), (1, 9), (0, 1), (0, 1)), None),  # trace 2 * 6/9 + 2/9: TraceNotOne
+        ("rho_ab", ((0, 1), (1, 10), (1, 5), (2, 5), (3, 10), (3, 10)), 1e-9),  # NotPSD
+        ("rho5", ((0, 1), (1, 2), (1, 2)), None),  # TraceNotOne and NotPSD
     ])
-    def test_violations(self, name, values, tol):
+    def test_violations(self, monkeypatch, name, values, tol):
+        # the entry as a family over t whose state at t = 1/2 has `values`
         entry = get_entry(name)
-        factored, matrix = _both_ways(values, entry, tol)
-        assert isinstance(factored, StateValidationError) and _violations(factored) == _violations(matrix)
+        tol = entry.tol if tol is None else tol
+        good = entry.values(1, 10) if entry.parameter_name else entry.values()
+        family = replace(entry, parameter_name="t", parameter_domain=(0.0, 1.0), tol=tol,
+                         values=lambda p, q: values if (p, q) == (1, 2) else good)
+        monkeypatch.setattr(corpus, "get_entry", lambda _: family)
+        with pytest.raises(StateValidationError) as matrix:
+            validate(_object_matrix(entry, values), entry.dims, tol=tol)
+        with pytest.raises(StateValidationError) as built:
+            build(name, 0.5)
+        assert _violations(built.value) == _violations(matrix.value)
         # the first failing state of a stack raises its own violations
-        good = entry.values(Fraction(1, 10)) if entry.parameter_name else entry.values()
-        stacked, _ = _both_ways([good, values, good], entry, tol)
-        assert _violations(stacked) == _violations(factored)
+        with pytest.raises(StateValidationError) as stacked:
+            build_stack(name, [0.1, 0.5, 0.1])
+        assert _violations(stacked.value) == _violations(matrix.value)
 
-    def test_not_hermitian(self):
+    def test_not_hermitian(self, monkeypatch):
         entry = get_entry("rho5")
         pattern = entry.pattern.copy()
         pattern[0, 1] = 0  # rho5's (1, 0) coherence has no mirror
-        with pytest.raises(StateValidationError) as factored:
-            validate(np.array(entry.values(), dtype=object), entry.dims, pattern=pattern)
+        broken = replace(entry, pattern=pattern)
+        monkeypatch.setattr(corpus, "get_entry", lambda _: broken)
+        with pytest.raises(StateValidationError) as built:
+            build("rho5")
         with pytest.raises(StateValidationError) as matrix:
-            validate(np.array(entry.values(), dtype=object)[pattern], entry.dims)
-        assert _violations(factored.value) == _violations(matrix.value) == [("NotHermitian", 0.05)]
+            validate(_object_matrix(broken, entry.values()), entry.dims)
+        assert _violations(built.value) == _violations(matrix.value) == [("NotHermitian", 0.05)]
 
     @pytest.mark.parametrize("bad", [0.25, 0.25 + 0j, "1/4", None])
     def test_value_of_another_type_is_a_type_error(self, bad):
+        # the object matrix a pattern makes of a bad value holds it in many entries
         entry = get_entry("rho5")
-        factored, matrix = _both_ways((0, Fraction(1, 4), bad), entry)
-        assert isinstance(factored, TypeError) and isinstance(matrix, TypeError)
-        message = f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}"
-        assert str(factored) == str(matrix) == message
-
-    def test_float_values_with_a_pattern_are_a_type_error(self):
-        entry = get_entry("rho5")
-        with pytest.raises(TypeError, match="got float"):
-            validate(np.array([0.0, 0.25, 0.05]), entry.dims, pattern=entry.pattern)
+        matrix = np.array((0, Fraction(1, 4), bad), dtype=object)[entry.pattern]
+        with pytest.raises(TypeError) as err:
+            validate(matrix, entry.dims)
+        assert str(err.value) == f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}"
 
     def test_invalid_state_before_an_out_of_domain_parameter(self, monkeypatch):
         # with rho_ab's tolerance at 1e-9, x = 0.283 (in the domain) is not PSD:
@@ -259,7 +254,7 @@ class TestRhoAbFamily:
             validate(m, BipartiteDims(2, 2), tol=1e-9)
 
 
-# Every value a state derives, read the same way from a single state and from a row of a stack.
+# Every value a state derives, read the same way from a single state and from a slice of a stack's.
 _DERIVED = ("laplacian", "ptb", "lap_ptb", "phi_minus_i", "spec_ptb", "spec_lap", "spec_l_plus_ptb",
             "spec_lap_ptb", "spec_phi_minus_i", "det_phi_minus_i", "total_degree", "rank", "connected", "max_w")
 
@@ -284,14 +279,17 @@ class TestStacks:
         members = [part(m.astype(complex)) for m in _stack_members(rng, dims) + _stack_members(rng, dims)]
         stack = validate(np.stack(members), dims)
         for k, m in enumerate(members):
-            row, alone = stack[k], validate(m, dims)
-            assert row.array.tobytes() == alone.array.tobytes()
-            assert row.spectrum.tobytes() == alone.spectrum.tobytes()
+            alone = validate(m, dims)
+            assert stack.array[k].tobytes() == alone.array.tobytes()
+            assert stack.spectrum[k].tobytes() == alone.spectrum.tobytes()
             for name in _DERIVED:
-                got, want = getattr(row, name), getattr(alone, name)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
-            assert row.graph.weights.tobytes() == alone.graph.weights.tobytes()
-        assert [stack[k].max_w is None for k in range(len(members))] == [False, False, False, False, True] * 2
+                got, want = getattr(stack, name)[k], getattr(alone, name)
+                if want is None:  # max W without edges: NaN in a stack
+                    assert name == "max_w" and np.isnan(got), k
+                else:
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
+            assert stack.graph.weights[k].tobytes() == alone.graph.weights.tobytes()
+        assert np.isnan(stack.max_w).tolist() == [False, False, False, False, True] * 2
 
     def test_rows_share_one_kernel_call_per_value(self, monkeypatch, rng):
         dims = BipartiteDims(2, 3)
@@ -302,8 +300,7 @@ class TestStacks:
             monkeypatch.setattr(states, name,
                                 lambda *a, _name=name, _f=getattr(states, name): calls.append(_name) or _f(*a))
         for k in range(5):
-            row = stack[k]
-            row.spec_ptb, row.spec_l_plus_ptb, row.connected, row.max_w
+            stack.spec_ptb[k], stack.spec_l_plus_ptb[k], stack.connected[k], stack.max_w[k]
         assert sorted(calls) == ["eigvals_sym", "eigvals_sym", "graph_from_laplacian", "is_connected",
                                  "laplacian_of_density", "max_w", "partial_transpose"]
 
@@ -323,10 +320,6 @@ class TestStacks:
             validate(np.stack([good[2], good[3], first, good[4], second]), dims)
         assert [(v.axiom, v.magnitude) for v in stacked.value.violations] == \
                [(v.axiom, v.magnitude) for v in alone.value.violations]
-
-    def test_single_state_has_no_rows(self, rho3):
-        with pytest.raises(TypeError):
-            rho3[0]
 
     def test_stack_of_stacks_is_rejected(self):
         with pytest.raises(DimensionMismatch):

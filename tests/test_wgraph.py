@@ -293,7 +293,7 @@ class TestStackedGraphs:
     @pytest.mark.parametrize("n, count", [(4, 9), (9, 7), (64, 12)])  # the last spans many W slices
     def test_matches_each_graph_alone(self, rng, n, count):
         stack = WeightedGraph(self._stack(rng, n, count))
-        alone = [stack[k] for k in range(count)]
+        alone = [WeightedGraph(w) for w in stack.weights]
         assert stack.edge_count() == sum(g.edge_count() for g in alone)
         assert list(is_connected(stack)) == [is_connected(g) for g in alone]
         for convention in WConvention:
@@ -312,7 +312,7 @@ class TestStackedGraphs:
         states = [_random_density(rng, 2, 3), _sparse_density(rng, 2, 3, keep=0.35, split=True)]
         stack = graph_from_laplacian(np.stack([laplacian_of_density(rho) for rho in states]))
         for k, rho in enumerate(states):
-            assert stack[k].weights.tobytes() == _graph_of(rho).weights.tobytes()
+            assert stack.weights[k].tobytes() == _graph_of(rho).weights.tobytes()
 
 
 class TestWMemory:
