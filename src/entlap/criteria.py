@@ -34,7 +34,7 @@ each written once for numbers and arrays alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -79,16 +79,14 @@ class DecisionTolerance:
             raise ValueError("eps must be positive")
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     criterion_id: CriterionId
     verdict: Verdict
-    scalars: dict[str, float] = field(default_factory=dict)
+    scalars: dict[str, float]
     caveat: str | None = None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     state_id: str
     dims: BipartiteDims
     oracle_verdict: str  # "PPT" | "NPT"

@@ -21,17 +21,29 @@ Rational = Union[int, Fraction]
 
 
 def _square_free(k: int) -> tuple[int, int]:
-    """Factor k = m**2 * r with r square-free; return (m, r)."""
+    """Factor k = m**2 * r with r square-free; return (m, r).
+
+    Trial division runs only while d**3 <= n, about k**(1/3) steps, splitting
+    each prime power it finds between m and r.  The cofactor n left over has
+    no prime factor below d and n < d**3, so it is 1, p, p*q or p**2: an
+    integer square root tells p**2 from the square-free rest.
+    """
     if k <= 0:
         raise ValueError(f"radicand must be positive, got {k}")
-    m, n = 1, k
+    if k == 1:  # the rational term, the most common one: no search
+        return 1, 1
+    m, r, n = 1, 1, k
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         while n % (d * d) == 0:
             m *= d
             n //= d * d
+        if n % d == 0:
+            r *= d
+            n //= d
         d += 1
-    return m, n
+    s = math.isqrt(n)
+    return (m * s, r) if s * s == n else (m, r * n)
 
 
 class Exact:

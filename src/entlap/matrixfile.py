@@ -15,14 +15,16 @@ Entry grammar (one token, no internal whitespace):
     rational    := 'p/q'          (integers, q > 0)
     radical     := 'sqrt(k)' ['/q'] | 'p*sqrt(k)' ['/q']   (integer 1 <= k <= 10**12)
 
-A radicand is reduced to its square-free part by trial division, whose time
-grows as sqrt(k), so one above MAX_RADICAND (10**12, ~0.3 s) is a ParseError.
-Decimals are parsed exactly (via Fraction of the decimal string), so emit ->
-parse round-trips are exact for every literal the emitter produces.  `parse`
-returns a real file as its object matrix of Exact entries and a file with an
-imaginary part as a complex array, each with the entries' float values it
-computed for its range check; `ParsedMatrix.validate` hands `validate` those
-floats, and a real file's Exact entries as the state's exact entries.
+A radicand is reduced to its square-free part by trial division up to its
+cube root, a few milliseconds for a prime near MAX_RADICAND (10**12); one
+above MAX_RADICAND is a ParseError.  Decimals are parsed exactly (via Fraction
+of the decimal string), so emit -> parse round-trips are exact for every
+literal the emitter produces.  `parse` parses each distinct token of a file
+once, and equal tokens share one Exact (Exact is immutable).  It returns a
+real file as its object matrix of Exact entries and a file with an imaginary
+part as a complex array, each with the entries' float values it computed for
+its range check; `ParsedMatrix.validate` hands `validate` those floats, and
+a real file's Exact entries as the state's exact entries.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ def parse(text: str) -> ParsedMatrix:
     """Parse matrix-file text; raise ParseError with line/column on bad input."""
     header: tuple[int, int, int] | None = None
     rows: list[list[tuple[Exact, Exact, float | complex]]] = []
+    seen: dict[str, tuple[Exact, Exact, float | complex]] = {}  # a token's entry, parsed at its first occurrence
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -141,13 +144,16 @@ def parse(text: str) -> ParsedMatrix:
         n = header[0]
         row = []
         col = 1
-        for tok in re.finditer(r"\S+", line):
-            col = tok.start() + 1
-            try:
-                real, imag = parse_entry(tok.group())
-                row.append((real, imag, _float_value(real, imag)))
-            except ValueError as exc:
-                raise ParseError(lineno, col, str(exc)) from None
+        for match in re.finditer(r"\S+", line):
+            col, tok = match.start() + 1, match.group()
+            entry = seen.get(tok)
+            if entry is None:
+                try:
+                    real, imag = parse_entry(tok)
+                    entry = seen[tok] = (real, imag, _float_value(real, imag))
+                except ValueError as exc:
+                    raise ParseError(lineno, col, str(exc)) from None
+            row.append(entry)
         if len(row) != n:
             raise ParseError(lineno, col, f"expected {n} entries per row, got {len(row)}")
         rows.append(row)

@@ -25,6 +25,29 @@ from entlap.wgraph import export_dot, graph_from_laplacian
 from _sampling import corpus_points
 
 
+def _is_prime(n):
+    """Miller-Rabin with the bases 2..13, deterministic for n < 3.4e12."""
+    bases = (2, 3, 5, 7, 11, 13)
+    if n in bases:
+        return True
+    if n < 2 or any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -80,7 +103,7 @@ class TestValidate:
         assert out == ""
 
     def test_radicand_above_the_limit_exit_1(self, tmp_path):
-        # trial division would take hours to factor this radicand (~1e10 steps), so
+        # trial division would take seconds to factor this radicand (~5e6 steps), so
         # the CLI runs in a child process that a timeout stops if it does not exit
         path = tmp_path / "radical.mat"
         path.write_text("dims 4 2 2\n1/4 0 0 0\n0 1/4 0 sqrt(100000000000000000039)/4\n0 0 1/4 0\n0 0 0 1/4\n")
@@ -90,6 +113,27 @@ class TestValidate:
                               capture_output=True, text=True, timeout=20)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: line 3, column 9: radicand above the limit 1000000000000\n"
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_prime_radicands_near_the_limit_parse_in_time(self, tmp_path, distinct):
+        # factoring each prime near 10**12 up to its square root took 0.2 s: an 8x8 file of one such
+        # radicand (a valid pure state) took 16 s, and a 16x16 file of 256 distinct ones 55 s
+        primes = [k for k in range(10**12, 10**12 - 10**4, -1) if _is_prime(k)][:256]
+        n, d, q = (16, 4, 16_000_000) if distinct else (8, 2, 8_000_000)
+        path = tmp_path / "radicals.mat"
+        path.write_text(f"dims {n} {d} {n // d}\n" + "".join(
+            " ".join(f"sqrt({primes[i * n + j] if distinct else primes[0]})/{q}" for j in range(n)) + "\n"
+            for i in range(n)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "entlap.cli", "validate", str(path)], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert len(primes) == 256 and done.stderr == ""
+        if distinct:  # parsed, then rejected: its trace is 1 - 1.8e-9
+            assert done.returncode == 2 and done.stdout.startswith("TraceNotOne")
+        else:
+            assert (done.returncode, done.stdout) == (
+                0, "VALID dims 2x4 purity 0.999999999989 linear_entropy 1.25715311177e-11 rank 1\n")
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.mat"))

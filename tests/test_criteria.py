@@ -9,7 +9,9 @@ from entlap.corpus import build
 from entlap import criteria
 from entlap.criteria import (
     ORACLE_VERDICTS,
+    ClassificationReport,
     CriterionId,
+    CriterionResult,
     DecisionTolerance,
     Verdict,
     classify,
@@ -342,6 +344,15 @@ class TestClassify:
         report = classify(_lifting_counterexample(0.2), state_id="lifted")
         assert report.oracle_verdict == "NPT"
         assert CriterionId.THM3_SEP_2x2 in report.consistency_flags
+
+    def test_records_are_immutable_with_fixed_fields(self, rho2):
+        report = classify(rho2, state_id="rho2")
+        assert CriterionResult._fields == ("criterion_id", "verdict", "scalars", "caveat")
+        assert ClassificationReport._fields == ("state_id", "dims", "oracle_verdict", "oracle_lambda_min_ptb",
+                                                "results", "consistency_flags")
+        for record, name in ((report, "state_id"), (report.results[0], "verdict")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
     def test_every_flag_contradicts_oracle(self):
         rng = make_rng(11)

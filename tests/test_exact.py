@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from entlap.exact import ZERO, Exact
+from entlap.exact import ZERO, Exact, _square_free
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000
@@ -100,6 +100,23 @@ def test_format_literal():
     assert Exact.radical(Fraction(5, 16), 7).format_literal() == "5*sqrt(7)/16"
     assert Exact.radical(Fraction(-5, 16), 7).format_literal() == "-5*sqrt(7)/16"
     assert (Exact.of(Fraction(3, 8)) + Exact.radical(1, 7)).format_literal() is None
+
+
+def _square_free_by_search(k):
+    m = max(m for m in range(1, math.isqrt(k) + 1) if k % (m * m) == 0)
+    return m, k // (m * m)
+
+
+def test_square_free_matches_a_brute_force_search():
+    for k in range(1, 3001):
+        assert _square_free(k) == _square_free_by_search(k), k
+
+
+@pytest.mark.parametrize("p, q", [(999983, 1), (1, 999983 * 1000003), (9973, 10007), (2, 249999999973),
+                                  (1, 9973 * 100000007), (1, 999999999989)])
+def test_square_free_near_the_radicand_limit(p, q):
+    # p**2 * q near 10**12 for primes p and q: p**2, p*q, p**2*q and a prime
+    assert _square_free(p * p * q) == (p, q)
 
 
 def test_immutable_and_hashable():

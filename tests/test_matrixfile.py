@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from entlap import matrixfile
 from entlap.corpus import build, list_entries
 from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
@@ -87,13 +88,35 @@ class TestParse:
         assert (err.value.line, err.value.column) == (3, 3)
         assert "floating-point range" in str(err.value)
 
-    def test_builds_one_exact_per_nonzero_token(self, exact_created):
-        # every "0" token and every real token's imaginary part share one zero
+    def test_builds_one_exact_per_distinct_nonzero_token(self, exact_created):
+        # equal tokens share one Exact; every "0" token and every real token's imaginary part share one zero
         text = emit(build("rho6", 0.5))
+        tokens = [tok for line in text.splitlines()[1:] for tok in line.split()]
         with exact_created() as created:
             parsed = parse(text)
-        assert len(created) == 27 == sum(tok != "0" for line in text.splitlines()[1:] for tok in line.split())
-        assert sum(v is ZERO for v in parsed.array.flat) == 81 - 27
+        assert len(created) == 4 == len(set(tokens) - {"0"})
+        assert sum(v is ZERO for v in parsed.array.flat) == 81 - 27 == tokens.count("0")
+
+    def test_parses_each_distinct_token_once(self, monkeypatch):
+        text = emit(build("rho6", 0.5))
+        tokens = {tok for line in text.splitlines()[1:] for tok in line.split()}
+        calls = []
+        monkeypatch.setattr(matrixfile, "parse_entry", lambda token: calls.append(token) or parse_entry(token))
+        parse(text)
+        assert len(calls) == 5 == len(set(calls)) == len(tokens)
+
+    @pytest.mark.parametrize("bad, message", [("nope", "malformed entry 'nope'"),
+                                              ("1e400", "entry is outside the floating-point range")])
+    def test_a_repeated_bad_token_fails_at_its_first_occurrence(self, bad, message):
+        with pytest.raises(ParseError) as err:
+            parse(f"dims 4 2 2\n1/4 0 0 0\n0 1/4 {bad} 0\n0 {bad} 1/4 0\n0 0 0 1/4\n")
+        assert (err.value.line, err.value.column) == (3, 7)
+        assert str(err.value) == f"line 3, column 7: {message}"
+
+    def test_equal_tokens_share_one_exact(self):
+        a = parse("dims 4 2 2\n1/4 0 0 sqrt(2)/8\n0 1/4 0 0\n0 0 1/4 0\nsqrt(2)/8 0 0 1/4\n").array
+        assert a[0, 0] is a[1, 1] is a[2, 2] is a[3, 3] and a[0, 3] is a[3, 0]
+        assert a[0, 0] == Exact.of(Fraction(1, 4)) and a[0, 3] == Exact.radical(Fraction(1, 8), 2)
 
     def test_validate_reads_the_floats_parse_computed(self, monkeypatch):
         # the state of a parsed file is the state of its Exact entries, bit for bit,
