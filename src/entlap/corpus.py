@@ -10,9 +10,10 @@ exact ratio (p, q) of ints, checks it against its domain by integer
 cross-multiplication, and gives its value ratios from (p, q).  The corpus
 places the floats by the pattern and `validate` takes that float matrix, with
 the exact values, placed the same way, built only when the state's `entries`
-are read.  psi is an object matrix of Exact products.  `build_stack`
-validates a family at many parameters as one stack of states: the (b, k)
-values of its states under the family's one pattern.
+are read.  psi has no pattern: its object matrix of Exact products and
+that matrix's floats are constants, and `validate` takes them the same way.
+`build_stack` validates a family at many parameters as one stack of states:
+the (b, k) values of its states under the family's one pattern.
 """
 
 from __future__ import annotations
@@ -61,12 +62,13 @@ def _pattern(diagonal, coherences) -> np.ndarray:
 # parameter as its ratio (p, q), in the slots its pattern places them from.
 
 
-def _psi_matrix():
-    """Two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4): an
-    object matrix of Exact products, no pattern."""
-    amps = np.array([Exact.of(F(1, 2)), Exact.of(F(1, 2)), Exact.of(F(1, 4)), Exact.radical(F(1, 4), 7)],
-                    dtype=object)
-    return np.multiply.outer(amps, amps)
+# psi: the two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4), no
+# pattern: its object matrix of Exact products and that matrix's floats, built once.
+_PSI_AMPLITUDES = np.array([Exact.of(F(1, 2)), Exact.of(F(1, 2)), Exact.of(F(1, 4)), Exact.radical(F(1, 4), 7)],
+                           dtype=object)
+_PSI = np.multiply.outer(_PSI_AMPLITUDES, _PSI_AMPLITUDES)
+_PSI_FLOATS = _PSI.astype(float)
+_PSI.flags.writeable = _PSI_FLOATS.flags.writeable = False
 
 
 # rho1: 2x4, uniform 1/8 diagonal with sparse 1/81 and 1/8 coherences.
@@ -145,7 +147,7 @@ class CorpusEntry:
 
 _ENTRIES = (
     CorpusEntry("psi", BipartiteDims(2, 2), None, None,
-                "two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)", _psi_matrix),
+                "two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)", lambda: _PSI),
     CorpusEntry("rho1", BipartiteDims(2, 4), None, None,
                 "2x4 mixed state: uniform 1/8 diagonal with sparse 1/81 and 1/8 coherences",
                 lambda: _EIGHTHS, _RHO1),
@@ -208,8 +210,12 @@ def _validate(entry: CorpusEntry, ratios: list, one: bool = False) -> DensityMat
     ratios[0]: validated from their float values, with their exact values
     built from the ratios only when their entries are first read."""
     rows = 0 if one else slice(None)
-    if entry.pattern is None:  # psi: its object matrix of Exact products
-        return validate(np.array([entry.values() for _ in ratios], dtype=object)[rows], entry.dims, tol=entry.tol)
+    if entry.pattern is None:  # psi: its float matrix, with its Exact products as the exact values
+        def repeat(matrix):
+            return np.array([matrix] * len(ratios))[rows]
+
+        return validate(repeat(_PSI_FLOATS), entry.dims, tol=entry.tol,
+                        exact_values=lambda: repeat(entry.values()))
 
     def place(values):
         # take, unlike values[..., pattern], lays out each state's matrix contiguously,

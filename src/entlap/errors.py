@@ -57,7 +57,7 @@ class AxiomViolation:
     magnitude: float
 
     def __str__(self) -> str:
-        return f"{self.axiom} ({self.magnitude:.6g})"
+        return f"{self.axiom} ({self.magnitude:.12g})"
 
 
 class StateValidationError(EntlapError):

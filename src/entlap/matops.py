@@ -4,7 +4,9 @@ Everything downstream (Laplacians, graphs, classification criteria) is built on
 these.  Matrices are plain numpy arrays; the design envelope is order <= ~64,
 so no sparsity or blocking is attempted.  `eigvals_sym`, `determinant` and
 `partial_transpose` also take a stack (..., n, n) of matrices and act on each,
-with the same arithmetic per matrix as on that matrix alone.
+with the same arithmetic per matrix as on that matrix alone.  A state reads
+det(phi(rho) - I) off the spectrum it solves anyway; `determinant`, an LU, is
+the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -67,12 +69,8 @@ def as_stack(m) -> np.ndarray:
     a = np.asarray(m)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.size:
-        finite = np.all(np.isfinite(a.real))
-        if np.iscomplexobj(a):
-            finite = finite and np.all(np.isfinite(a.imag))
-        if not finite:
-            raise ValueError("matrix entries must be finite")
+    if a.size and not np.isfinite(a).all():  # a complex entry is finite when both its parts are
+        raise ValueError("matrix entries must be finite")
     return a
 
 

@@ -9,8 +9,9 @@ hands it over with a function that builds the exact entries, called only when
 the state's entries are read.  `validate` solves rho's spectrum once and stores it.
 Every other derived matrix and spectrum (L_rho, rho^TB, L^TB, phi(rho) - I;
 the spectra of rho^TB, L, L + rho^TB, L^TB and phi(rho) - I;
-det(phi(rho) - I)), the coherence graph's total degree, connectivity and
-max W, and the exact entries, also as Exact scalars, are cached properties,
+det(phi(rho) - I), the product of that last spectrum, so no LU is run), the
+coherence graph's total degree, connectivity and max W, and the exact
+entries, also as Exact scalars, are cached properties,
 computed the first time they are read.  Criteria called one after
 another on the same state share that work, and a criterion computes only what
 it reads.  Every decision quantity is floating point, also for exact inputs:
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import AxiomViolation, DimensionMismatch, StateValidationError
 from .exact import Exact
 from .laplacian import laplacian_of_density
-from .matops import BipartiteDims, as_stack, determinant, eigvals_sym, partial_transpose
+from .matops import BipartiteDims, as_stack, eigvals_sym, partial_transpose
 from .wgraph import graph_from_laplacian, is_connected, max_w
 
 DEFAULT_TOL = 1e-9
@@ -73,6 +74,9 @@ class DensityMatrix:
     or a stack of them along a leading axis.
 
     `spectrum` is rho's ascending spectrum, solved once by `validate`.
+    `det_phi_minus_i` is the product of `spec_phi_minus_i`: THM1 reads det
+    and its negative-eigenvalue count off one spectrum, so the sign of det is
+    (-1) to that count.
     `entries` is the read-only object matrix of exact entries the state was
     validated from, or None for a float or complex input; `array` holds their
     float values.  `entries_source` builds them the first time `entries` is
@@ -110,15 +114,15 @@ class DensityMatrix:
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
     ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
     lap_ptb = _derived(lambda self: partial_transpose(self.laplacian, self.dims))  # L^TB
-    phi_minus_i = _derived(lambda self: self.laplacian + self.array - np.eye(self.n))
+    phi_minus_i = _derived(lambda self: _minus_identity(self.laplacian + self.array))
     spec_ptb = _derived(lambda self: eigvals_sym(self.ptb))
     spec_lap = _derived(lambda self: eigvals_sym(self.laplacian))
     spec_l_plus_ptb = _derived(lambda self: eigvals_sym(self.laplacian + self.ptb))
     spec_lap_ptb = _derived(lambda self: eigvals_sym(self.lap_ptb))
     spec_phi_minus_i = _derived(lambda self: eigvals_sym(self.phi_minus_i))
-    det_phi_minus_i = _derived(lambda self: determinant(self.phi_minus_i))
-    rank = _derived(lambda self: np.sum(self.spectrum > RANK_TOL, axis=-1))  # eigenvalues above RANK_TOL
-    total_degree = _derived(lambda self: np.trace(self.laplacian, axis1=-2, axis2=-1))  # d_G = Tr L_rho
+    det_phi_minus_i = _derived(lambda self: self.spec_phi_minus_i.prod(-1))
+    rank = _derived(lambda self: (self.spectrum > RANK_TOL).sum(-1))  # eigenvalues above RANK_TOL
+    total_degree = _derived(lambda self: self.laplacian.trace(axis1=-2, axis2=-1))  # d_G = Tr L_rho
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
     connected = _derived(lambda self: is_connected(self.graph))
     # wgraph.max_w (EXCLUDED convention); None when the graph has no edges, and
@@ -137,6 +141,13 @@ class PurityReport:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _minus_identity(m: np.ndarray) -> np.ndarray:
+    """m - I in place, for a fresh matrix or stack m: 1 off each diagonal entry, the rest as it is."""
+    diagonal = np.einsum("...ii->...i", m)  # a writeable view of each matrix's diagonal, in any layout
+    diagonal -= 1.0
+    return m
 
 
 def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
@@ -173,9 +184,9 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     stack_h = stack.swapaxes(1, 2).conj()
     asym = np.abs(stack - stack_h).max(axis=(1, 2))
     h = (stack + stack_h) / 2
-    if not np.iscomplexobj(h):
+    if h.dtype.kind != "c":
         h = h.astype(float)
-    tr = np.trace(h, axis1=1, axis2=2).real
+    tr = h.trace(axis1=1, axis2=2).real
     spectrum = np.linalg.eigvalsh(h)
     for state in zip(asym.tolist(), tr.tolist(), spectrum[:, 0].tolist()):  # in stack order
         if violations := _violations(*state, tol):

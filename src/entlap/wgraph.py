@@ -136,13 +136,17 @@ def _w_values(w: np.ndarray, edges: tuple[np.ndarray, ...], convention: WConvent
     `edge_w`'s d_i + d_j + sum_{k != i, j} |w_ik - w_jk|, d the weighted
     degrees: the k = i, j terms of the max sum are w_ij each, and for every
     other k, 2 max(a, b) = a + b + |a - b|.  One edge reads its two rows of w,
-    O(n).  Edges go in slices of SLICE_ENTRIES // n, so no temporary passes 64 KiB.
+    O(n).  Edges go in slices of SLICE_ENTRIES // n, so no temporary passes 64 KiB;
+    when one slice holds them all, its rows are gathered directly.
     """
     row_i, row_j = edges[:-1], edges[:-2] + edges[-1:]  # (s, i) and (s, j) on a stack
     step = max(1, SLICE_ENTRIES // w.shape[-1])
-    total = 2 * np.concatenate([
-        np.maximum(w[tuple(a[s:s + step] for a in row_i)], w[tuple(a[s:s + step] for a in row_j)]).sum(axis=-1)
-        for s in range(0, len(edges[0]), step)])
+    if len(edges[0]) <= step:
+        total = 2 * np.maximum(w[row_i], w[row_j]).sum(axis=-1)
+    else:
+        total = 2 * np.concatenate([
+            np.maximum(w[tuple(a[s:s + step] for a in row_i)], w[tuple(a[s:s + step] for a in row_j)]).sum(axis=-1)
+            for s in range(0, len(edges[0]), step)])
     if convention == WConvention.EXCLUDED:
         total = total - 2 * w[edges]
     return total

@@ -130,7 +130,7 @@ class TestValidate:
                               capture_output=True, text=True, timeout=20)
         assert len(primes) == 256 and done.stderr == ""
         if distinct:  # parsed, then rejected: its trace is 1 - 1.8e-9
-            assert done.returncode == 2 and done.stdout.startswith("TraceNotOne")
+            assert (done.returncode, done.stdout) == (2, "TraceNotOne (0.999999998203)\n")
         else:
             assert (done.returncode, done.stdout) == (
                 0, "VALID dims 2x4 purity 0.999999999989 linear_entropy 1.25715311177e-11 rank 1\n")

@@ -433,8 +433,16 @@ class TestSharedAnalysis:
                     assert value == pytest.approx(expected[name], abs=1e-12), (r.criterion_id, name)
 
     def test_one_pass_per_classify(self, monkeypatch, rho2):
-        calls = _count_kernel_calls(monkeypatch, ("laplacian_of_density", "partial_transpose",
+        calls = _count_kernel_calls(monkeypatch, ("laplacian_of_density", "partial_transpose", "eigvals_sym",
                                                   "graph_from_laplacian", "is_connected", "max_w"))
+        lu = np.linalg.det
+
+        def counting_det(*args, **kwargs):
+            calls["det"] += 1
+            return lu(*args, **kwargs)
+
+        # det(phi(rho) - I) is read off its spectrum: no LU anywhere
+        monkeypatch.setattr(np.linalg, "det", counting_det)
         rng = make_rng(23)
         states = [_fresh(rho2), _lifting_counterexample(0.2), _dm(np.diag([0.1, 0.2, 0.3, 0.4]), 2, 2),
                   random_density(rng, BipartiteDims(2, 3))] + [
@@ -446,12 +454,27 @@ class TestSharedAnalysis:
             kinds.add((full_rank, connected))
             calls.clear()
             classify(rho)
+            # the spectra of rho^TB, L + rho^TB and phi(rho) - I, and with full rank those of L and L^TB
             assert calls == Counter(laplacian_of_density=1, partial_transpose=1 + full_rank,
-                                    graph_from_laplacian=1, is_connected=1, max_w=int(connected))
+                                    eigvals_sym=3 + 2 * full_rank, graph_from_laplacian=1, is_connected=1,
+                                    max_w=int(connected))
             calls.clear()
             classify(rho)
             assert not calls
         assert kinds == {(True, True), (True, False), (False, True)}
+
+    @pytest.mark.parametrize("dims", [BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)],
+                             ids=["2x2", "2x3", "3x3"])
+    def test_det_is_the_product_of_the_spectrum(self, dims):
+        # THM1 reads det(phi(rho) - I) and its negative-eigenvalue count off one
+        # spectrum: det is the LU determinant up to rounding, and its sign is (-1)^count
+        rng = make_rng(31)
+        for _ in range(100):
+            for rho in (random_density(rng, dims), random_pure_density(rng, dims),
+                        random_mixture_density(rng, dims)):
+                det = rho.det_phi_minus_i
+                assert abs(det - np.linalg.det(rho.phi_minus_i).real) <= 1e-12 + 1e-9 * abs(det)
+                assert np.sign(det) == (-1) ** int((rho.spec_phi_minus_i < 0).sum())
 
     def test_ppt_oracle_reads_only_the_partial_transpose(self, monkeypatch, rho3):
         calls = _count_kernel_calls(monkeypatch, ("eigvals_sym", "laplacian_of_density",
@@ -480,10 +503,9 @@ class TestSharedAnalysis:
             assert rho.exact is not None and created == 0
 
     def test_build_and_classify_create_no_exact(self, exact_created):
-        # a rational state's entries stay Fractions until its exact entries are read
+        # a rational state's entries stay Fractions until its exact entries are read,
+        # and psi's Exact products are a constant of the corpus
         for name, param in corpus_points():
-            if name == "psi":  # built from Exact amplitudes
-                continue
             with exact_created() as created:
                 classify(build(name, param))
             assert not created, (name, param)

@@ -1,10 +1,44 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from entlap.errors import DimensionMismatch, NotHermitian
-from entlap.matops import BipartiteDims, determinant, eig_sym, partial_transpose, wolkowicz_bounds
+from entlap.matops import BipartiteDims, as_stack, determinant, eig_sym, partial_transpose, wolkowicz_bounds
 
 from _oracles import bf_partial_transpose, random_hermitian, random_psd
+
+
+# A non-finite value, in the real part or in the imaginary part only.
+_NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(0.5, -np.inf)]
+
+
+def _with_entry(m, index, value):
+    m = m.astype(complex if isinstance(value, complex) else m.dtype)
+    m[index] = value
+    return m
+
+
+class TestAsStack:
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=repr)
+    def test_non_finite_entry_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_stack(_with_entry(np.eye(3), (2, 1), bad))
+
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=repr)
+    def test_one_non_finite_matrix_in_a_stack_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_stack(_with_entry(np.stack([np.eye(3)] * 4), (2, 0, 1), bad))
+
+    @pytest.mark.parametrize("m", [np.eye(3, dtype=int), np.eye(3, dtype=bool), np.zeros((0, 0)),
+                                   np.zeros((2, 0, 0)), np.empty((0, 0), dtype=object)],
+                             ids=["int", "bool", "empty", "empty stack", "empty object"])
+    def test_finite_int_bool_and_empty_input_is_accepted(self, m):
+        assert as_stack(m) is m
+
+    def test_object_array_of_fractions_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            as_stack(np.array([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], dtype=object))
 
 
 class TestEigSym:

@@ -30,7 +30,7 @@ def test_span_target_resolves(module, function):
     assert callable(getattr(importlib.import_module(f"entlap.{module}"), function))
 
 
-@pytest.mark.parametrize("function", ["laplacian_of_density", "partial_transpose", "eigvals_sym", "determinant",
+@pytest.mark.parametrize("function", ["laplacian_of_density", "partial_transpose", "eigvals_sym",
                                       "graph_from_laplacian", "is_connected", "max_w"])
 def test_states_binds_the_traced_kernel(function):
     (home,) = [module for module, name in SPAN_TARGETS if name == function]

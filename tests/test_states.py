@@ -70,6 +70,21 @@ class TestValidate:
         second = validate(first.array, BipartiteDims(2, 3))
         np.testing.assert_array_equal(first.array, second.array)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.25, np.nan), complex(0.25, np.inf)], ids=repr)
+    def test_non_finite_entry_is_a_value_error(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            validate(m, BipartiteDims(2, 2))
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        stack[1, 2, 3] = stack[1, 3, 2] = bad  # one bad state among valid ones
+        with pytest.raises(ValueError, match="finite"):
+            validate(stack, BipartiteDims(2, 2))
+
+    def test_int_entries_are_accepted(self):
+        rho = validate(np.diag([1, 0, 0, 0]), BipartiteDims(2, 2))
+        assert rho.array.dtype == float and rank(rho) == 1
+
 
 class TestExactCompanion:
     def test_every_corpus_state_revalidates_with_its_companion(self):
