@@ -13,14 +13,6 @@ class DimensionMismatch(EntlapError):
     """Matrix orders / bipartite dimensions are incompatible."""
 
 
-class NotHermitian(EntlapError):
-    """Hermiticity check failed beyond tolerance."""
-
-
-class NoConvergence(EntlapError):
-    """Eigensolver failed to converge."""
-
-
 class WrongDimensions(EntlapError):
     """Operation restricted to specific bipartite dimensions."""
 

@@ -95,9 +95,6 @@ class DensityMatrix:
     def n(self) -> int:
         return self.array.shape[-1]
 
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """The float matrix, so a state passes wherever an array is taken."""
         return np.array(self.array, dtype=dtype, copy=copy)
@@ -155,13 +152,13 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     """Validate `raw` as a density matrix, or a (b, n, n) stack of them, or
     raise StateValidationError.
 
-    `raw` is a float or complex matrix, or an object matrix of exact entries:
-    int, Fraction or Exact, any other entry a TypeError.  The state's float
-    matrix is read off the exact entries with each entry converted to float
-    once, and it keeps its entries.  A caller that has the float matrix
-    already passes it as `raw`, and `exact_values`, which gives the exact
-    entries it is the floats of: it is called only when the state's `entries`
-    are first read.  The violated axioms are listed in order:
+    `raw` is a real (float, int or bool) or complex matrix, or an object matrix
+    of exact entries: int, Fraction or Exact, any other entry a TypeError.  The
+    state's float matrix is read off the exact entries with each entry
+    converted to float once, and it keeps its entries.  A caller that has the
+    float matrix already passes it as `raw`, and `exact_values`, which gives
+    the exact entries it is the floats of: it is called only when the state's
+    `entries` are first read.  The violated axioms are listed in order:
     DimensionMismatch or NotHermitian alone, else TraceNotOne and NotPSD.
     Hermiticity is enforced exactly by averaging with the conjugate transpose
     once the asymmetry is known to be below `tol`; the averaged matrix's
@@ -181,11 +178,11 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     if a.shape[-1] != dims.n:
         raise StateValidationError([AxiomViolation("DimensionMismatch", float(a.shape[-1] - dims.n))])
     stack = a.reshape(-1, dims.n, dims.n)  # one state is a stack of one
+    if stack.dtype.kind != "c":  # real entries as float64: numpy's bool arithmetic is logical
+        stack = stack.astype(float, copy=False)
     stack_h = stack.swapaxes(1, 2).conj()
     asym = np.abs(stack - stack_h).max(axis=(1, 2))
     h = (stack + stack_h) / 2
-    if h.dtype.kind != "c":
-        h = h.astype(float)
     tr = h.trace(axis1=1, axis2=2).real
     spectrum = np.linalg.eigvalsh(h)
     for state in zip(asym.tolist(), tr.tolist(), spectrum[:, 0].tolist()):  # in stack order
@@ -226,10 +223,6 @@ def linear_entropy(rho: DensityMatrix) -> float:
 def rank(rho: DensityMatrix) -> int:
     """Number of eigenvalues above RANK_TOL."""
     return int(rho.rank)
-
-
-def is_full_rank(rho: DensityMatrix) -> bool:
-    return rank(rho) == rho.n
 
 
 def purity_report(rho: DensityMatrix) -> PurityReport:

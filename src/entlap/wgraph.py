@@ -121,12 +121,6 @@ def _check_vertex(g: WeightedGraph, v: int) -> None:
         raise VertexOutOfRange(f"vertex {v} outside [0, {g.vertex_count})")
 
 
-def vertex_weight(g: WeightedGraph, i: int) -> Exact | float:
-    """Sum of incident edge weights (the Laplacian diagonal entry)."""
-    _check_vertex(g, i)
-    return g.weights[i].sum()
-
-
 def _w_values(w: np.ndarray, edges: tuple[np.ndarray, ...], convention: WConvention) -> np.ndarray:
     """W over the edges (i[e], j[e]), or (s[e], i[e], j[e]) of a stack w, by the closed form
 

@@ -62,7 +62,7 @@ class TestStates:
         assert np.all(rho.array == np.diag(np.diag(rho.array)))
 
     def test_rho2_exact_spectrum(self, rho2):
-        vals = np.sort(rho2.eigenvalues())
+        vals = np.sort(rho2.spectrum)
         expected = np.array([65 / 648] + [1 / 8] * 6 + [97 / 648])
         np.testing.assert_allclose(vals, expected, atol=1e-12)
 
@@ -79,7 +79,7 @@ class TestStates:
             rho = build("rho6", float(a))
             exact_trace = sum((rho.exact[i][i] for i in range(9)), Exact())
             assert exact_trace == Exact.of(1)
-            assert float(rho.eigenvalues()[0]) > 1e-3
+            assert float(rho.spectrum[0]) > 1e-3
 
     def test_rho6_structure(self):
         rho = build("rho6", Fraction(1, 100))

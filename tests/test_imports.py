@@ -30,3 +30,12 @@ def test_no_unused_import(path):
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport math\nimport os.path\nfrom a import b as c, d\nd(os)\n"
     assert _unused_imports(source) == ["math", "c"]
+
+
+def test_every_public_name_resolves():
+    import entlap
+
+    assert [name for name in entlap.__all__ if not hasattr(entlap, name)] == []
+    namespace = {}
+    exec("from entlap import *", namespace)
+    assert set(entlap.__all__) <= namespace.keys()

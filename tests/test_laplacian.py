@@ -6,13 +6,7 @@ import pytest
 
 from entlap.corpus import build, list_entries
 from entlap.exact import Exact
-from entlap.laplacian import (
-    coherence_l1,
-    kadison_defect,
-    laplacian_of_density,
-    laplacian_of_general,
-    phi,
-)
+from entlap.laplacian import laplacian_of_density, phi
 from entlap.matops import BipartiteDims, eigvals_sym
 from entlap.states import validate
 from entlap.wgraph import graph_from_laplacian
@@ -33,6 +27,9 @@ class TestLaplacianOfDensity:
         rho = validate(np.diag([0.1, 0.2, 0.3, 0.4]), BipartiteDims(2, 2))
         lap = laplacian_of_density(rho)
         assert np.all(lap == 0.0)
+
+    def test_zero_matrix(self):
+        assert np.all(laplacian_of_density(np.zeros((3, 3))) == 0.0)
 
     def test_pure_corpus_state_exact_entries(self, psi):
         lap = laplacian_of_density(psi.exact)
@@ -115,27 +112,26 @@ class TestExactAndFloatAgree:
         assert [e[:2] for e in exact_graph.edges] == [e[:2] for e in rho.graph.edges]
 
 
-class TestLaplacianOfGeneral:
-    def test_symmetrised_moduli(self):
-        lap = laplacian_of_general(np.array([[0.0, 1.0], [-3.0, 0.0]]))
-        np.testing.assert_array_equal(lap, np.array([[2.0, -2.0], [-2.0, 2.0]]))
-
-    def test_zero_matrix(self):
-        assert np.all(laplacian_of_general(np.zeros((3, 3))) == 0.0)
-
-    def test_agrees_with_density_path_on_hermitian(self, rng):
-        rho = _random_density(rng, 4, 2, 2)
-        np.testing.assert_allclose(
-            laplacian_of_general(rho.array),
-            laplacian_of_density(rho),
-            atol=1e-15,
-        )
-
-
 class TestPhi:
     def test_unital_exactly(self):
         for n in range(2, 17):
             np.testing.assert_array_equal(phi(np.eye(n)), np.eye(n))
+
+    def test_is_laplacian_plus_matrix_on_hermitian(self, rng):
+        for _ in range(20):
+            rho = _random_density(rng, 4, 2, 2)
+            assert phi(rho).tobytes() == (rho.laplacian + rho.array).tobytes()
+
+    def test_non_hermitian_reads_each_rows_moduli(self):
+        # row 0's modulus is 1 and row 1's is 3: L is not symmetric
+        out = phi(np.array([[0.0, 1.0], [-3.0, 0.0]]))
+        np.testing.assert_array_equal(out, np.array([[1.0, 0.0], [-6.0, 3.0]]))
+
+    def test_stack_is_each_matrix_alone(self, rng):
+        stack = np.stack([_random_density(rng, 6, 2, 3).array for _ in range(3)])
+        out = phi(stack)
+        for k in range(3):
+            assert out[k].tobytes() == phi(stack[k]).tobytes()
 
     def test_diagonal_fixed_point(self):
         rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]), BipartiteDims(2, 2))
@@ -153,7 +149,7 @@ class TestPhi:
             d1, d2 = [(2, 2), (2, 3)][int(rng.integers(2))]
             rho = _random_density(rng, d1 * d2, d1, d2)
             lam_phi = eigvals_sym(phi(rho))[0]
-            lam_rho = float(rho.eigenvalues()[0])
+            lam_rho = float(rho.spectrum[0])
             assert lam_phi >= lam_rho - 1e-9
 
     def test_restricted_additivity(self, rng):
@@ -177,21 +173,23 @@ class TestPhi:
 
 
 class TestCoherence:
+    """The l1-norm of coherence is the state's total degree, Tr L_rho."""
+
     def test_diagonal_state_zero(self):
         rho = validate(np.diag([0.25] * 4), BipartiteDims(2, 2))
-        assert coherence_l1(rho) == 0.0
+        assert rho.total_degree == 0.0
 
     def test_pure_corpus_state(self, psi):
-        assert coherence_l1(psi) == pytest.approx(1 + 5 * S7 / 8, abs=1e-12)
+        assert psi.total_degree == pytest.approx(1 + 5 * S7 / 8, abs=1e-12)
 
     def test_rho2(self, rho2):
-        assert coherence_l1(rho2) == pytest.approx(8 / 81, abs=1e-15)
+        assert rho2.total_degree == pytest.approx(8 / 81, abs=1e-15)
 
     def test_equals_offdiagonal_modulus_sum(self, rng):
         for _ in range(200):
             rho = _random_density(rng, 6, 2, 3)
             direct = float(sum(abs(rho.array[i, j]) for i in range(6) for j in range(6) if i != j))
-            assert coherence_l1(rho) == pytest.approx(direct, abs=1e-12)
+            assert rho.total_degree == pytest.approx(direct, abs=1e-12)
 
 
 class TestKadisonDiagnostic:
@@ -201,9 +199,7 @@ class TestKadisonDiagnostic:
         # the inequality expected of positive unital linear maps fails here
         # because phi is not linear.
         x = 7 / 16 + 5 * S7 / 16
-        assert kadison_defect(psi) == pytest.approx(x - x * x, abs=1e-9)
-        assert kadison_defect(psi) < -0.3
-
-    def test_defect_reported_on_corpus(self, psi, rho1, rho2, rho3, rho5):
-        for rho in (psi, rho1, rho2, rho3, rho5):
-            assert isinstance(kadison_defect(rho), float)
+        p = phi(psi)
+        defect = eigvals_sym(phi(psi.array @ psi.array) - p @ p)[0]
+        assert defect == pytest.approx(x - x * x, abs=1e-9)
+        assert defect < -0.3

@@ -85,6 +85,14 @@ class TestValidate:
         rho = validate(np.diag([1, 0, 0, 0]), BipartiteDims(2, 2))
         assert rho.array.dtype == float and rank(rho) == 1
 
+    def test_bool_entries_read_as_their_int_twin(self):
+        # numpy's bool arithmetic is logical: True - True raises and True + True is True
+        dims = BipartiteDims(2, 2)
+        rho, twin = validate(np.diag([True, False, False, False]), dims), validate(np.diag([1, 0, 0, 0]), dims)
+        assert rho.array.tobytes() == twin.array.tobytes()
+        assert rho.spectrum.tobytes() == twin.spectrum.tobytes()
+        assert rho.rank == twin.rank == 1
+
 
 class TestExactCompanion:
     def test_every_corpus_state_revalidates_with_its_companion(self):
@@ -263,7 +271,7 @@ class TestRhoAbFamily:
         # sqrt(0.08) is the exact PSD boundary; the published endpoint 0.283
         # sits 1.5e-4 past it and is admitted only by the relaxed tolerance
         rho = build("rho_ab", 0.283)
-        assert float(rho.eigenvalues()[0]) == pytest.approx(-1.48e-4, abs=2e-6)
+        assert float(rho.spectrum[0]) == pytest.approx(-1.48e-4, abs=2e-6)
         with pytest.raises(StateValidationError):
             m = build("rho_ab", 0.283).array
             validate(m, BipartiteDims(2, 2), tol=1e-9)

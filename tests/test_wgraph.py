@@ -20,7 +20,6 @@ from entlap.wgraph import (
     graph_from_laplacian,
     is_connected,
     max_w,
-    vertex_weight,
 )
 
 from _oracles import bf_connected, bf_edge_w, bf_edges, bf_max_w, random_psd
@@ -28,6 +27,11 @@ from _oracles import bf_connected, bf_edge_w, bf_edges, bf_max_w, random_psd
 
 def _graph_of(rho):
     return graph_from_laplacian(laplacian_of_density(rho.literal))
+
+
+def _degree(g, i):
+    """w_i, the sum of vertex i's incident edge weights: a row sum of the weights."""
+    return g.weights[i].sum()
 
 
 def _random_density(rng, d1, d2):
@@ -64,12 +68,10 @@ class TestGraphFromLaplacian:
             assert np.max(np.abs(rebuilt - lap)) <= 1e-12
 
     def test_total_degree_consistency(self, rho2, psi, rng):
-        from entlap.laplacian import coherence_l1
-
         for rho in [rho2, psi] + [_random_density(rng, 2, 3) for _ in range(100)]:
             g = _graph_of(rho)
-            total = sum(float(vertex_weight(g, i)) for i in range(g.vertex_count))
-            assert total == pytest.approx(coherence_l1(rho), abs=1e-12)
+            total = sum(float(_degree(g, i)) for i in range(g.vertex_count))
+            assert total == pytest.approx(rho.total_degree, abs=1e-12)
 
 
 class TestConnectivity:
@@ -100,33 +102,38 @@ class TestConnectivity:
 
 
 class TestVertexWeight:
+    """The vertex weights w_i of W[i,j], read off a graph's weights: each is the
+    Laplacian diagonal entry, in the graph's entry type."""
+
     def test_isolated_vertex(self, rho2):
         g = _graph_of(rho2)
-        assert vertex_weight(g, 1) == Exact.of(0)
+        assert _degree(g, 1) == Exact.of(0)
 
     def test_rho3_vertex_zero(self, rho3):
         g = _graph_of(rho3)
-        assert float(vertex_weight(g, 0)) == pytest.approx(0.4, abs=1e-15)
+        assert float(_degree(g, 0)) == pytest.approx(0.4, abs=1e-15)
 
     def test_rho5_vertex_zero(self, rho5):
         g = _graph_of(rho5)
-        assert vertex_weight(g, 0) == Exact.of(Fraction(1, 10))
+        assert _degree(g, 0) == Exact.of(Fraction(1, 10))
 
     def test_equals_laplacian_diagonal(self, rho3):
         g = _graph_of(rho3)
         lap = laplacian_of_density(rho3)
         for i in range(4):
-            assert float(vertex_weight(g, i)) == pytest.approx(lap[i, i], abs=1e-15)
-
-    def test_out_of_range(self, rho3):
-        with pytest.raises(VertexOutOfRange):
-            vertex_weight(_graph_of(rho3), 4)
+            assert float(_degree(g, i)) == pytest.approx(lap[i, i], abs=1e-15)
 
 
 class TestEdgeW:
     def test_not_an_edge(self, rho5):
         with pytest.raises(NotAnEdge):
             edge_w(_graph_of(rho5), 0, 2)
+
+    def test_vertex_out_of_range(self, rho3):
+        g = _graph_of(rho3)
+        for i, j in [(0, 4), (-1, 0)]:  # numpy would read -1 as vertex 3
+            with pytest.raises(VertexOutOfRange):
+                edge_w(g, i, j)
 
     def test_path_graph_values(self, rho5):
         # path 2 - 1 - 4 - 3 (0-based 1-0-3-2), all weights 1/20:
