@@ -1,23 +1,25 @@
 """Built-in state corpus with exact rational / radical entries.
 
 Every state that the classifiers and the CLI reference by name is constructed
-here in exact arithmetic.  A rational state or family is a fixed int index
-pattern (n x n) over a short tuple of its distinct values, slot 0 zero: rho6's
-81 entries are five values (0, x, y, z, w), placed by its pattern.  Each value
-is given once, as an int ratio (n, d): its float is n / d, bit for bit the
-float of the exact value Fraction(n, d).  A family reads its parameter as an
-exact ratio (p, q) of ints, checks it against its domain by integer
-cross-multiplication, and gives its value ratios from (p, q).  The corpus
-places the floats by the pattern and `validate` takes that float matrix, with
-the exact values, placed the same way, built only when the state's `entries`
-are read.  psi has no pattern: its object matrix of Exact products and
-that matrix's floats are constants, and `validate` takes them the same way.
+here in exact arithmetic.  A state or family is a fixed int index pattern
+(n x n) over a short tuple of its distinct values, slot 0 zero: rho6's 81
+entries are five values (0, x, y, z, w), and psi's 16 are seven (0, 1/4, 1/8,
+sqrt(7)/8, 1/16, sqrt(7)/16, 7/16), placed by its pattern.  Each value is
+given once, as ints: (n, d) for n/d, or (n, d, k) for (n/d)*sqrt(k).  Its
+float is n / d * sqrt(k), bit for bit the float of that value as an Exact.
+A family reads its parameter as an exact ratio (p, q) of ints, checks it
+against its domain by integer cross-multiplication, and gives its values
+from (p, q).  The corpus places the floats by the pattern and `validate`
+takes that float matrix; each value is built once per state as an Exact, the
+first time the state's `exact` entries are read, and placed the same way, so
+entries that share a slot share one Exact.
 `build_stack` validates a family at many parameters as one stack of states:
 the (b, k) values of its states under the family's one pattern.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -30,8 +32,6 @@ from .errors import ParameterOutOfDomain, UnknownState
 from .exact import Exact
 from .matops import BipartiteDims
 from .states import DEFAULT_TOL, DensityMatrix, validate
-
-F = Fraction
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -58,19 +58,13 @@ def _pattern(diagonal, coherences) -> np.ndarray:
 
 
 # -- values ------------------------------------------------------------
-# Each state's distinct values as int ratios (n, d), given a family's
+# Each state's distinct values as (n, d) or (n, d, k), given a family's
 # parameter as its ratio (p, q), in the slots its pattern places them from.
 
 
-# psi: the two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4), no
-# pattern: its object matrix of Exact products and that matrix's floats, built once.
-_PSI_AMPLITUDES = np.array([Exact.of(F(1, 2)), Exact.of(F(1, 2)), Exact.of(F(1, 4)), Exact.radical(F(1, 4), 7)],
-                           dtype=object)
-_PSI = np.multiply.outer(_PSI_AMPLITUDES, _PSI_AMPLITUDES)
-_PSI_FLOATS = _PSI.astype(float)
-_PSI.flags.writeable = _PSI_FLOATS.flags.writeable = False
-
-
+# psi: the two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4),
+# their outer product: slots 1/4, 1/8, sqrt(7)/8, 1/16, sqrt(7)/16 and 7/16.
+_PSI = _pattern([1, 1, 4, 6], [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 2), (1, 3, 3), (2, 3, 5)])
 # rho1: 2x4, uniform 1/8 diagonal with sparse 1/81 and 1/8 coherences.
 _RHO1 = _pattern([1] * 8, [(0, 4, 2), (0, 7, 2), (1, 6, 2), (2, 5, 1), (3, 4, 2), (3, 7, 2)])
 # rho2: 2x4, uniform 1/8 diagonal with four 1/81 coherences.
@@ -116,18 +110,17 @@ def _rho6_values(p: int, q: int):
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """A corpus state or family: `values` gives its distinct values as int
-    ratios (n, d) (taking a family's parameter as its ratio (p, q)), which
-    `pattern` places; with no pattern, `values` gives the object matrix
-    itself.  Validated with `tol`."""
+    """A corpus state or family: `values` gives its distinct values as (n, d)
+    for n/d or (n, d, k) for (n/d)*sqrt(k) (taking a family's parameter as
+    its ratio (p, q)), which `pattern` places.  Validated with `tol`."""
 
     name: str
     dims: BipartiteDims
     parameter_name: str | None
     parameter_domain: tuple[float, float] | None
     description: str
-    values: Callable[..., object]
-    pattern: np.ndarray | None = field(default=None, repr=False, compare=False)
+    values: Callable[..., tuple]
+    pattern: np.ndarray = field(repr=False, compare=False)
     tol: float = DEFAULT_TOL
 
     @cached_property
@@ -135,19 +128,22 @@ class CorpusEntry:
         """The parameter domain as exact decimal ratios."""
         return tuple(map(_ratio, self.parameter_domain))
 
-    def exact_at(self, ratio: tuple[int, int] | None) -> list[Fraction]:
-        """The exact values at the parameter p/q of `ratio` (p, q), or a fixed state's at None."""
-        return [Fraction(n, d) for n, d in self.values(*ratio or ())]
+    def exact_at(self, ratio: tuple[int, int] | None) -> list[Exact]:
+        """The values at the parameter p/q of `ratio` (p, q), or a fixed state's at None, as Exact scalars."""
+        return [Exact.radical(Fraction(n, d), *k) if k else Exact.of(Fraction(n, d))
+                for n, d, *k in self.values(*ratio or ())]
 
     def floats_at(self, ratio: tuple[int, int] | None) -> list[float]:
-        """`exact_at(ratio)` as floats, bit for bit: int true division rounds
-        correctly, as float(Fraction) does."""
-        return [n / d for n, d in self.values(*ratio or ())]
+        """The floats of `exact_at(ratio)`, bit for bit: int true division rounds
+        correctly, as float(Fraction) does, and an Exact's float is float(n/d) * sqrt(k)."""
+        # indexed, not unpacked as (n, d, *k): a sweep builds its floats point by point
+        return [v[0] / v[1] if len(v) == 2 else v[0] / v[1] * math.sqrt(v[2]) for v in self.values(*ratio or ())]
 
 
 _ENTRIES = (
     CorpusEntry("psi", BipartiteDims(2, 2), None, None,
-                "two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)", lambda: _PSI),
+                "two-qubit pure state with amplitudes (1/2, 1/2, 1/4, sqrt(7)/4)",
+                lambda: ((0, 1), (1, 4), (1, 8), (1, 8, 7), (1, 16), (1, 16, 7), (7, 16)), _PSI),
     CorpusEntry("rho1", BipartiteDims(2, 4), None, None,
                 "2x4 mixed state: uniform 1/8 diagonal with sparse 1/81 and 1/8 coherences",
                 lambda: _EIGHTHS, _RHO1),
@@ -208,14 +204,8 @@ def build_stack(name: str, parameters) -> DensityMatrix:
 def _validate(entry: CorpusEntry, ratios: list, one: bool = False) -> DensityMatrix:
     """The stack of the entry's states at `ratios`, or with `one` the state at
     ratios[0]: validated from their float values, with their exact values
-    built from the ratios only when their entries are first read."""
+    built from the ratios only when their exact entries are first read."""
     rows = 0 if one else slice(None)
-    if entry.pattern is None:  # psi: its float matrix, with its Exact products as the exact values
-        def repeat(matrix):
-            return np.array([matrix] * len(ratios))[rows]
-
-        return validate(repeat(_PSI_FLOATS), entry.dims, tol=entry.tol,
-                        exact_values=lambda: repeat(entry.values()))
 
     def place(values):
         # take, unlike values[..., pattern], lays out each state's matrix contiguously,

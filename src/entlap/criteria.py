@@ -8,8 +8,8 @@ numbers on one state and arrays over a stack, and returns an int outcome code
 (int8 over a stack), its scalars and, for a criterion, its outcome table.  On
 one state a failed precondition returns before what it guards is read; a
 stack computes everything and masks.  The public functions (`ppt_oracle`,
-`purity_test`, ..., `cor6_ppt`) read one state's result off those, and `entlap
-sweep` reads a stack's codes.  Every decision is floating point, also for
+`purity_test`, ..., `cor6_ppt`) read one state's result off those and reject
+a stack, and `entlap sweep` reads a stack's codes.  Every decision is floating point, also for
 exact inputs.
 
 Each criterion is tagged internally with its logical strength and only ever
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import WrongDimensions
 from .matops import BipartiteDims
-from .states import DensityMatrix
+from .states import DensityMatrix, check_one_state
 
 
 class CriterionId(str, Enum):
@@ -206,6 +206,7 @@ def oracle(rho: DensityMatrix, eps: float):
 
 def ppt_oracle(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> tuple[str, float]:
     """The oracle on one state: "NPT" or "PPT", and lambda_min(rho^TB)."""
+    check_one_state(rho)
     code, lam = oracle(rho, tol.eps)
     return ORACLE_VERDICTS[code], float(lam)
 
@@ -329,6 +330,7 @@ def _on_one_state(criterion, name: str):
     """The public function that reads `criterion`'s result on one state."""
 
     def read(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
+        check_one_state(rho)
         return _result(rho, *criterion(rho, tol.eps))
 
     read.__name__ = read.__qualname__ = name

@@ -3,7 +3,7 @@
 This is the small arithmetic layer that lets matrix entries like 1/81 or
 sqrt(7)/8 survive the Laplacian / graph / edge-functional pipeline without
 floating-point truncation.  Only the operations that pipeline needs are
-implemented: +, -, *, division by a rational, absolute value, comparisons.
+implemented: +, -, *, absolute value, comparisons.
 
 Radicands are kept square-free (sqrt(8) is normalised to 2*sqrt(2)); the
 rational part is the radicand-1 term.  Signs of one- and two-term values are
@@ -161,17 +161,6 @@ class Exact:
         return Exact(terms)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Exact):
-            if not other.is_rational():
-                raise ValueError("division only by rational values")
-            other = other.as_fraction()
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return Exact({k: c / Fraction(other) for k, c in self._terms.items()})
-        return NotImplemented
 
     # -- ordering -----------------------------------------------------
 

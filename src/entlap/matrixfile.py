@@ -19,7 +19,9 @@ A radicand is reduced to its square-free part by trial division up to its
 cube root, a few milliseconds for a prime near MAX_RADICAND (10**12); one
 above MAX_RADICAND is a ParseError.  Decimals are parsed exactly (via Fraction
 of the decimal string), so emit -> parse round-trips are exact for every
-literal the emitter produces.  `parse` parses each distinct token of a file
+literal the emitter produces.  Fraction computes 10**e for a decimal's
+exponent e, so an exponent above MAX_EXPONENT in magnitude is a ParseError
+before any Fraction is built.  A zero denominator is a ParseError.  `parse` parses each distinct token of a file
 once, and equal tokens share one Exact (Exact is immutable).  It returns a
 real file as its object matrix of Exact entries and a file with an imaginary
 part as a complex array, each with the entries' float values it computed for
@@ -49,6 +51,9 @@ _CORE = rf"(?:{_RADICAL}|{_RATIONAL}|{_DECIMAL})"
 _ENTRY_RE = re.compile(rf"^(?P<re_sign>[+-]?)(?P<re_core>{_CORE})(?:(?P<im_sign>[+-])(?P<im_core>{_CORE})i)?$")
 _RADICAL_RE = re.compile(r"^(?:(?P<p>\d+)\*)?sqrt\((?P<k>\d+)\)(?:/(?P<q>\d+))?$")
 MAX_RADICAND = 10**12
+# Beyond float range, or below its least subnormal, for every decimal with
+# fewer digits than int() reads from a string (4300 by default).
+MAX_EXPONENT = 10_000
 
 
 class ParseError(EntlapError):
@@ -66,6 +71,8 @@ def _parse_core(core: str) -> Exact:
         p = int(rad.group("p") or 1)
         q = int(rad.group("q") or 1)
         k = int(rad.group("k"))
+        if q == 0:
+            raise ValueError("zero denominator")
         if k == 0:
             raise ValueError("radicand must be positive")
         if k > MAX_RADICAND:
@@ -76,6 +83,9 @@ def _parse_core(core: str) -> Exact:
         if int(den) == 0:
             raise ValueError("zero denominator")
         return Exact.of(Fraction(int(num), int(den)))
+    exponent = core.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+        raise ValueError(f"exponent above the limit {MAX_EXPONENT}")
     return Exact.of(Fraction(core))
 
 

@@ -3,34 +3,32 @@
 A validated `DensityMatrix` is the one record every criterion reads.
 `validate` takes the state's entries as given: a float or complex array, or
 exact entries (int, Fraction or Exact) as an object matrix, whose float matrix
-it reads off with one conversion per entry and whose entries it keeps.  A
-caller that has the float matrix already (the corpus, the matrix-file parser)
-hands it over with a function that builds the exact entries, called only when
-the state's entries are read.  `validate` solves rho's spectrum once and stores it.
-Every other derived matrix and spectrum (L_rho, rho^TB, L^TB, phi(rho) - I;
-the spectra of rho^TB, L, L + rho^TB, L^TB and phi(rho) - I;
-det(phi(rho) - I), the product of that last spectrum, so no LU is run), the
-coherence graph's total degree, connectivity and max W, and the exact
-entries, also as Exact scalars, are cached properties,
-computed the first time they are read.  Criteria called one after
-another on the same state share that work, and a criterion computes only what
-it reads.  Every decision quantity is floating point, also for exact inputs:
-the Laplacian and the graph are read off the float matrix, and no criterion
-reads an Exact.  `literal` is the one place that picks a state's exact entries
-over its float ones, for what is printed (matrix files, the Laplacian and graph
-the CLI writes).
+it reads off with one conversion per entry.  A caller that has the float
+matrix already (the corpus, the matrix-file parser) hands it over with a
+function that builds the Exact entries.  `validate` solves rho's spectrum
+once and stores it.  The state's `exact` entries, every other derived matrix
+and spectrum (L_rho, rho^TB, L^TB, phi(rho) - I; the spectra of rho^TB, L,
+L + rho^TB, L^TB and phi(rho) - I; det(phi(rho) - I), the product of that
+last spectrum, so no LU is run) and the coherence graph's total degree,
+connectivity and max W are computed the first time they are read.  Criteria
+called one after another on the same state share that work, and a criterion
+computes only what it reads.  Every decision quantity is floating point, also
+for exact inputs: the Laplacian and the graph are read off the float matrix,
+and no criterion reads an Exact.  `literal` is the one place that picks a
+state's exact entries over its float ones, for what is printed (matrix files,
+the Laplacian and graph the CLI writes).
 
 A stack of states is one `DensityMatrix` whose arrays have a leading state
 axis: `validate` takes a (b, n, n) stack and checks each state, and every
 derived value of a stack is computed once for all b states by the same kernel
 call as for one.  Slice k of a stack's value is what state k derives alone.
+The readers of one state's scalars (`purity`, `rank`, ...) reject a stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -77,19 +75,18 @@ class DensityMatrix:
     `det_phi_minus_i` is the product of `spec_phi_minus_i`: THM1 reads det
     and its negative-eigenvalue count off one spectrum, so the sign of det is
     (-1) to that count.
-    `entries` is the read-only object matrix of exact entries the state was
+    `exact` is the read-only object matrix of the Exact entries the state was
     validated from, or None for a float or complex input; `array` holds their
-    float values.  `entries_source` builds them the first time `entries` is
-    read, `exact` turns them into Exact scalars the first time it is read, and
-    `literal` is `exact` when the state has it and `array` otherwise.  States
-    compare by identity.  Construct via `validate()`.
+    float values.  `exact_source` builds them the first time `exact` is read,
+    and `literal` is `exact` when the state has it and `array` otherwise.
+    States compare by identity.  Construct via `validate()`.
     """
 
     array: np.ndarray
     dims: BipartiteDims
     spectrum: np.ndarray = field(repr=False)
     validation_tolerance: float = DEFAULT_TOL
-    entries_source: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    exact_source: Callable[[], np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -104,10 +101,9 @@ class DensityMatrix:
         """The entries to print: `exact` when the state has exact entries, else `array`."""
         return self.array if self.exact is None else self.exact
 
-    # The exact entries, then derived matrices, spectra (ascending) and graph
-    # scalars, each computed on first read and kept; all but these two are float.
-    entries = _derived(lambda self: None if self.entries_source is None else _read_only(self.entries_source()))
-    exact = cached_property(lambda self: None if self.entries is None else _read_only(_to_exact(self.entries)))
+    # The Exact entries, then derived matrices, spectra (ascending) and graph
+    # scalars, each computed on first read and kept; all but the first are float.
+    exact = _derived(lambda self: None if self.exact_source is None else _read_only(self.exact_source()))
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
     ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
     lap_ptb = _derived(lambda self: partial_transpose(self.laplacian, self.dims))  # L^TB
@@ -155,10 +151,11 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     `raw` is a real (float, int or bool) or complex matrix, or an object matrix
     of exact entries: int, Fraction or Exact, any other entry a TypeError.  The
     state's float matrix is read off the exact entries with each entry
-    converted to float once, and it keeps its entries.  A caller that has the
-    float matrix already passes it as `raw`, and `exact_values`, which gives
-    the exact entries it is the floats of: it is called only when the state's
-    `entries` are first read.  The violated axioms are listed in order:
+    converted to float once; an entry too large for a float, like one that is
+    not finite, is a ValueError.  A caller that has the float matrix already
+    passes it as `raw`, and `exact_values`, which gives the object matrix of
+    Exact entries it is the floats of.  Either way the state's `exact` entries
+    are built when first read.  The violated axioms are listed in order:
     DimensionMismatch or NotHermitian alone, else TraceNotOne and NotPSD.
     Hermiticity is enforced exactly by averaging with the conjugate transpose
     once the asymmetry is known to be below `tol`; the averaged matrix's
@@ -167,11 +164,15 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     """
     a = np.asarray(raw)
     if exact_values is None and a.dtype == object:
-        values = a.copy()  # the entries are read from it later, and `raw` may change
+        values = a.copy()  # the Exact entries are made from it later, and `raw` may change
         if not all(issubclass(t, _EXACT_TYPES) for t in set(map(type, values.flat))):
             bad = next(v for v in values.flat if not isinstance(v, _EXACT_TYPES))
             raise TypeError(f"exact entries must be int, Fraction or Exact, got {type(bad).__name__}")
-        a, exact_values = values.astype(float), lambda: values
+        try:
+            a = values.astype(float)
+        except OverflowError:
+            raise ValueError("matrix entries must be finite") from None
+        exact_values = lambda: _to_exact(values)
     a = as_stack(a)
     if a.ndim > 3:
         raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")
@@ -190,7 +191,7 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
             raise StateValidationError(violations)
     return DensityMatrix(array=_read_only(h.reshape(a.shape)), dims=dims,
                          spectrum=_read_only(spectrum.reshape(a.shape[:-1])), validation_tolerance=tol,
-                         entries_source=exact_values)
+                         exact_source=exact_values)
 
 
 def _violations(asym: float, tr: float, lambda_min: float, tol: float) -> list[AxiomViolation]:
@@ -205,8 +206,15 @@ def _violations(asym: float, tr: float, lambda_min: float, tol: float) -> list[A
     return violations
 
 
+def check_one_state(rho: DensityMatrix) -> None:
+    """Raise DimensionMismatch when `rho` is a stack: the caller reads one state's scalars."""
+    if rho.array.ndim == 3:
+        raise DimensionMismatch(f"expected one state, got a stack of {len(rho.array)}")
+
+
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), in (0, 1]."""
+    check_one_state(rho)
     a = rho.array
     return float(np.trace(a @ a).real)
 
@@ -222,6 +230,7 @@ def linear_entropy(rho: DensityMatrix) -> float:
 
 def rank(rho: DensityMatrix) -> int:
     """Number of eigenvalues above RANK_TOL."""
+    check_one_state(rho)
     return int(rho.rank)
 
 

@@ -102,6 +102,25 @@ class TestValidate:
         assert err == "error: line 2, column 1: entry is outside the floating-point range\n"
         assert out == ""
 
+    def test_zero_denominator_in_a_radical_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "radical.mat"
+        path.write_text("dims 4 2 2\n1/4 0 0 0\n0 1/4 0 sqrt(2)/0\n0 0 1/4 0\n0 sqrt(2)/0 0 1/4\n")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "", "error: line 3, column 9: zero denominator\n")
+
+    @pytest.mark.parametrize("entry", ["1e10000000", "1e-10000000", "0+1e10000000i"])
+    def test_decimal_exponent_above_the_limit_exit_1_in_time(self, tmp_path, entry):
+        # Fraction computes 10**exponent: 1e10000000 took 13 s to parse, so the CLI
+        # runs in a child process that a timeout stops if it does not exit
+        path = tmp_path / "decimal.mat"
+        path.write_text(f"dims 4 2 2\n1/4 0 0 0\n0 1/4 0 0\n0 0 1/4 0\n0 0 0 {entry}\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "entlap.cli", "validate", str(path)], env=env,
+                              capture_output=True, text=True, timeout=5)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: line 5, column 7: exponent above the limit 10000\n"
+
     def test_radicand_above_the_limit_exit_1(self, tmp_path):
         # trial division would take seconds to factor this radicand (~5e6 steps), so
         # the CLI runs in a child process that a timeout stops if it does not exit

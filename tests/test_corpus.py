@@ -7,9 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from entlap import corpus
 from entlap.corpus import build, build_stack, get_entry, list_entries
 from entlap.errors import ParameterOutOfDomain, UnknownState
-from entlap.exact import Exact
+from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims, partial_transpose
 from entlap.states import purity, rank, validate
+
+from _sampling import corpus_points
 
 
 class TestRegistry:
@@ -56,6 +58,18 @@ class TestStates:
         assert psi.exact[3][3] == Exact.of(Fraction(7, 16))
         assert rank(psi) == 1
         assert purity(psi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_psi_is_the_outer_product_of_its_amplitudes(self, psi):
+        # psi's pattern places seven slots; its floats, spectrum and literals are
+        # those of the outer product of its Exact amplitudes, bit for bit
+        amplitudes = np.array([Exact.of(Fraction(1, 2)), Exact.of(Fraction(1, 2)), Exact.of(Fraction(1, 4)),
+                               Exact.radical(Fraction(1, 4), 7)], dtype=object)
+        outer = np.multiply.outer(amplitudes, amplitudes)
+        want = validate(outer.astype(float), psi.dims)
+        assert psi.array.tobytes() == want.array.tobytes()
+        assert psi.spectrum.tobytes() == want.spectrum.tobytes()
+        assert [e.format_literal() for e in psi.exact.flat] == [e.format_literal() for e in outer.flat]
+        assert np.array_equal(psi.exact, outer)
 
     def test_rho_ab_zero_is_diagonal(self):
         rho = build("rho_ab", 0.0)
@@ -106,6 +120,21 @@ class TestStates:
         a = build("rho_ab", 0.1)
         b = build("rho_ab", Fraction(1, 10))
         assert np.array_equal(a.array, b.array)
+
+
+class TestSlots:
+    def test_entries_that_share_a_slot_share_one_exact(self, exact_created):
+        # each distinct non-zero value is built once per state, the first time
+        # its exact entries are read, and zeros are the one ZERO
+        for name, param in corpus_points():
+            entry, rho = get_entry(name), build(name, param)
+            with exact_created() as created:
+                exact = rho.exact
+            by_slot = {}
+            for slot, value in zip(entry.pattern.flat, exact.flat):
+                assert by_slot.setdefault(slot, value) is value, (name, param, slot)
+            assert all(v is ZERO for v in by_slot.values() if v.is_zero())
+            assert sorted(map(id, created)) == sorted({id(v) for v in by_slot.values() if v}), (name, param)
 
 
 class TestStack:
@@ -159,14 +188,14 @@ class TestIntPath:
         ratio = corpus._ratio_in_domain(entry, v)
         assert ratio == Fraction(str(v)).as_integer_ratio()
         exact = entry.exact_at(ratio)
-        assert all(type(x) is Fraction for x in exact)
+        assert all(type(x) is Exact and x.is_rational() for x in exact)
         if name == "rho_ab":
-            assert exact[-1] == Fraction(str(v))  # the coherence x itself
+            assert exact[-1] == Exact.of(Fraction(str(v)))  # the coherence x itself
         want = np.array(exact, dtype=object).astype(float)
         assert np.array(entry.floats_at(ratio)).tobytes() == want.tobytes()
         rho = build(name, v)
         assert rho.array.tobytes() == np.take(want, entry.pattern).tobytes()
-        assert np.array_equal(rho.entries, np.take(np.array(exact, dtype=object), entry.pattern))
+        assert np.array_equal(rho.exact, np.take(np.array(exact, dtype=object), entry.pattern))
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["rho6", "rho_ab"]), st.floats(allow_nan=False, allow_infinity=False))
@@ -195,6 +224,6 @@ class TestIntPath:
         stack = build_stack("rho6", [0.01, 0.5, 1.0])
         rho = build("rho6", 0.37)
         assert built == []
-        assert rho.entries[0][0] == Fraction(50 * 37, 400 * 37 + 100)  # 50p/m at a = p/q = 37/100
-        assert stack.entries[2][0][0] == Fraction(50, 401)  # a = 1: 50/401
+        assert rho.exact[0][0] == Exact.of(Fraction(50 * 37, 400 * 37 + 100))  # 50p/m at a = p/q = 37/100
+        assert stack.exact[2][0][0] == Exact.of(Fraction(50, 401))  # a = 1: 50/401
         assert built == [(37, 100), (1, 100), (1, 2), (1, 1)]

@@ -36,10 +36,11 @@ from entlap.criteria import (
     thm6,
     thm6_ppt,
 )
-from entlap.errors import WrongDimensions
+from entlap.corpus import build_stack
+from entlap.errors import DimensionMismatch, WrongDimensions
 from entlap.exact import Exact
 from entlap.matops import BipartiteDims
-from entlap.states import validate
+from entlap.states import linear_entropy, purity, purity_report, rank, validate
 
 from _oracles import bf_connected, bf_edges, bf_laplacian, bf_max_w, bf_partial_transpose
 from _sampling import corpus_points, make_rng, random_density, random_mixture_density, random_pure_density
@@ -146,7 +147,8 @@ class TestPurityTest:
         spec = np.array([[-0.9, -0.8, -5e-4, 3.0], [-0.5, 0.2, 1.0, 2.0]])  # the second has one below
         det = np.prod(spec, axis=-1)
         assert det[0] == pytest.approx(-1.08e-3)
-        res = purity_test(SimpleNamespace(det_phi_minus_i=det[0], spec_phi_minus_i=spec[0]), tol)
+        # the one-state reader also reads the stand-in's array, to reject a stack
+        res = purity_test(SimpleNamespace(array=np.eye(4) / 4, det_phi_minus_i=det[0], spec_phi_minus_i=spec[0]), tol)
         assert res.verdict == Verdict.MIXED and res.scalars["negative_eigenvalue_count"] == 2
         table, codes, _ = thm1(SimpleNamespace(det_phi_minus_i=det, spec_phi_minus_i=spec), tol.eps)
         assert [table.outcomes[c].verdict for c in codes] == [Verdict.MIXED, Verdict.CONSISTENT_WITH_PURE]
@@ -372,7 +374,7 @@ class TestClassify:
 
 def _fresh(rho):
     """A copy of rho validated anew from its entries, with nothing derived from it computed yet."""
-    return validate(rho.array if rho.entries is None else rho.entries, rho.dims, tol=rho.validation_tolerance)
+    return validate(rho.array if rho.exact is None else rho.exact, rho.dims, tol=rho.validation_tolerance)
 
 
 def _count_kernel_calls(monkeypatch, names):
@@ -503,8 +505,7 @@ class TestSharedAnalysis:
             assert rho.exact is not None and created == 0
 
     def test_build_and_classify_create_no_exact(self, exact_created):
-        # a rational state's entries stay Fractions until its exact entries are read,
-        # and psi's Exact products are a constant of the corpus
+        # a corpus state's Exact entries are built only when its exact entries are read
         for name, param in corpus_points():
             with exact_created() as created:
                 classify(build(name, param))
@@ -674,3 +675,17 @@ class TestStackColumns:
                 assert rows == _alone_rows(name, alone, tol), (name, eps)
                 seen.add(_outcome(rows[k]))
             assert len(seen) == (2 if flips else 1), name  # the band's edge passed over state k
+
+
+class TestOneStateReaders:
+    """A reader of one state's result rejects a stack; the criteria themselves read
+    it (TestStackColumns)."""
+
+    @pytest.mark.parametrize("reader", [
+        classify, ppt_oracle, purity_test, thm3_separability, thm5_ppt, thm6_ppt, thm3a_bounds, thm3b_check,
+        thm4a_check, cor4a_nptes, cor6_ppt, purity, linear_entropy, rank, purity_report,
+    ], ids=lambda f: f.__name__)
+    def test_a_stack_is_a_dimension_mismatch(self, reader):
+        stack = build_stack("rho6", [0.1, 0.5, 0.9])
+        with pytest.raises(DimensionMismatch, match="^expected one state, got a stack of 3$"):
+            reader(stack)

@@ -83,15 +83,6 @@ def test_comparisons_and_ordering():
     assert Exact.of(1) > Exact.of(Fraction(99, 100))
 
 
-def test_division():
-    x = Exact.radical(Fraction(1, 2), 7) / 4
-    assert x == Exact.radical(Fraction(1, 8), 7)
-    with pytest.raises(ZeroDivisionError):
-        Exact.of(1) / 0
-    with pytest.raises(ValueError):
-        Exact.of(1) / Exact.radical(1, 2)
-
-
 def test_format_literal():
     assert Exact.of(Fraction(1, 81)).format_literal() == "1/81"
     assert Exact.of(5).format_literal() == "5"

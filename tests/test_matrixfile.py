@@ -8,7 +8,7 @@ from entlap import matrixfile
 from entlap.corpus import build, list_entries
 from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
-from entlap.matrixfile import MAX_RADICAND, ParseError, emit, format_scalar, parse, parse_entry
+from entlap.matrixfile import MAX_EXPONENT, MAX_RADICAND, ParseError, emit, format_scalar, parse, parse_entry
 from entlap.states import validate
 
 
@@ -41,8 +41,30 @@ class TestEntryGrammar:
         assert im == Exact.radical(Fraction(-1, 4), 2)
 
     def test_rejects_garbage(self):
-        for bad in ["", "1/", "/2", "sqrt()", "sqrt(-3)", "1+2", "i", "1.2.3", "--1", "1/0"]:
+        for bad in ["", "1/", "/2", "sqrt()", "sqrt(-3)", "1+2", "i", "1.2.3", "--1", "1/0",
+                    "sqrt(2)/0", "2*sqrt(3)/0", "1+sqrt(2)/0i"]:
             with pytest.raises(ValueError):
+                parse_entry(bad)
+
+
+    @pytest.mark.parametrize("token", ["sqrt(2)/0", "2*sqrt(3)/0", "-sqrt(2)/0", "1+sqrt(2)/0i", "1/4-2*sqrt(3)/0i"])
+    def test_zero_denominator_in_a_radical_is_that_of_a_rational(self, token):
+        with pytest.raises(ValueError, match="^zero denominator$"):
+            parse_entry(token)
+        errors = []
+        for entry in (token, "1/0"):
+            with pytest.raises(ParseError) as err:
+                parse(f"dims 4 2 2\n1/4 0 0 0\n0 0 {entry} 0\n0 0 1/4 0\n0 0 0 1/4\n")
+            errors.append(str(err.value))
+        assert errors == ["line 3, column 5: zero denominator"] * 2
+
+    def test_exponent_limit(self):
+        assert parse_entry(f"1e-{MAX_EXPONENT}")[0] == Exact.of(Fraction(1, 10**MAX_EXPONENT))
+        assert parse_entry(f"25e+000{MAX_EXPONENT - 2}")[0] == Exact.of(25 * 10**(MAX_EXPONENT - 2))
+        assert parse_entry("1e-400") == (Exact.of(Fraction(1, 10**400)), ZERO)  # a tiny decimal, 0 as a float
+        for bad in (f"1e{MAX_EXPONENT + 1}", f"0.5E-{MAX_EXPONENT + 1}", "1e10000000", "1/4+1e-10000000i",
+                    "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match=f"^exponent above the limit {MAX_EXPONENT}$"):
                 parse_entry(bad)
 
 
@@ -131,14 +153,14 @@ class TestParse:
             want = validate(parsed.array, parsed.dims)
             assert state.array.tobytes() == want.array.tobytes()
             assert state.spectrum.tobytes() == want.spectrum.tobytes()
-            assert all(a is b for a, b in zip(state.entries.flat, parsed.array.flat))
-            assert not state.entries.flags.writeable and parsed.array.flags.writeable
+            assert all(a is b for a, b in zip(state.exact.flat, parsed.array.flat))
+            assert not state.exact.flags.writeable and parsed.array.flags.writeable
 
     def test_validate_a_complex_file(self):
         parsed = parse("dims 4 2 2\n1/2 0 0 0+1/4i\n0 0 0 0\n0 0 0 0\n0-1/4i 0 0 1/2\n")
         state = parsed.validate()
         assert state.array.tobytes() == validate(parsed.array, parsed.dims).array.tobytes()
-        assert state.entries is None and state.exact is None
+        assert state.exact is None
 
     def test_row_length_checked(self):
         with pytest.raises(ParseError):

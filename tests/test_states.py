@@ -7,6 +7,7 @@ import pytest
 from entlap import corpus
 from entlap.corpus import build, build_stack, get_entry
 from entlap.errors import DimensionMismatch, ParameterOutOfDomain, StateValidationError
+from entlap.exact import Exact
 from entlap.matops import BipartiteDims
 from entlap import states
 from entlap.states import linear_entropy, purity, purity_report, rank, validate
@@ -70,13 +71,18 @@ class TestValidate:
         second = validate(first.array, BipartiteDims(2, 3))
         np.testing.assert_array_equal(first.array, second.array)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.25, np.nan), complex(0.25, np.inf)], ids=repr)
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, complex(0.25, np.nan), complex(0.25, np.inf),
+        pytest.param(Fraction(10**400), id="Fraction(10**400)"),  # exact, too large for a float
+        pytest.param(Fraction(-10**400), id="Fraction(-10**400)"),
+    ], ids=repr)
     def test_non_finite_entry_is_a_value_error(self, bad):
-        m = np.eye(4, dtype=complex) / 4
+        one = np.diag([Fraction(1, 4)] * 4) if isinstance(bad, Fraction) else np.eye(4, dtype=complex) / 4
+        m = one.copy()
         m[0, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             validate(m, BipartiteDims(2, 2))
-        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        stack = np.stack([one] * 3)
         stack[1, 2, 3] = stack[1, 3, 2] = bad  # one bad state among valid ones
         with pytest.raises(ValueError, match="finite"):
             validate(stack, BipartiteDims(2, 2))
@@ -97,7 +103,7 @@ class TestValidate:
 class TestExactCompanion:
     def test_every_corpus_state_revalidates_with_its_companion(self):
         for rho in (build(*point) for point in corpus_points()):
-            again = validate(rho.entries, rho.dims, tol=rho.validation_tolerance)
+            again = validate(rho.exact, rho.dims, tol=rho.validation_tolerance)
             assert np.array_equal(again.exact, rho.exact)
             assert again.array.tobytes() == rho.array.tobytes()
 
@@ -105,18 +111,19 @@ class TestExactCompanion:
         # bit for bit: validate's float matrix is the exact entries' float values
         for rho in (build(*point) for point in corpus_points()):
             assert rho.exact.astype(float).tobytes() == rho.array.tobytes()
-            assert not rho.exact.flags.writeable and not rho.entries.flags.writeable
+            assert not rho.exact.flags.writeable
 
     def test_entries_are_the_input_at_validation(self):
-        # entries are placed when first read, from validate's own copy of the input
+        # the Exact entries are made when first read, from validate's own copy of the input
         m = np.array([[Fraction(1, 4) if i == j else 0 for j in range(4)] for i in range(4)], dtype=object)
         rho = validate(m, BipartiteDims(2, 2))
         m[0, 0] = Fraction(1, 2)
-        assert rho.entries[0, 0] == Fraction(1, 4) and float(rho.exact[0, 0]) == rho.array[0, 0] == 0.25
+        assert rho.exact[0, 0] == Exact.of(Fraction(1, 4)) and float(rho.exact[0, 0]) == rho.array[0, 0] == 0.25
+        assert all(type(e) is Exact for e in rho.exact.flat)
 
     def test_float_input_has_no_exact_entries(self):
         rho = _dm(np.eye(4) / 4, 2, 2)
-        assert rho.entries is None and rho.exact is None
+        assert rho.exact is None
 
     @pytest.mark.parametrize("entry", [0.25, 0.25 + 0j, "1/4", None])
     def test_object_entry_of_another_type_is_a_type_error(self, entry):
@@ -133,8 +140,10 @@ class TestExactCompanion:
 
 
 def _object_matrix(entry, values):
-    """The object matrix that `entry`'s pattern makes of value ratios (n, d)."""
-    return np.array([Fraction(n, d) for n, d in values], dtype=object)[..., entry.pattern]
+    """The object matrix that `entry`'s pattern makes of values (n, d), as Fractions,
+    and (n, d, k), as Exact radicals."""
+    return np.array([Exact.radical(Fraction(n, d), *k) if k else Fraction(n, d) for n, d, *k in values],
+                    dtype=object)[..., entry.pattern]
 
 
 def _violations(exc):
@@ -147,17 +156,15 @@ class TestFactoredValidate:
     def _assert_same_state(self, built, matrix):
         assert built.array.tobytes() == matrix.array.tobytes()
         assert built.spectrum.tobytes() == matrix.spectrum.tobytes()
-        assert built.entries.shape == matrix.entries.shape and not built.entries.flags.writeable
-        assert [(type(a), a) for a in built.entries.flat] == [(type(b), b) for b in matrix.entries.flat]
-        assert np.array_equal(built.exact, matrix.exact)
+        assert built.exact.shape == matrix.exact.shape and not built.exact.flags.writeable
+        assert [(type(a), a) for a in built.exact.flat] == [(type(b), b) for b in matrix.exact.flat]
 
     def test_every_patterned_corpus_state(self):
         for name, param in corpus_points():
             entry = get_entry(name)
-            if entry.pattern is not None:
-                values = entry.values(*corpus._ratio_in_domain(entry, param) or ())
-                matrix = validate(_object_matrix(entry, values), entry.dims, tol=entry.tol)
-                self._assert_same_state(build(name, param), matrix)
+            values = entry.values(*corpus._ratio_in_domain(entry, param) or ())
+            matrix = validate(_object_matrix(entry, values), entry.dims, tol=entry.tol)
+            self._assert_same_state(build(name, param), matrix)
 
     def test_a_stack_of_values(self):
         entry = get_entry("rho6")
