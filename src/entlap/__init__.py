@@ -19,8 +19,8 @@ from .states import DensityMatrix, PurityReport, linear_entropy, purity, purity_
 from .laplacian import laplacian_of_density, phi
 from .wgraph import (
     WConvention,
-    WeightedGraph,
     edge_w,
+    edges,
     export_dot,
     graph_from_laplacian,
     is_connected,
@@ -54,8 +54,8 @@ __all__ = [
     "DecisionTolerance", "DensityMatrix", "DimensionMismatch", "EntlapError", "Exact",
     "NoEdges", "NotAnEdge", "ParameterOutOfDomain", "ParseError", "PurityReport",
     "StateValidationError", "UnknownState", "Verdict", "VertexOutOfRange", "WConvention",
-    "WeightedGraph", "WrongDimensions", "classify", "cor4a_nptes", "cor6_ppt", "corpus",
-    "edge_w", "emit", "export_dot", "graph_from_laplacian", "is_connected", "laplacian_of_density",
+    "WrongDimensions", "classify", "cor4a_nptes", "cor6_ppt", "corpus", "edge_w", "edges",
+    "emit", "export_dot", "graph_from_laplacian", "is_connected", "laplacian_of_density",
     "linear_entropy", "max_w", "parse", "partial_transpose", "phi", "ppt_oracle", "purity",
     "purity_report", "purity_test", "rank", "thm3_separability", "thm3a_bounds", "thm3b_check",
     "thm4a_check", "thm5_ppt", "thm6_ppt", "validate",

@@ -20,7 +20,7 @@ from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
 from .matrixfile import ParseError, emit, parse
 from .states import DensityMatrix, purity_report
-from .wgraph import export_dot, graph_from_laplacian
+from .wgraph import edges, export_dot, graph_from_laplacian
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -183,7 +183,7 @@ def cmd_graph(args) -> int:
     graph = rho.graph if rho.exact is None else graph_from_laplacian(laplacian_of_density(rho.exact))
     _write(args.dot, export_dot(graph))
     conn = "connected" if rho.connected else "disconnected"
-    print(f"vertices {rho.graph.vertex_count} edges {rho.graph.edge_count()} {conn}")
+    print(f"vertices {rho.n} edges {len(edges(rho.graph)[0])} {conn}")
     print(f"total_degree {_fmt(rho.total_degree)}")
     print("max_w undefined (no edges)" if rho.max_w is None else f"max_w {_fmt(rho.max_w)}")
     return EXIT_OK

@@ -21,12 +21,17 @@ above MAX_RADICAND is a ParseError.  Decimals are parsed exactly (via Fraction
 of the decimal string), so emit -> parse round-trips are exact for every
 literal the emitter produces.  Fraction computes 10**e for a decimal's
 exponent e, so an exponent above MAX_EXPONENT in magnitude is a ParseError
-before any Fraction is built.  A zero denominator is a ParseError.  `parse` parses each distinct token of a file
+before any Fraction is built.  So is a run of more than MAX_DIGITS (4300)
+digits anywhere in a file, before int() or Fraction reads it: Python refuses
+longer runs by default, and a setting can lift that limit, so the check
+keeps the set of files that parse the same under every setting.  A zero
+denominator is a ParseError.  `parse` parses each distinct token of a file
 once, and equal tokens share one Exact (Exact is immutable).  It returns a
 real file as its object matrix of Exact entries and a file with an imaginary
 part as a complex array, each with the entries' float values it computed for
 its range check; `ParsedMatrix.validate` hands `validate` those floats, and
-a real file's Exact entries as the state's exact entries.
+a real file's Exact entries, when they are exactly symmetric, as the state's
+exact entries.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 from .errors import DimensionMismatch, EntlapError
 from .exact import ZERO, Exact
 from .matops import BipartiteDims
-from .states import DEFAULT_TOL, DensityMatrix, validate
+from .states import DEFAULT_TOL, DensityMatrix, exact_if_symmetric, validate
 
 _DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _RATIONAL = r"\d+/\d+"
@@ -51,8 +56,10 @@ _CORE = rf"(?:{_RADICAL}|{_RATIONAL}|{_DECIMAL})"
 _ENTRY_RE = re.compile(rf"^(?P<re_sign>[+-]?)(?P<re_core>{_CORE})(?:(?P<im_sign>[+-])(?P<im_core>{_CORE})i)?$")
 _RADICAL_RE = re.compile(r"^(?:(?P<p>\d+)\*)?sqrt\((?P<k>\d+)\)(?:/(?P<q>\d+))?$")
 MAX_RADICAND = 10**12
-# Beyond float range, or below its least subnormal, for every decimal with
-# fewer digits than int() reads from a string (4300 by default).
+# The longest run of digits a file may hold: the most int() reads from a string
+# under Python's default setting, so what parses does not depend on that setting.
+MAX_DIGITS = 4300
+# Beyond float range, or below its least subnormal, for every decimal of at most MAX_DIGITS digits.
 MAX_EXPONENT = 10_000
 
 
@@ -65,7 +72,17 @@ class ParseError(EntlapError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
+def _check_digits(text: str) -> None:
+    """ValueError when text has a run of more than MAX_DIGITS digits, before int() or Fraction reads one."""
+    if len(text) > MAX_DIGITS and max(map(len, re.findall(r"\d+", text))) > MAX_DIGITS:
+        raise ValueError(f"more digits in a row than the limit {MAX_DIGITS}")
+
+
 def _parse_core(core: str) -> Exact:
+    exponent = core.lower().partition("e")[2].lstrip("+-").lstrip("0")  # a decimal's; none elsewhere
+    if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+        raise ValueError(f"exponent above the limit {MAX_EXPONENT}")
+    _check_digits(core)
     rad = _RADICAL_RE.match(core)
     if rad:
         p = int(rad.group("p") or 1)
@@ -83,9 +100,6 @@ def _parse_core(core: str) -> Exact:
         if int(den) == 0:
             raise ValueError("zero denominator")
         return Exact.of(Fraction(int(num), int(den)))
-    exponent = core.lower().partition("e")[2].lstrip("+-").lstrip("0")
-    if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
-        raise ValueError(f"exponent above the limit {MAX_EXPONENT}")
     return Exact.of(Fraction(core))
 
 
@@ -124,9 +138,11 @@ class ParsedMatrix:
     floats: np.ndarray  # each entry's float (or complex) value, as parse computed it for its range check
 
     def validate(self, tol: float = DEFAULT_TOL) -> DensityMatrix:
-        """`states.validate` on the float values, keeping the Exact entries of a real file."""
+        """`states.validate` on the float values, keeping the Exact entries of a
+        real file when they are exactly symmetric."""
         real = self.array.dtype == object  # a copy for the state, whose entries are read-only
-        return validate(self.floats, self.dims, tol=tol, exact_values=self.array.copy if real else None)
+        return validate(self.floats, self.dims, tol=tol,
+                        exact_values=(lambda: exact_if_symmetric(self.array.copy())) if real else None)
 
 
 def parse(text: str) -> ParsedMatrix:
@@ -142,6 +158,10 @@ def parse(text: str) -> ParsedMatrix:
             m = re.match(r"^\s*dims\s+(\d+)\s+(\d+)\s+(\d+)\s*$", line)
             if not m:
                 raise ParseError(lineno, 1, "expected header 'dims <n> <d1> <d2>'")
+            try:
+                _check_digits(line)
+            except ValueError as exc:
+                raise ParseError(lineno, 1, str(exc)) from None
             header = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
             n, d1, d2 = header
             if d1 * d2 != n:

@@ -5,18 +5,21 @@ A validated `DensityMatrix` is the one record every criterion reads.
 exact entries (int, Fraction or Exact) as an object matrix, whose float matrix
 it reads off with one conversion per entry.  A caller that has the float
 matrix already (the corpus, the matrix-file parser) hands it over with a
-function that builds the Exact entries.  `validate` solves rho's spectrum
-once and stores it.  The state's `exact` entries, every other derived matrix
-and spectrum (L_rho, rho^TB, L^TB, phi(rho) - I; the spectra of rho^TB, L,
-L + rho^TB, L^TB and phi(rho) - I; det(phi(rho) - I), the product of that
-last spectrum, so no LU is run) and the coherence graph's total degree,
-connectivity and max W are computed the first time they are read.  Criteria
-called one after another on the same state share that work, and a criterion
-computes only what it reads.  Every decision quantity is floating point, also
-for exact inputs: the Laplacian and the graph are read off the float matrix,
-and no criterion reads an Exact.  `literal` is the one place that picks a
-state's exact entries over its float ones, for what is printed (matrix files,
-the Laplacian and graph the CLI writes).
+function that builds the Exact entries.  Exact entries from a matrix file
+or an object matrix are kept only when they are exactly symmetric: a state
+that is Hermitian only within the tolerance is their average, and prints its
+floats.  `validate` solves rho's spectrum once and stores it.  The state's
+`exact` entries, every other derived matrix and spectrum (L_rho, rho^TB,
+L^TB, phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB and
+phi(rho) - I; det(phi(rho) - I), the product of that last spectrum, so no LU
+is run), the coherence graph (its read-only weight array) and the graph's
+total degree, connectivity and max W are computed the first time they are
+read.  Criteria called one after another on the same state share that work,
+and a criterion computes only what it reads.  Every decision quantity is
+floating point, also for exact inputs: the Laplacian and the graph are read
+off the float matrix, and no criterion reads an Exact.  `literal` is the one
+place that picks a state's exact entries over its float ones, for what is
+printed (matrix files, the Laplacian and graph the CLI writes).
 
 A stack of states is one `DensityMatrix` whose arrays have a leading state
 axis: `validate` takes a (b, n, n) stack and checks each state, and every
@@ -78,7 +81,9 @@ class DensityMatrix:
     `exact` is the read-only object matrix of the Exact entries the state was
     validated from, or None for a float or complex input; `array` holds their
     float values.  `exact_source` builds them the first time `exact` is read,
-    and `literal` is `exact` when the state has it and `array` otherwise.
+    or gives None for entries that are not exactly symmetric (see
+    `exact_if_symmetric`), and `literal` is `exact` when the state has it and
+    `array` otherwise.
     States compare by identity.  Construct via `validate()`.
     """
 
@@ -86,7 +91,7 @@ class DensityMatrix:
     dims: BipartiteDims
     spectrum: np.ndarray = field(repr=False)
     validation_tolerance: float = DEFAULT_TOL
-    exact_source: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    exact_source: Callable[[], np.ndarray | None] | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -120,8 +125,7 @@ class DensityMatrix:
     connected = _derived(lambda self: is_connected(self.graph))
     # wgraph.max_w (EXCLUDED convention); None when the graph has no edges, and
     # a stack's is NaN there
-    max_w = _derived(lambda self: max_w(self.graph) if self.graph.weights.ndim == 3 or self.graph.edge_count()
-                     else None)
+    max_w = _derived(lambda self: max_w(self.graph) if self.graph.ndim == 3 or self.graph.any() else None)
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,21 @@ class PurityReport:
     rank: int
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+def _read_only(a: np.ndarray | None) -> np.ndarray | None:
+    if a is not None:
+        a.flags.writeable = False
     return a
+
+
+def exact_if_symmetric(m: np.ndarray) -> np.ndarray | None:
+    """The real exact matrix or stack m when it is exactly symmetric, else None.
+
+    Exact entries from outside (a matrix file, an object matrix) pass `validate`
+    when they are Hermitian within its tolerance, and the state is their average;
+    entries that are not exactly symmetric are not that state's, so it prints
+    its floats instead.
+    """
+    return m if (m == m.swapaxes(-1, -2)).all() else None
 
 
 def _minus_identity(m: np.ndarray) -> np.ndarray:
@@ -144,7 +160,7 @@ def _minus_identity(m: np.ndarray) -> np.ndarray:
 
 
 def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
-             exact_values: Callable[[], np.ndarray] | None = None) -> DensityMatrix:
+             exact_values: Callable[[], np.ndarray | None] | None = None) -> DensityMatrix:
     """Validate `raw` as a density matrix, or a (b, n, n) stack of them, or
     raise StateValidationError.
 
@@ -154,8 +170,9 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     converted to float once; an entry too large for a float, like one that is
     not finite, is a ValueError.  A caller that has the float matrix already
     passes it as `raw`, and `exact_values`, which gives the object matrix of
-    Exact entries it is the floats of.  Either way the state's `exact` entries
-    are built when first read.  The violated axioms are listed in order:
+    Exact entries it is the floats of, or None.  Either way the state's `exact`
+    entries are built when first read; an object matrix's are dropped there
+    unless they are exactly symmetric.  The violated axioms are listed in order:
     DimensionMismatch or NotHermitian alone, else TraceNotOne and NotPSD.
     Hermiticity is enforced exactly by averaging with the conjugate transpose
     once the asymmetry is known to be below `tol`; the averaged matrix's
@@ -172,7 +189,7 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
             a = values.astype(float)
         except OverflowError:
             raise ValueError("matrix entries must be finite") from None
-        exact_values = lambda: _to_exact(values)
+        exact_values = lambda: exact_if_symmetric(_to_exact(values))
     a = as_stack(a)
     if a.ndim > 3:
         raise DimensionMismatch(f"expected a matrix or a stack of them, got shape {a.shape}")

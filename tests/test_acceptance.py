@@ -70,7 +70,7 @@ def _exact_edges(rho) -> dict[tuple[int, int], Fraction]:
 
 def _bare_sum(g, i: int, j: int) -> Exact:
     """d_i + d_j: the endpoint weights of edge (i, j) without W's cross sums."""
-    return g.weights[i].sum() + g.weights[j].sum()
+    return g[i].sum() + g[j].sum()
 
 
 # ----------------------------------------------------------------- 1
@@ -477,7 +477,7 @@ def test_criterion_08_spectral_graph_bound(psi, rho3, rho5):
             dims = [BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)][checked % 3]
             rho = random_density(rng, dims)
         g = graph_from_laplacian(laplacian_of_density(rho.literal))
-        if not g.edges or not is_connected(g):
+        if not g.any() or not is_connected(g):
             continue
         checked += 1
         lam_max = float(eigvals_sym(laplacian_of_density(rho))[-1])
@@ -727,7 +727,7 @@ def test_criterion_08_necessity_bounds():
         rho = random_density(rng, BipartiteDims(2, 2))
         lap = laplacian_of_density(rho)
         g = graph_from_laplacian(lap)
-        if ppt_oracle(rho)[0] != "NPT" or not g.edges or not is_connected(g):
+        if ppt_oracle(rho)[0] != "NPT" or not g.any() or not is_connected(g):
             continue
         npt_checked += 1
         half_inc = float(max_w(g, WConvention.INCLUSIVE)) / 2

@@ -16,11 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from entlap import cli, states
 from entlap.cli import main
 from entlap.corpus import build, get_entry
+from entlap.exact import Exact
 from entlap.criteria import DecisionTolerance, cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt, thm6_ppt
 from entlap.laplacian import laplacian_of_density
 from entlap.matrixfile import emit, parse
 from entlap.states import validate
-from entlap.wgraph import export_dot, graph_from_laplacian
+from entlap.wgraph import edges, export_dot, graph_from_laplacian
 
 from _sampling import corpus_points
 
@@ -120,6 +121,20 @@ class TestValidate:
                               capture_output=True, text=True, timeout=5)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == "error: line 5, column 7: exponent above the limit 10000\n"
+
+    @pytest.mark.parametrize("max_str_digits", [None, "0"])  # Python's default limit, and none
+    def test_digit_run_above_the_limit_exit_1_under_every_setting(self, tmp_path, max_str_digits):
+        path = tmp_path / "digits.mat"
+        path.write_text(f"dims 4 2 2\n1/4 0 0 0\n0 1/4 0 0\n0 0 1/4 0\n0 0 0 1/{'1' * 5000}\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if max_str_digits is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = max_str_digits
+        done = subprocess.run([sys.executable, "-m", "entlap.cli", "validate", str(path)], env=env,
+                              capture_output=True, text=True, timeout=20)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == "error: line 5, column 7: more digits in a row than the limit 4300\n"
 
     def test_radicand_above_the_limit_exit_1(self, tmp_path):
         # trial division would take seconds to factor this radicand (~5e6 steps), so
@@ -229,6 +244,18 @@ class TestLaplacian:
 
         np.testing.assert_allclose(parsed.array.astype(float), laplacian_of_density(psi), atol=1e-11)
 
+    def test_file_hermitian_only_within_tol_prints_a_laplacian(self, capsys, tmp_path):
+        # the state averages (1,2) and (2,1); its Laplacian is symmetric with zero row sums
+        path = tmp_path / "near.mat"
+        path.write_text("dims 4 2 2\n1/4 1/10 0 0\n1000000000001/10000000000000 1/4 0 0\n"
+                        "0 0 1/4 0\n0 0 0 1/4\n")
+        code, out, _ = run(capsys, "laplacian", str(path))
+        assert code == 0
+        lap = parse(out).array
+        assert (lap == lap.T).all()
+        assert all(sum(row, Exact()).is_zero() for row in lap)
+        assert lap[0, 1] == Exact.of(Fraction(-1, 10))
+
     def test_unwritable_out_path_exit_3(self, capsys, tmp_path):
         out_path = tmp_path / "no_such_dir" / "x.txt"
         code, out, err = run(capsys, "laplacian", "--state", "rho3", "--out", str(out_path))
@@ -271,7 +298,7 @@ class TestGraph:
 
     @staticmethod
     def _record(rho):
-        return rho.graph.edge_count(), rho.connected, rho.total_degree, rho.max_w
+        return len(edges(rho.graph)[0]), rho.connected, rho.total_degree, rho.max_w
 
     @pytest.mark.parametrize("name, param", list(corpus_points()))
     def test_prints_the_states_record(self, capsys, tmp_path, name, param):

@@ -8,7 +8,8 @@ from entlap import matrixfile
 from entlap.corpus import build, list_entries
 from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
-from entlap.matrixfile import MAX_EXPONENT, MAX_RADICAND, ParseError, emit, format_scalar, parse, parse_entry
+from entlap.matrixfile import (MAX_DIGITS, MAX_EXPONENT, MAX_RADICAND, ParseError, emit, format_scalar, parse,
+                               parse_entry)
 from entlap.states import validate
 
 
@@ -66,6 +67,25 @@ class TestEntryGrammar:
                     "1e" + "9" * 5000):
             with pytest.raises(ValueError, match=f"^exponent above the limit {MAX_EXPONENT}$"):
                 parse_entry(bad)
+
+
+    def test_digit_limit(self):
+        # Python reads at most 4300 digits from a string by default; the parser refuses
+        # longer runs itself, before int() or Fraction sees them, under every setting
+        assert MAX_DIGITS == 4300
+        assert parse_entry("1" * MAX_DIGITS)[0] == Exact.of(int("1" * MAX_DIGITS))
+        assert parse_entry(f"0.{'1' * MAX_DIGITS}e-5")[0] == Exact.of(Fraction(int("1" * MAX_DIGITS), 10**4305))
+        for bad in ("1" * 5000, "1/" + "1" * 5000, "sqrt(2)/" + "3" * 5000, "0." + "1" * 5000,
+                    "1e-" + "0" * 5000 + "5", "1/4+" + "2" * 5000 + "i"):
+            with pytest.raises(ValueError, match=f"^more digits in a row than the limit {MAX_DIGITS}$"):
+                parse_entry(bad)
+
+    def test_digit_limit_in_a_file(self):
+        rows = "\n".join(" ".join("1/4" if i == j else "0" for j in range(4)) for i in range(4))
+        for text, where in [(f"dims {'0' * 5000}4 2 2\n{rows}\n", "line 1, column 1"),
+                            (f"dims 4 2 2\n{rows}\n".replace("1/4", f"{'0' * 5000}1/4", 1), "line 2, column 1")]:
+            with pytest.raises(ParseError, match=f"^{where}: more digits in a row than the limit {MAX_DIGITS}$"):
+                parse(text)
 
 
 class TestParse:
@@ -161,6 +181,14 @@ class TestParse:
         state = parsed.validate()
         assert state.array.tobytes() == validate(parsed.array, parsed.dims).array.tobytes()
         assert state.exact is None
+
+    def test_file_hermitian_only_within_tol_emits_its_state(self):
+        # (1,2) and (2,1) differ by 1e-13: the state is their average, not the file's entries
+        text = "dims 4 2 2\n1/4 1/10 0 0\n1000000000001/10000000000000 1/4 0 0\n0 0 1/4 0\n0 0 0 1/4\n"
+        state = parse(text).validate()
+        assert state.exact is None
+        again = parse(emit(state)).array
+        assert (again == again.T).all() and again[0, 1] == Exact.of(Fraction(1, 10))
 
     def test_row_length_checked(self):
         with pytest.raises(ParseError):

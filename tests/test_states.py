@@ -125,6 +125,16 @@ class TestExactCompanion:
         rho = _dm(np.eye(4) / 4, 2, 2)
         assert rho.exact is None
 
+    def test_entries_hermitian_only_within_tol_are_not_exact(self):
+        # the state is the average of the entries, so they are not its entries
+        m = np.diag([Fraction(1, 4)] * 4).astype(object)
+        m[0, 1], m[1, 0] = Fraction(1, 10), Fraction(1000000000001, 10000000000000)
+        rho = validate(m, BipartiteDims(2, 2))
+        assert rho.exact is None and rho.literal is rho.array
+        assert rho.array[0, 1] == rho.array[1, 0] != 0.1
+        m[1, 0] = Fraction(1, 10)
+        assert validate(m, BipartiteDims(2, 2)).exact[1, 0] == Exact.of(Fraction(1, 10))
+
     @pytest.mark.parametrize("entry", [0.25, 0.25 + 0j, "1/4", None])
     def test_object_entry_of_another_type_is_a_type_error(self, entry):
         m = np.array([[Fraction(1, 4) if i == j else 0 for j in range(4)] for i in range(4)], dtype=object)
@@ -318,7 +328,7 @@ class TestStacks:
                     assert name == "max_w" and np.isnan(got), k
                 else:
                     assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
-            assert stack.graph.weights[k].tobytes() == alone.graph.weights.tobytes()
+            assert stack.graph[k].tobytes() == alone.graph.tobytes()
         assert np.isnan(stack.max_w).tolist() == [False, False, False, False, True] * 2
 
     def test_rows_share_one_kernel_call_per_value(self, monkeypatch, rng):

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from entlap import wgraph
-from entlap.corpus import build
-from entlap.errors import NoEdges, NotAnEdge, VertexOutOfRange
+from entlap.corpus import build, build_stack
+from entlap.criteria import classify
+from entlap.errors import DimensionMismatch, NoEdges, NotAnEdge, VertexOutOfRange
 from entlap.exact import Exact
 from entlap.laplacian import laplacian_of_density
 from entlap.matops import BipartiteDims, eigvals_sym
 from entlap.states import validate
 from entlap.wgraph import (
     WConvention,
-    WeightedGraph,
     edge_w,
+    edges,
     export_dot,
     graph_from_laplacian,
     is_connected,
@@ -29,9 +30,14 @@ def _graph_of(rho):
     return graph_from_laplacian(laplacian_of_density(rho.literal))
 
 
+def _edge_list(g):
+    """(i, j, w) for every edge of one graph, i < j, in row-major order."""
+    return [(int(i), int(j), g[i, j]) for i, j in zip(*edges(g))]
+
+
 def _degree(g, i):
     """w_i, the sum of vertex i's incident edge weights: a row sum of the weights."""
-    return g.weights[i].sum()
+    return g[i].sum()
 
 
 def _random_density(rng, d1, d2):
@@ -43,18 +49,18 @@ def _random_density(rng, d1, d2):
 class TestGraphFromLaplacian:
     def test_rho2_edge_set(self, rho2):
         g = _graph_of(rho2)
-        assert g.vertex_count == 8
+        assert g.shape == (8, 8)
         weight = Exact.of(Fraction(1, 81))
-        assert set(g.edges) == {(0, 4, weight), (0, 7, weight), (3, 4, weight), (3, 7, weight)}
+        assert set(_edge_list(g)) == {(0, 4, weight), (0, 7, weight), (3, 4, weight), (3, 7, weight)}
 
     def test_zero_laplacian_edgeless(self):
         rho = validate(np.diag([0.25] * 4), BipartiteDims(2, 2))
-        assert _graph_of(rho).edges == ()
+        assert _edge_list(_graph_of(rho)) == []
 
     def test_rho5_edge_set(self, rho5):
         g = _graph_of(rho5)
         weight = Exact.of(Fraction(1, 20))
-        assert set(g.edges) == {(0, 1, weight), (0, 3, weight), (2, 3, weight)}
+        assert set(_edge_list(g)) == {(0, 1, weight), (0, 3, weight), (2, 3, weight)}
 
     def test_round_trip_reconstruction(self, rng):
         for _ in range(500):
@@ -62,7 +68,7 @@ class TestGraphFromLaplacian:
             lap = laplacian_of_density(rho)
             g = graph_from_laplacian(lap)
             rebuilt = np.zeros((4, 4))
-            for i, j, w in g.edges:
+            for i, j, w in _edge_list(g):
                 rebuilt[i, j] = rebuilt[j, i] = -float(w)
             np.fill_diagonal(rebuilt, -rebuilt.sum(axis=1))
             assert np.max(np.abs(rebuilt - lap)) <= 1e-12
@@ -70,7 +76,7 @@ class TestGraphFromLaplacian:
     def test_total_degree_consistency(self, rho2, psi, rng):
         for rho in [rho2, psi] + [_random_density(rng, 2, 3) for _ in range(100)]:
             g = _graph_of(rho)
-            total = sum(float(_degree(g, i)) for i in range(g.vertex_count))
+            total = sum(float(_degree(g, i)) for i in range(len(g)))
             assert total == pytest.approx(rho.total_degree, abs=1e-12)
 
 
@@ -82,9 +88,7 @@ class TestConnectivity:
         assert is_connected(_graph_of(rho3))
 
     def test_single_vertex(self):
-        from entlap.wgraph import WeightedGraph
-
-        assert is_connected(WeightedGraph(np.zeros((1, 1))))
+        assert is_connected(np.zeros((1, 1)))
 
     def test_matches_bruteforce(self, rng):
         for _ in range(300):
@@ -153,7 +157,7 @@ class TestEdgeW:
 
     def test_inclusive_adds_shared_edge_twice(self, rho5):
         g = _graph_of(rho5)
-        for i, j, w in g.edges:
+        for i, j, w in _edge_list(g):
             assert edge_w(g, i, j, WConvention.INCLUSIVE) == edge_w(g, i, j) + w + w
 
     def test_matches_bruteforce_both_conventions(self, rng):
@@ -162,7 +166,7 @@ class TestEdgeW:
             g = _graph_of(rho)
             lap = laplacian_of_density(rho)
             edges = bf_edges(lap)
-            for i, j, _ in g.edges:
+            for i, j, _ in _edge_list(g):
                 for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
                     got = float(edge_w(g, i, j, convention))
                     want = bf_edge_w(6, edges, i, j, inclusive)
@@ -233,7 +237,7 @@ class TestClosedFormW:
                 rho = _sparse_density(rng, d1, d2, keep=0.35, split=kind == "disconnected")
             g = _graph_of(rho)
             edges = bf_edges(laplacian_of_density(rho))
-            assert {(i, j) for i, j, _ in g.edges} == set(edges)
+            assert {(i, j) for i, j, _ in _edge_list(g)} == set(edges)
             seen["sparse"] += len(edges) <= n * (n - 1) / 4
             seen["disconnected"] += not bf_connected(n, edges)
             for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
@@ -250,8 +254,8 @@ class TestWAcrossSlices:
 
     @staticmethod
     def _slices(g):
-        per_slice = wgraph.SLICE_ENTRIES // g.vertex_count
-        return -(-g.edge_count() // per_slice)
+        per_slice = wgraph.SLICE_ENTRIES // g.shape[-1]
+        return -(-len(edges(g)[0]) // per_slice)
 
     def test_float_matches_bruteforce_at_4x8(self, rng):
         for kind in ("dense", "sparse", "dense", "sparse"):
@@ -261,9 +265,9 @@ class TestWAcrossSlices:
                 rho = _sparse_density(rng, 4, 8, keep=0.35, split=False)
             g = _graph_of(rho)
             edges = bf_edges(laplacian_of_density(rho))
-            assert {(i, j) for i, j, _ in g.edges} == set(edges)
+            assert {(i, j) for i, j, _ in _edge_list(g)} == set(edges)
             if kind == "dense":
-                assert g.edge_count() == 496 and self._slices(g) >= 2
+                assert len(_edge_list(g)) == 496 and self._slices(g) >= 2
             for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
                 want = {(i, j): bf_edge_w(32, edges, i, j, inclusive) for i, j in edges}
                 for (i, j), value in want.items():
@@ -274,10 +278,9 @@ class TestWAcrossSlices:
         n = 26
         fractions = {(i, j): Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 12)))
                      for i in range(n) for j in range(i + 1, n)}
-        w = np.full((n, n), Exact.of(0), dtype=object)
+        g = np.full((n, n), Exact.of(0), dtype=object)
         for (i, j), value in fractions.items():
-            w[i, j] = w[j, i] = Exact.of(value)
-        g = WeightedGraph(w)
+            g[i, j] = g[j, i] = Exact.of(value)
         assert self._slices(g) >= 2
         for convention, inclusive in [(WConvention.EXCLUDED, False), (WConvention.INCLUSIVE, True)]:
             assert max_w(g, convention) == Exact.of(bf_max_w(n, fractions, inclusive))
@@ -299,36 +302,45 @@ class TestStackedGraphs:
 
     @pytest.mark.parametrize("n, count", [(4, 9), (9, 7), (64, 12)])  # the last spans many W slices
     def test_matches_each_graph_alone(self, rng, n, count):
-        stack = WeightedGraph(self._stack(rng, n, count))
-        alone = [WeightedGraph(w) for w in stack.weights]
-        assert stack.edge_count() == sum(g.edge_count() for g in alone)
+        stack = self._stack(rng, n, count)
+        alone = list(stack)
+        assert len(edges(stack)[0]) == sum(len(edges(g)[0]) for g in alone)
         assert list(is_connected(stack)) == [is_connected(g) for g in alone]
         for convention in WConvention:
             best = max_w(stack, convention)
             assert np.isnan(best[1])
             for k, g in enumerate(alone):
-                if g.edge_count():
+                if g.any():
                     assert best[k] == max_w(g, convention)
 
     def test_stack_without_edges(self):
-        stack = WeightedGraph(np.zeros((3, 4, 4)))
+        stack = np.zeros((3, 4, 4))
         assert not is_connected(stack).any()
         assert np.isnan(max_w(stack)).all()
+
+    def test_one_graph_readers_reject_a_stack(self):
+        values = [0.1, 0.5, 0.9]
+        stack = build_stack("rho6", values).graph
+        for read in (lambda g: edge_w(g, 0, 1), export_dot):
+            with pytest.raises(DimensionMismatch, match="^expected one graph, got a stack of 3$"):
+                read(stack)
+        alone = [build("rho6", a).graph for a in values]
+        assert is_connected(stack).tolist() == [is_connected(g) for g in alone]
+        assert max_w(stack).tolist() == [max_w(g) for g in alone]
 
     def test_graph_from_stacked_laplacians(self, rng):
         states = [_random_density(rng, 2, 3), _sparse_density(rng, 2, 3, keep=0.35, split=True)]
         stack = graph_from_laplacian(np.stack([laplacian_of_density(rho) for rho in states]))
         for k, rho in enumerate(states):
-            assert stack.weights[k].tobytes() == _graph_of(rho).weights.tobytes()
+            assert stack[k].tobytes() == _graph_of(rho).tobytes()
 
 
 class TestWMemory:
     def test_dense_64_vertex_peak_below_512_kib(self, rng):
         # a kernel that gathers all (E, n) rows or an n^3 broadcast peaks at megabytes here
-        a = rng.random((64, 64))
-        a = np.triu(a, 1) + np.triu(a, 1).T
-        g = WeightedGraph(a)
-        assert g.edge_count() == 2016
+        g = np.triu(rng.random((64, 64)), 1)
+        g = g + g.T
+        assert len(edges(g)[0]) == 2016
         tracemalloc.start()
         try:
             for convention in WConvention:
@@ -340,8 +352,8 @@ class TestWMemory:
 
 
 class TestEdgeIndex:
-    def test_found_once_per_graph(self, monkeypatch, rho3):
-        g = _graph_of(rho3)
+    def test_found_once_per_graph(self, monkeypatch):
+        """`classify` finds the edges of a state's graph with one np.nonzero."""
         calls = []
         nonzero = np.nonzero
 
@@ -349,11 +361,11 @@ class TestEdgeIndex:
             calls.append(a)
             return nonzero(a)
 
+        states = [build("rho3"), build("rho5")]
         monkeypatch.setattr(wgraph.np, "nonzero", counting)
-        assert g.edge_count() == 6 and len(g.edges) == 6
-        for convention in WConvention:
-            max_w(g, convention)
-        assert len(calls) == 1
+        for count, rho in enumerate(states, start=1):
+            classify(rho)
+            assert len(calls) == count
 
 
 class TestSpectralBound:
@@ -364,7 +376,7 @@ class TestSpectralBound:
             d1, d2 = [(2, 2), (2, 3), (3, 3)][int(rng.integers(3))]
             rho = _random_density(rng, d1, d2)
             g = _graph_of(rho)
-            if not g.edges or not is_connected(g):
+            if not g.any() or not is_connected(g):
                 continue
             checked += 1
             lam_max = float(eigvals_sym(laplacian_of_density(rho))[-1])
@@ -403,9 +415,7 @@ class TestSpectralBound:
 
 class TestExportDot:
     def test_edgeless_two_vertices(self):
-        from entlap.wgraph import WeightedGraph
-
-        dot = export_dot(WeightedGraph(np.zeros((2, 2))))
+        dot = export_dot(np.zeros((2, 2)))
         assert dot == "graph G {\n  1;\n  2;\n}\n"
 
     def test_rho5_labels(self, rho5):
