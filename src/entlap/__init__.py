@@ -5,7 +5,6 @@ from .errors import (
     AxiomViolation,
     DimensionMismatch,
     EntlapError,
-    NoEdges,
     NotAnEdge,
     ParameterOutOfDomain,
     StateValidationError,
@@ -15,7 +14,7 @@ from .errors import (
 )
 from .exact import Exact
 from .matops import BipartiteDims, partial_transpose
-from .states import DensityMatrix, PurityReport, linear_entropy, purity, purity_report, rank, validate
+from .states import DensityMatrix, linear_entropy, purity, rank, validate
 from .laplacian import laplacian_of_density, phi
 from .wgraph import (
     WConvention,
@@ -51,12 +50,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomViolation", "BipartiteDims", "ClassificationReport", "CriterionId", "CriterionResult",
-    "DecisionTolerance", "DensityMatrix", "DimensionMismatch", "EntlapError", "Exact",
-    "NoEdges", "NotAnEdge", "ParameterOutOfDomain", "ParseError", "PurityReport",
-    "StateValidationError", "UnknownState", "Verdict", "VertexOutOfRange", "WConvention",
-    "WrongDimensions", "classify", "cor4a_nptes", "cor6_ppt", "corpus", "edge_w", "edges",
-    "emit", "export_dot", "graph_from_laplacian", "is_connected", "laplacian_of_density",
-    "linear_entropy", "max_w", "parse", "partial_transpose", "phi", "ppt_oracle", "purity",
-    "purity_report", "purity_test", "rank", "thm3_separability", "thm3a_bounds", "thm3b_check",
-    "thm4a_check", "thm5_ppt", "thm6_ppt", "validate",
+    "DecisionTolerance", "DensityMatrix", "DimensionMismatch", "EntlapError", "Exact", "NotAnEdge",
+    "ParameterOutOfDomain", "ParseError", "StateValidationError", "UnknownState", "Verdict",
+    "VertexOutOfRange", "WConvention", "WrongDimensions", "classify", "cor4a_nptes", "cor6_ppt",
+    "corpus", "edge_w", "edges", "emit", "export_dot", "graph_from_laplacian", "is_connected",
+    "laplacian_of_density", "linear_entropy", "max_w", "parse", "partial_transpose", "phi",
+    "ppt_oracle", "purity", "purity_test", "rank", "thm3_separability", "thm3a_bounds",
+    "thm3b_check", "thm4a_check", "thm5_ppt", "thm6_ppt", "validate",
 ]

@@ -19,7 +19,7 @@ from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
 from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
 from .matrixfile import ParseError, emit, parse
-from .states import DensityMatrix, purity_report
+from .states import DensityMatrix, linear_entropy, purity, rank
 from .wgraph import edges, export_dot, graph_from_laplacian
 
 EXIT_OK = 0
@@ -111,8 +111,8 @@ def _load_state(args) -> tuple[DensityMatrix, str]:
     raise CliError(EXIT_USAGE, "provide a matrix file or --state NAME")
 
 
-def _add_state_args(p: argparse.ArgumentParser, file_optional: bool = True):
-    p.add_argument("file", nargs="?" if file_optional else None, help="matrix file")
+def _add_state_args(p: argparse.ArgumentParser):
+    p.add_argument("file", nargs="?", help="matrix file")
     p.add_argument("--state", help="corpus state name")
     p.add_argument("--param", type=finite_float, help="corpus state parameter")
 
@@ -125,9 +125,8 @@ def cmd_validate(args) -> int:
         for v in exc.violations:
             print(str(v))
         return EXIT_VALIDATION
-    report = purity_report(rho)
-    print(f"VALID dims {rho.dims.d1}x{rho.dims.d2} purity {_fmt(report.purity)} "
-          f"linear_entropy {_fmt(report.linear_entropy)} rank {report.rank}")
+    print(f"VALID dims {rho.dims.d1}x{rho.dims.d2} purity {_fmt(purity(rho))} "
+          f"linear_entropy {_fmt(linear_entropy(rho))} rank {rank(rho)}")
     return EXIT_OK
 
 
@@ -185,7 +184,7 @@ def cmd_graph(args) -> int:
     conn = "connected" if rho.connected else "disconnected"
     print(f"vertices {rho.n} edges {len(edges(rho.graph)[0])} {conn}")
     print(f"total_degree {_fmt(rho.total_degree)}")
-    print("max_w undefined (no edges)" if rho.max_w is None else f"max_w {_fmt(rho.max_w)}")
+    print("max_w undefined (no edges)" if math.isnan(rho.max_w) else f"max_w {_fmt(rho.max_w)}")
     return EXIT_OK
 
 
@@ -223,10 +222,10 @@ def cmd_sweep(args) -> int:
         oracle_codes, lam_ptbs = oracle(stack, args.eps)
         columns = [[ORACLE_VERDICTS[c] for c in oracle_codes.tolist()]]
         for criterion in (thm3, thm5, thm6, cor6):
-            table, codes, _ = criterion(stack, args.eps)
+            table, codes, scalars = criterion(stack, args.eps)
             names = [outcome.verdict.value for outcome in table.outcomes]
             columns.append([names[c] for c in codes.tolist()])
-        lam_rhos, halves = stack.spectrum.T[0], stack.max_w / 2.0  # COR6's scalars; NaN halves: no edges
+        lam_rhos, halves = scalars["lambda_min_rho"], scalars["half_max_w"]  # cor6's, the last; NaN: no edges
         for value, lam_rho, lam_ptb, half, oracle_v, thm3_v, thm5_v, thm6_v, cor6_v in zip(
                 values, lam_rhos.tolist(), lam_ptbs.tolist(), halves.tolist(), *columns):
             lines.append((_ROW_NO_EDGES if math.isnan(half) else _ROW) % (

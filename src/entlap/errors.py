@@ -25,10 +25,6 @@ class NotAnEdge(EntlapError):
     """Requested vertex pair is not an edge of the graph."""
 
 
-class NoEdges(EntlapError):
-    """Operation requires at least one edge."""
-
-
 class UnknownState(EntlapError):
     """No corpus state with the requested name."""
 

@@ -3,21 +3,43 @@
 This is the small arithmetic layer that lets matrix entries like 1/81 or
 sqrt(7)/8 survive the Laplacian / graph / edge-functional pipeline without
 floating-point truncation.  Only the operations that pipeline needs are
-implemented: +, -, *, absolute value, comparisons.
+implemented: +, -, *, absolute value, comparisons.  `format_scalar` is the
+one writer of a printed entry: a matrix-file literal, else a 12-digit decimal.
 
 Radicands are kept square-free (sqrt(8) is normalised to 2*sqrt(2)); the
 rational part is the radicand-1 term.  Signs of one- and two-term values are
 decided exactly; values with three or more distinct radicals fall back to a
 guarded float comparison (they never occur in the built-in state corpus).
+
+A literal never holds more than MAX_DIGITS digits in a row, the parser's
+limit: a longer numerator or denominator, found by integer comparison under
+any int-to-str setting, has no literal and is printed as its decimal.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 Rational = Union[int, Fraction]
+
+# The longest run of digits a literal may hold: the most int() reads from a string
+# under Python's default setting, so what parses and prints does not depend on that setting.
+MAX_DIGITS = 4300
+_LITERAL_BOUND = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+
+
+def _writable(c: Fraction) -> bool:
+    """Whether c's numerator and denominator each have at most MAX_DIGITS digits, by integer comparison."""
+    return -_LITERAL_BOUND < c.numerator < _LITERAL_BOUND and c.denominator < _LITERAL_BOUND
+
+
+def _coefficient(c: Fraction) -> str:
+    """c as str() writes it, or its 12-significant-digit decimal when p or q has more than MAX_DIGITS digits."""
+    return str(c) if _writable(c) else format(Decimal(c.numerator) / c.denominator, ".12g")
 
 
 def _square_free(k: int) -> tuple[int, int]:
@@ -46,6 +68,7 @@ def _square_free(k: int) -> tuple[int, int]:
     return (m * s, r) if s * s == n else (m, r * n)
 
 
+@total_ordering
 class Exact:
     """Immutable element of Q(sqrt(k1), sqrt(k2), ...)."""
 
@@ -201,24 +224,6 @@ class Exact:
             return NotImplemented
         return (self - o).sign() < 0
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
     def __hash__(self):
         return hash(tuple(self._terms.items()))
 
@@ -228,14 +233,17 @@ class Exact:
         """Render as a single matrix-file literal, or None if not expressible.
 
         Expressible forms: "p/q" or "p" (rational), "sqrt(k)/q", "p*sqrt(k)/q"
-        and their negations.  Multi-term values (e.g. 3/8 + sqrt(7)/8) return
-        None and the caller falls back to a decimal rendering.
+        and their negations, with p and q of at most MAX_DIGITS digits.
+        Multi-term values (e.g. 3/8 + sqrt(7)/8) and longer p or q return None
+        and the caller falls back to a decimal rendering.
         """
         if not self._terms:
             return "0"
         if len(self._terms) > 1:
             return None
         k, c = next(iter(self._terms.items()))
+        if not _writable(c):
+            return None
         if k == 1:
             return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
         sign = "-" if c < 0 else ""
@@ -248,10 +256,20 @@ class Exact:
         if lit is not None:
             return f"Exact({lit})"
         parts = " + ".join(
-            (str(c) if k == 1 else f"{c}*sqrt({k})") for k, c in self._terms.items()
+            (_coefficient(c) if k == 1 else f"{_coefficient(c)}*sqrt({k})") for k, c in self._terms.items()
         )
         return f"Exact({parts})"
 
 
 # The one zero: Exact is immutable, so every zero entry can share it.
 ZERO = Exact()
+
+
+def format_scalar(value: Exact | float) -> str:
+    """Exact literal when expressible, else 12-significant-digit decimal."""
+    if isinstance(value, Exact):
+        lit = value.format_literal()
+        if lit is not None:
+            return lit
+        value = float(value)
+    return f"{value:.12g}"

@@ -21,12 +21,14 @@ above MAX_RADICAND is a ParseError.  Decimals are parsed exactly (via Fraction
 of the decimal string), so emit -> parse round-trips are exact for every
 literal the emitter produces.  Fraction computes 10**e for a decimal's
 exponent e, so an exponent above MAX_EXPONENT in magnitude is a ParseError
-before any Fraction is built.  So is a run of more than MAX_DIGITS (4300)
-digits anywhere in a file, before int() or Fraction reads it: Python refuses
-longer runs by default, and a setting can lift that limit, so the check
-keeps the set of files that parse the same under every setting.  A zero
-denominator is a ParseError.  `parse` parses each distinct token of a file
-once, and equal tokens share one Exact (Exact is immutable).  It returns a
+before any Fraction is built.  So is a run of more than MAX_DIGITS (4300,
+from `exact`) digits anywhere in a file, before int() or Fraction reads it:
+Python refuses longer runs by default, and a setting can lift that limit, so
+the check keeps the set of files that parse the same under every setting.
+`emit` writes each entry with `exact.format_scalar`, which never writes a
+longer run, so what it writes parses.  A zero denominator is a ParseError.
+`parse` parses each distinct token of a file once, and equal tokens share
+one Exact (Exact is immutable).  It returns a
 real file as its object matrix of Exact entries and a file with an imaginary
 part as a complex array, each with the entries' float values it computed for
 its range check; `ParsedMatrix.validate` hands `validate` those floats, and
@@ -45,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, EntlapError
-from .exact import ZERO, Exact
+from .exact import MAX_DIGITS, ZERO, Exact, format_scalar
 from .matops import BipartiteDims
 from .states import DEFAULT_TOL, DensityMatrix, exact_if_symmetric, validate
 
@@ -56,9 +58,6 @@ _CORE = rf"(?:{_RADICAL}|{_RATIONAL}|{_DECIMAL})"
 _ENTRY_RE = re.compile(rf"^(?P<re_sign>[+-]?)(?P<re_core>{_CORE})(?:(?P<im_sign>[+-])(?P<im_core>{_CORE})i)?$")
 _RADICAL_RE = re.compile(r"^(?:(?P<p>\d+)\*)?sqrt\((?P<k>\d+)\)(?:/(?P<q>\d+))?$")
 MAX_RADICAND = 10**12
-# The longest run of digits a file may hold: the most int() reads from a string
-# under Python's default setting, so what parses does not depend on that setting.
-MAX_DIGITS = 4300
 # Beyond float range, or below its least subnormal, for every decimal of at most MAX_DIGITS digits.
 MAX_EXPONENT = 10_000
 
@@ -199,16 +198,6 @@ def parse(text: str) -> ParsedMatrix:
         return ParsedMatrix(array=floats, dims=dims, floats=floats)
     return ParsedMatrix(array=np.array([[re_ for re_, _, _ in row] for row in rows], dtype=object), dims=dims,
                         floats=floats)
-
-
-def format_scalar(value: Exact | float) -> str:
-    """Exact literal when expressible, else 12-significant-digit decimal."""
-    if isinstance(value, Exact):
-        lit = value.format_literal()
-        if lit is not None:
-            return lit
-        value = float(value)
-    return f"{value:.12g}"
 
 
 def _format_complex(value: complex) -> str:

@@ -13,9 +13,10 @@ floats.  `validate` solves rho's spectrum once and stores it.  The state's
 L^TB, phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB and
 phi(rho) - I; det(phi(rho) - I), the product of that last spectrum, so no LU
 is run), the coherence graph (its read-only weight array) and the graph's
-total degree, connectivity and max W are computed the first time they are
-read.  Criteria called one after another on the same state share that work,
-and a criterion computes only what it reads.  Every decision quantity is
+total degree, connectivity and max W (NaN for a graph without edges, as
+`wgraph.max_w` gives it) are computed the first time they are read.
+Criteria called one after another on the same state share that work, and a
+criterion computes only what it reads.  Every decision quantity is
 floating point, also for exact inputs: the Laplacian and the graph are read
 off the float matrix, and no criterion reads an Exact.  `literal` is the one
 place that picks a state's exact entries over its float ones, for what is
@@ -123,16 +124,7 @@ class DensityMatrix:
     total_degree = _derived(lambda self: self.laplacian.trace(axis1=-2, axis2=-1))  # d_G = Tr L_rho
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
     connected = _derived(lambda self: is_connected(self.graph))
-    # wgraph.max_w (EXCLUDED convention); None when the graph has no edges, and
-    # a stack's is NaN there
-    max_w = _derived(lambda self: max_w(self.graph) if self.graph.ndim == 3 or self.graph.any() else None)
-
-
-@dataclass(frozen=True)
-class PurityReport:
-    purity: float
-    linear_entropy: float
-    rank: int
+    max_w = _derived(lambda self: max_w(self.graph))  # EXCLUDED convention; NaN without edges
 
 
 def _read_only(a: np.ndarray | None) -> np.ndarray | None:
@@ -240,8 +232,6 @@ def linear_entropy(rho: DensityMatrix) -> float:
     """Mixedness on [0, 1]: (n/(n-1)) * (1 - Tr rho^2) for order n, exactly 1
     at the maximally mixed state."""
     n = rho.n
-    if n < 2:
-        raise DimensionMismatch("linear entropy needs order >= 2")
     return float(n / (n - 1.0) * (1.0 - purity(rho)))
 
 
@@ -249,7 +239,3 @@ def rank(rho: DensityMatrix) -> int:
     """Number of eigenvalues above RANK_TOL."""
     check_one_state(rho)
     return int(rho.rank)
-
-
-def purity_report(rho: DensityMatrix) -> PurityReport:
-    return PurityReport(purity=purity(rho), linear_entropy=linear_entropy(rho), rank=rank(rho))

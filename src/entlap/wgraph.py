@@ -10,20 +10,23 @@ identity a + b + |a - b| = 2 max(a, b), over heap-sized edge slices (`_w_values`
 A stack of graphs is a (b, n, n) weight array, read off a stack of
 Laplacians.  Its edges are (s, i, j) triples, and `is_connected` and `max_w`
 give one value per graph; `edge_w` and `export_dot` read one graph and reject
-a stack.
+a stack.  W is defined on edges only, so the max W of a graph without edges
+is NaN, for one graph as for each graph of a stack.  DOT edge labels are
+written by `exact.format_scalar`, as matrix-file entries are.
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import cache
 
 import numpy as np
 
-from .exact import ZERO, Exact
-from .errors import DimensionMismatch, NoEdges, NotAnEdge, VertexOutOfRange
+from .exact import ZERO, Exact, format_scalar
+from .errors import DimensionMismatch, NotAnEdge, VertexOutOfRange
 from .matops import SLICE_ENTRIES
 
 
@@ -141,8 +144,8 @@ def edge_w(g: np.ndarray, i: int, j: int,
 
 
 def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exact | float | np.ndarray:
-    """Maximum of edge_w over all edges.  For a stack of float graphs, one
-    maximum per graph, NaN for a graph without edges."""
+    """Maximum of edge_w over all edges, NaN for a graph without edges; one
+    maximum per graph of a stack of float graphs."""
     found = edges(g)
     if g.ndim == 3:
         best = np.full(len(g), np.nan)
@@ -151,23 +154,19 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exac
             best[found[0][first]] = np.maximum.reduceat(_w_values(g, found, convention), first)
         return best
     if not len(found[0]):
-        raise NoEdges("graph has no edges")
+        return math.nan
     best = _w_values(g, found, convention).max()
     return best if g.dtype == object else float(best)
 
 
 def export_dot(g: np.ndarray) -> str:
     """Deterministic DOT text of one graph: undirected, vertices labelled 1..n,
-    edge labels exact rationals when available else 12-significant-digit decimals."""
+    edge labels written by `format_scalar`: literals when expressible, else 12-significant-digit decimals."""
     _check_one_graph(g)
     lines = ["graph G {"]
     for i in range(g.shape[-1]):
         lines.append(f"  {i + 1};")
     for i, j in zip(*edges(g)):
-        w = g[i, j]
-        label = w.format_literal() if g.dtype == object else None
-        if label is None:
-            label = f"{float(w):.12g}"
-        lines.append(f'  {i + 1} -- {j + 1} [label="{label}"];')
+        lines.append(f'  {i + 1} -- {j + 1} [label="{format_scalar(g[i, j])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -298,7 +299,8 @@ class TestGraph:
 
     @staticmethod
     def _record(rho):
-        return len(edges(rho.graph)[0]), rho.connected, rho.total_degree, rho.max_w
+        max_w = None if math.isnan(rho.max_w) else rho.max_w
+        return len(edges(rho.graph)[0]), rho.connected, rho.total_degree, max_w
 
     @pytest.mark.parametrize("name, param", list(corpus_points()))
     def test_prints_the_states_record(self, capsys, tmp_path, name, param):
@@ -343,6 +345,47 @@ class TestGraph:
         run(capsys, "graph", *args, "--dot", str(tmp_path / "g.dot"))
         want = export_dot(graph_from_laplacian(laplacian_of_density(build(name, param).exact)))
         assert (tmp_path / "g.dot").read_text() == want
+
+
+class TestLongLiterals:
+    """Valid files whose exact Laplacian has an entry of 10**4300 or more in a
+    numerator or denominator: that entry is printed as its decimal, under every
+    int-to-str digit setting."""
+
+    ENTRIES = {"tiny": "1e-5000", "ones": "0." + "1" * 4300}
+
+    @pytest.fixture(params=sorted(ENTRIES))
+    def path(self, request, tmp_path):
+        entry = self.ENTRIES[request.param]
+        path = tmp_path / f"{request.param}.mat"
+        path.write_text(f"dims 4 2 2\n1/2 {entry} 0 0\n{entry} 1/2 0 0\n0 0 0 0\n0 0 0 0\n")
+        return str(path)
+
+    def test_laplacian_prints_a_file_that_parses(self, capsys, path):
+        code, out, err = run(capsys, "laplacian", path)
+        assert (code, err) == (0, "")
+        want = laplacian_of_density(parse(Path(path).read_text()).validate().array)
+        assert parse(out).array.astype(float) == pytest.approx(want, rel=1e-11)  # 12-digit decimals
+
+    def test_graph_exit_0(self, capsys, path):
+        code, out, err = run(capsys, "graph", path)
+        assert (code, err) == (0, "")
+        assert out.startswith("graph G {\n")
+
+    @pytest.mark.parametrize("command", ["laplacian", "graph"])
+    def test_output_is_the_same_under_every_setting(self, path, command):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs = []
+        for max_str_digits in [None, "0"]:  # Python's default limit, and none
+            env.pop("PYTHONINTMAXSTRDIGITS", None)
+            if max_str_digits is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = max_str_digits
+            done = subprocess.run([sys.executable, "-m", "entlap.cli", command, path], env=env,
+                                  capture_output=True, text=True, timeout=20)
+            assert (done.returncode, done.stderr) == (0, ""), max_str_digits
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSweep:
@@ -478,7 +521,7 @@ def _reference_sweep(state: str, start: str, stop: str, steps: int) -> list[str]
         value = float(lo + k * (hi - lo) / (steps - 1))
         rho = build(state, value)
         verdict, lam = ppt_oracle(rho, tol)
-        half = "" if rho.max_w is None else f"{rho.max_w / 2.0:.12g}"
+        half = "" if math.isnan(rho.max_w) else f"{rho.max_w / 2.0:.12g}"
         cells = [f"{value:.12g}", f"{float(rho.spectrum[0]):.12g}", f"{lam:.12g}", half, verdict]
         cells += [check(rho, tol).verdict.value for check in (thm3_separability, thm5_ppt, thm6_ppt, cor6_ppt)]
         rows.append(",".join(cells))

@@ -40,7 +40,7 @@ from entlap.corpus import build_stack
 from entlap.errors import DimensionMismatch, WrongDimensions
 from entlap.exact import Exact
 from entlap.matops import BipartiteDims
-from entlap.states import linear_entropy, purity, purity_report, rank, validate
+from entlap.states import linear_entropy, purity, rank, validate
 
 from _oracles import bf_connected, bf_edges, bf_laplacian, bf_max_w, bf_partial_transpose
 from _sampling import corpus_points, make_rng, random_density, random_mixture_density, random_pure_density
@@ -683,7 +683,7 @@ class TestOneStateReaders:
 
     @pytest.mark.parametrize("reader", [
         classify, ppt_oracle, purity_test, thm3_separability, thm5_ppt, thm6_ppt, thm3a_bounds, thm3b_check,
-        thm4a_check, cor4a_nptes, cor6_ppt, purity, linear_entropy, rank, purity_report,
+        thm4a_check, cor4a_nptes, cor6_ppt, purity, linear_entropy, rank,
     ], ids=lambda f: f.__name__)
     def test_a_stack_is_a_dimension_mismatch(self, reader):
         stack = build_stack("rho6", [0.1, 0.5, 0.9])

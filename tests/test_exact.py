@@ -1,10 +1,12 @@
 import math
+import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from entlap.exact import ZERO, Exact, _square_free
+from entlap.exact import MAX_DIGITS, ZERO, Exact, _square_free
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000
@@ -83,6 +85,35 @@ def test_comparisons_and_ordering():
     assert Exact.of(1) > Exact.of(Fraction(99, 100))
 
 
+_ORDERINGS = [operator.lt, operator.le, operator.gt, operator.ge]
+
+
+def _decimal(x):
+    """x to 60 significant digits, enough to order any two a + b*sqrt(7) with a, b drawn from `rationals`."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return sum(Decimal(c.numerator) / c.denominator * Decimal(k).sqrt() for k, c in x.terms.items())
+
+
+@given(a=rationals, b=rationals, c=rationals, d=rationals)
+def test_every_ordering_matches_the_values(a, b, c, d):
+    for op in _ORDERINGS:
+        assert op(Exact.of(a), Exact.of(c)) == op(a, c), op
+        assert op(Exact.of(a), Exact.of(a)) == op(a, a), op
+    x, y = Exact.of(a) + Exact.radical(b, 7), Exact.of(c) + Exact.radical(d, 7)
+    for u, v in [(x, y), (y, x), (x, x)]:
+        for op in _ORDERINGS:
+            assert op(u, v) == op(_decimal(u), _decimal(v)), (op, u, v)
+
+
+@pytest.mark.parametrize("op", _ORDERINGS, ids=lambda op: op.__name__)
+def test_an_ordering_against_a_float_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op(Exact.of(Fraction(1, 2)), 0.25)
+    with pytest.raises(TypeError):
+        op(0.25, Exact.of(Fraction(1, 2)))
+
+
 def test_format_literal():
     assert Exact.of(Fraction(1, 81)).format_literal() == "1/81"
     assert Exact.of(5).format_literal() == "5"
@@ -91,6 +122,20 @@ def test_format_literal():
     assert Exact.radical(Fraction(5, 16), 7).format_literal() == "5*sqrt(7)/16"
     assert Exact.radical(Fraction(-5, 16), 7).format_literal() == "-5*sqrt(7)/16"
     assert (Exact.of(Fraction(3, 8)) + Exact.radical(1, 7)).format_literal() is None
+
+
+def test_no_literal_with_more_than_max_digits():
+    # a numerator or denominator of 10**MAX_DIGITS or more has no literal, and repr
+    # writes its decimal; no step converts such an int with str()
+    widest = 10**MAX_DIGITS - 1  # MAX_DIGITS nines
+    assert Exact.of(Fraction(1, widest)).format_literal() is not None
+    assert Exact.of(-widest).format_literal() is not None
+    for x, text in [(Exact.of(Fraction(1, 10**MAX_DIGITS)), "1e-4300"),
+                    (Exact.of(-widest - 1), "-1.00000000000e+4300"),
+                    (Exact.radical(Fraction(widest // 9, 10**MAX_DIGITS), 2), "0.111111111111*sqrt(2)"),
+                    (Exact.of(Fraction(1, 10**5000)), "1e-5000")]:
+        assert x.format_literal() is None
+        assert repr(x) == f"Exact({text})"
 
 
 def _square_free_by_search(k):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from entlap.errors import DimensionMismatch, ParameterOutOfDomain, StateValidati
 from entlap.exact import Exact
 from entlap.matops import BipartiteDims
 from entlap import states
-from entlap.states import linear_entropy, purity, purity_report, rank, validate
+from entlap.states import linear_entropy, purity, rank, validate
 
 from _oracles import random_psd
 from _sampling import corpus_points
@@ -273,10 +274,9 @@ class TestPurityFunctionals:
             assert 1 / n - 1e-9 <= purity(rho) <= 1 + 1e-9
 
     def test_report(self, rho5):
-        rep = purity_report(rho5)
-        assert rep.rank == 4
-        assert rep.purity == pytest.approx(0.265, abs=1e-12)
-        assert rep.linear_entropy == pytest.approx(0.98, abs=1e-12)
+        assert rank(rho5) == 4
+        assert purity(rho5) == pytest.approx(0.265, abs=1e-12)
+        assert linear_entropy(rho5) == pytest.approx(0.98, abs=1e-12)
 
 
 class TestRhoAbFamily:
@@ -322,14 +322,17 @@ class TestStacks:
             alone = validate(m, dims)
             assert stack.array[k].tobytes() == alone.array.tobytes()
             assert stack.spectrum[k].tobytes() == alone.spectrum.tobytes()
-            for name in _DERIVED:
+            for name in _DERIVED:  # max W without edges is NaN, alone as in a stack
                 got, want = getattr(stack, name)[k], getattr(alone, name)
-                if want is None:  # max W without edges: NaN in a stack
-                    assert name == "max_w" and np.isnan(got), k
-                else:
-                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (k, name)
             assert stack.graph[k].tobytes() == alone.graph.tobytes()
         assert np.isnan(stack.max_w).tolist() == [False, False, False, False, True] * 2
+
+    def test_max_w_without_edges_is_its_stack_row(self):
+        # rho_ab at a = 0 is diagonal, so its coherence graph has no edges
+        alone, stack = build("rho_ab", 0.0), build_stack("rho_ab", [0.0, 0.1])
+        assert math.isnan(alone.max_w) and math.isnan(stack.max_w[0])
+        assert np.asarray(alone.max_w).tobytes() == stack.max_w[0].tobytes()
 
     def test_rows_share_one_kernel_call_per_value(self, monkeypatch, rng):
         dims = BipartiteDims(2, 3)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from entlap import wgraph
 from entlap.corpus import build, build_stack
 from entlap.criteria import classify
-from entlap.errors import DimensionMismatch, NoEdges, NotAnEdge, VertexOutOfRange
+from entlap.errors import DimensionMismatch, NotAnEdge, VertexOutOfRange
 from entlap.exact import Exact
 from entlap.laplacian import laplacian_of_density
 from entlap.matops import BipartiteDims, eigvals_sym
@@ -176,8 +177,12 @@ class TestEdgeW:
 class TestMaxW:
     def test_no_edges(self):
         rho = validate(np.diag([0.25] * 4), BipartiteDims(2, 2))
-        with pytest.raises(NoEdges):
-            max_w(_graph_of(rho))
+        assert math.isnan(max_w(_graph_of(rho)))
+
+    def test_no_edges_on_an_exact_graph(self):
+        g = graph_from_laplacian(laplacian_of_density(build("rho_ab", 0.0).exact))
+        assert g.dtype == object and not g.any()
+        assert math.isnan(max_w(g))
 
     def test_rho5(self, rho5):
         assert max_w(_graph_of(rho5)) == Exact.of(Fraction(3, 10))
