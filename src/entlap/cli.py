@@ -2,7 +2,12 @@
 
 Subcommands: validate, classify, laplacian, graph, sweep, corpus.
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 usage error (a bad
-option value, or a path that cannot be read or written).
+option value, or a path that cannot be read or written), 141 (128 + SIGPIPE)
+when the reader of stdout closed it before all output was written.
+
+`graph` labels each edge of the state's float coherence graph with its
+weight |rho_ij|, exact for a state with exact entries, so it builds no exact
+Laplacian; `laplacian` prints the exact Laplacian.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -20,12 +26,13 @@ from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
 from .matrixfile import ParseError, emit, parse
 from .states import DensityMatrix, linear_entropy, purity, rank
-from .wgraph import edges, export_dot, graph_from_laplacian
+from .wgraph import edges, export_dot, graph_on_edges
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,8 +185,9 @@ def cmd_laplacian(args) -> int:
 
 def cmd_graph(args) -> int:
     rho, label = _load_state(args)
-    # the DOT labels are the printed entries; the stats are those of the float graph classify reads
-    graph = rho.graph if rho.exact is None else graph_from_laplacian(laplacian_of_density(rho.exact))
+    # the DOT labels are the printed entries, exact where the state has them, on the
+    # float graph's edges; the stats are those of the float graph classify reads
+    graph = rho.graph if rho.exact is None else graph_on_edges(rho.graph, rho.exact)
     _write(args.dot, export_dot(graph))
     conn = "connected" if rho.connected else "disconnected"
     print(f"vertices {rho.n} edges {len(edges(rho.graph)[0])} {conn}")
@@ -307,7 +315,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (CliError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else _EXIT_CODES[type(exc)]

@@ -4,15 +4,17 @@ A graph is its weight array: the read-only, dense, symmetric (n, n) matrix of
 edge weights with a zero diagonal, in the entry type of the Laplacian it was
 read off: floats, or Exact scalars (an object array), so DOT labels and W
 values stay exact for exact inputs.  Edges are chosen on float values;
-`edges(g)` lists them as index arrays.  W is one closed form, by the max
-identity a + b + |a - b| = 2 max(a, b), over heap-sized edge slices (`_w_values`).
+`edges(g)` lists them as index arrays, and `graph_on_edges` weighs a float
+graph's edges with the moduli of a state's exact entries.  W is one closed
+form, by the max identity a + b + |a - b| = 2 max(a, b), over heap-sized edge
+slices (`_w_values`).
 
 A stack of graphs is a (b, n, n) weight array, read off a stack of
 Laplacians.  Its edges are (s, i, j) triples, and `is_connected` and `max_w`
-give one value per graph; `edge_w` and `export_dot` read one graph and reject
-a stack.  W is defined on edges only, so the max W of a graph without edges
-is NaN, for one graph as for each graph of a stack.  DOT edge labels are
-written by `exact.format_scalar`, as matrix-file entries are.
+give one value per graph; `edge_w`, `export_dot` and `graph_on_edges` read
+one graph and reject a stack.  W is defined on edges only, so the max W of a
+graph without edges is NaN, for one graph as for each graph of a stack.  DOT
+edge labels are written by `exact.format_scalar`, as matrix-file entries are.
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
@@ -77,6 +79,23 @@ def graph_from_laplacian(lap: np.ndarray) -> np.ndarray:
     edge = (np.abs(lap.astype(float, copy=False)) > EDGE_THRESHOLD) & _upper(lap.shape[-1])
     w = zero - np.where(edge, lap, zero)
     w = w + w.swapaxes(-1, -2)
+    w.flags.writeable = False
+    return w
+
+
+def graph_on_edges(g: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """The graph with one graph g's edges, each weighted |exact_ij|, from an
+    object matrix of Exact entries.
+
+    For a state's float graph and its exact entries this is the exact
+    Laplacian's graph, built from |rho_ij| at the edges alone: off the
+    diagonal, the state's float Laplacian is the exact one's bit for bit, so
+    both choose the same edges.
+    """
+    _check_one_graph(g)
+    i, j = edges(g)
+    w = np.full(g.shape, ZERO, dtype=object)
+    w[i, j] = w[j, i] = np.abs(exact[i, j])
     w.flags.writeable = False
     return w
 

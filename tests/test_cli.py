@@ -321,6 +321,22 @@ class TestGraph:
         assert stats == pytest.approx(self._record(rho), rel=1e-11)
         assert stats[:2] == (3, True)
 
+    @staticmethod
+    def _kernel_calls(capsys, monkeypatch, *argv):
+        """Calls of laplacian_of_density and graph_from_laplacian while `graph` runs argv,
+        counted in every entlap module that binds them."""
+        calls = Counter()
+        for kernel in (laplacian_of_density, graph_from_laplacian):
+            def counting(*args, _kernel=kernel):
+                calls[_kernel.__name__] += 1
+                return _kernel(*args)
+            for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "entlap"]:
+                if vars(module).get(kernel.__name__) is kernel:
+                    monkeypatch.setattr(module, kernel.__name__, counting)
+        code, out, _ = run(capsys, "graph", *argv)
+        assert code == 0
+        return calls, out
+
     def test_complex_file_builds_one_graph(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "complex.mat"
         path.write_text("dims 4 2 2\n"
@@ -328,16 +344,25 @@ class TestGraph:
                         "0.05-0.05i 1/4 0-0.1i 0\n"
                         "0 0+0.1i 1/4 0.05\n"
                         "0 0 0.05 1/4\n")
-        calls = Counter()
-        for kernel in (laplacian_of_density, graph_from_laplacian):
-            def counting(*args, _kernel=kernel):
-                calls[_kernel.__name__] += 1
-                return _kernel(*args)
-            for module in (cli, states):
-                monkeypatch.setattr(module, kernel.__name__, counting)
-        code, out, _ = run(capsys, "graph", str(path))
-        assert code == 0 and out.count("--") == 3
+        calls, out = self._kernel_calls(capsys, monkeypatch, str(path))
+        assert out.count("--") == 3
         assert calls == {"laplacian_of_density": 1, "graph_from_laplacian": 1}
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_an_exact_state_builds_one_graph(self, capsys, monkeypatch, name, param):
+        # the exact labels are read off the state's exact entries at the float graph's edges
+        args = ("--state", name) + (() if param is None else ("--param", str(param)))
+        calls, _ = self._kernel_calls(capsys, monkeypatch, *args)
+        assert calls == {"laplacian_of_density": 1, "graph_from_laplacian": 1}
+
+    @pytest.mark.parametrize("name, param, slots", [("psi", None, 6), ("rho1", None, 2), ("rho6", 0.5, 4)])
+    def test_builds_only_the_states_slot_values(self, capsys, tmp_path, exact_created, name, param, slots):
+        args = ("--state", name) + (() if param is None else ("--param", str(param)))
+        with exact_created() as created:
+            code, _, _ = run(capsys, "graph", *args, "--dot", str(tmp_path / "g.dot"))
+        assert code == 0 and len(created) == slots
+        rho = build(name, param)
+        assert {e for e in rho.exact.flat if e} == set(created)
 
     @pytest.mark.parametrize("name, param", list(corpus_points()))
     def test_exact_dot_is_the_exact_laplacians_graph(self, capsys, tmp_path, name, param):
@@ -622,6 +647,27 @@ class TestCorpus:
     def test_emit_unknown_exit_3(self, capsys):
         code, _, _ = run(capsys, "corpus", "emit", "nosuch")
         assert code == 3
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [
+        ("corpus", "list"),
+        ("classify", "--state", "rho3", "--json"),
+        ("sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "1", "--steps", "200"),
+    ])
+    def test_a_closed_reader_exits_141_quietly(self, argv):
+        # stdout is a pipe whose read end is closed before the command writes: a short
+        # output meets it at main's flush, the sweep's (beyond one buffer) at its write
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "entlap.cli", *argv], env=env, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, "")
 
 
 class TestUsage:
