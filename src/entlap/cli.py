@@ -109,11 +109,16 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_state(args) -> tuple[DensityMatrix, str]:
-    if getattr(args, "state", None):
+    """The state a matrix file or a corpus `--state` names; both, or `--param` with a file, is a usage error."""
+    if args.state and args.file:
+        raise CliError(EXIT_USAGE, "provide a matrix file or --state NAME, not both")
+    if args.state:
         rho = corpus_mod.build(args.state, args.param)
         label = args.state if args.param is None else f"{args.state}({args.param})"
         return rho, label
-    if getattr(args, "file", None):
+    if args.file:
+        if args.param is not None:
+            raise CliError(EXIT_USAGE, "--param applies to --state, not to a matrix file")
         return parse(_read(args.file)).validate(), args.file
     raise CliError(EXIT_USAGE, "provide a matrix file or --state NAME")
 

@@ -101,10 +101,19 @@ def graph_on_edges(g: np.ndarray, exact: np.ndarray) -> np.ndarray:
 
 
 def is_connected(g: np.ndarray) -> bool | np.ndarray:
-    """True iff all vertices lie in one component (breadth-first from vertex 0,
-    level by level); one bool per graph of a stack."""
+    """True iff all vertices lie in one component; one bool per graph of a stack.
+
+    A simple graph on n vertices with more than (n-1)(n-2)/2 edges is
+    connected: a disconnected one has at most the edges of a complete graph
+    on n - 1 vertices.  So for one graph above that count, the count answers;
+    else, and for a stack, a breadth-first search from vertex 0, level by
+    level, does.
+    """
+    n = g.shape[-1]
+    if g.ndim == 2 and np.count_nonzero(g) > (n - 1) * (n - 2):  # each edge is two non-zero entries
+        return True
     adj = g.astype(bool)
-    seen = frontier = np.arange(g.shape[-1]) == 0
+    seen = frontier = np.arange(n) == 0
     while frontier.any():
         frontier = np.matmul(frontier[..., None, :], adj)[..., 0, :] & ~seen  # boolean: any frontier neighbour
         seen = seen | frontier

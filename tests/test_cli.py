@@ -705,6 +705,18 @@ class TestUsage:
         code, _, _ = run(capsys, "classify")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["classify", "laplacian", "graph"])
+    @pytest.mark.parametrize("given", [
+        ("/nonexistent", "--state", "rho3"),  # neither is read
+        ("{file}", "--state", "rho3"),
+        ("{file}", "--param", "0.5"),  # --param names a corpus state's parameter
+        ("{file}", "--state", "rho6", "--param", "0.5"),
+    ], ids=["missing-file-and-state", "file-and-state", "file-and-param", "file-state-and-param"])
+    def test_a_file_with_a_corpus_option_exit_3(self, capsys, mixed_file, command, given):
+        code, out, err = run(capsys, command, *(arg.format(file=mixed_file) for arg in given))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_zero_tol_is_legal(self, capsys, mixed_file):
         code, out, _ = run(capsys, "validate", mixed_file, "--tol", "0")
         assert code == 0

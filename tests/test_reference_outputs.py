@@ -10,28 +10,10 @@ change to any verdict, scalar, flag or CLI byte fails tier-1 without a
 benchmark run.  `benchmarks/` is loaded, not modified.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
-_BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+from _bench import wl
 
-
-def _load_workloads():
-    """benchmarks/workloads.py, which imports its sibling benchenv as a top-level module."""
-    sys.path.insert(0, str(_BENCH))
-    try:
-        spec = importlib.util.spec_from_file_location("_bench_workloads", _BENCH / "workloads.py")
-        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(_BENCH))
-    return module
-
-
-wl = _load_workloads()
 REFERENCE = wl.load_reference()
 
 

@@ -5,14 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entlap import corpus
+from entlap import cli, corpus
 from entlap.corpus import build, build_stack, get_entry
 from entlap.errors import DimensionMismatch, ParameterOutOfDomain, StateValidationError
 from entlap.exact import Exact
-from entlap.matops import BipartiteDims
+from entlap.laplacian import laplacian_of_density, phi
+from entlap.matops import BipartiteDims, partial_transpose
 from entlap import states
 from entlap.states import linear_entropy, purity, rank, validate
 
+from _bench import pool_keys, wl
 from _oracles import random_psd
 from _sampling import corpus_points
 
@@ -309,6 +311,50 @@ def _stack_members(rng, dims):
     split[n // 2 - 1, n // 2] = split[n // 2, n // 2 - 1] = 0
     edgeless = np.diag(rng.random(n) + 0.1)
     return [m / np.trace(m).real for m in (a, v @ v.conj().T, path, split, edgeless)]
+
+
+def _solved_alone(m, dims):
+    """Each of the five derived spectra of one float matrix m, its matrix built
+    by the package's kernels and solved in an eigvalsh call of its own."""
+    lap, ptb = laplacian_of_density(m), partial_transpose(m, dims)
+    matrices = {"spec_ptb": ptb, "spec_l_plus_ptb": lap + ptb, "spec_lap": lap,
+                "spec_lap_ptb": partial_transpose(lap, dims), "spec_phi_minus_i": phi(m) - np.eye(dims.n, dtype=m.dtype)}
+    return {name: np.linalg.eigvalsh(matrix) for name, matrix in matrices.items()}
+
+
+class TestSpectraBitForBit:
+    """Each derived spectrum is bit for bit an eigvalsh solve of its matrix alone."""
+
+    def test_pool_states(self):
+        keys = pool_keys()
+        assert len(keys) == 640
+        for d1, d2, kind, index in keys:
+            dims = BipartiteDims(d1, d2)
+            rho = validate(wl.make_state(d1, d2, kind, index), dims)
+            for name, want in _solved_alone(rho.array, dims).items():
+                assert np.array_equal(getattr(rho, name), want), (d1, d2, kind, index, name)
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_corpus_points(self, name, param):
+        rho = build(name, param)
+        for spectrum, want in _solved_alone(rho.array, rho.dims).items():
+            assert np.array_equal(getattr(rho, spectrum), want), spectrum
+
+    @pytest.mark.parametrize("state, start, stop, rows", [("rho6", 0.01, 1.0, 101), ("rho_ab", 0.0, 0.283, 200)])
+    def test_sweep_stacks_row_by_row(self, state, start, stop, rows):
+        # the first stack of each pinned 200-step sweep: 101 rows of rho6 (8192 // 81), all 200 of rho_ab
+        stack = build_stack(state, cli._grid(start, stop, 200)[:rows])
+        assert len(stack.array) == rows
+        for k, m in enumerate(stack.array):
+            for name, want in _solved_alone(m, stack.dims).items():
+                assert np.array_equal(getattr(stack, name)[k], want), (k, name)
+
+    def test_single_precision_stays_single(self, rng):
+        # no spectrum is solved at another precision than its matrix's
+        m = random_psd(rng, 6)
+        rho = validate((m / np.trace(m).real).astype(np.complex64), BipartiteDims(2, 3), tol=1e-5)
+        for name, want in _solved_alone(rho.array, rho.dims).items():
+            assert getattr(rho, name).dtype == np.float32 and np.array_equal(getattr(rho, name), want), name
 
 
 class TestStacks:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entlap import wgraph
 from entlap.corpus import build, build_stack
@@ -122,6 +123,75 @@ class TestConnectivity:
             g = _graph_of(rho2_)
             lap = laplacian_of_density(rho2_)
             assert is_connected(g) == bf_connected(4, bf_edges(lap))
+
+
+def _complete_but_one(n):
+    """K_{n-1} on vertices 1..n-1 and vertex 0 isolated: (n-1)(n-2)/2 edges, the
+    most a disconnected simple graph on n vertices has."""
+    g = np.ones((n, n)) - np.eye(n)
+    g[0] = g[:, 0] = 0.0
+    return g
+
+
+def _searches(monkeypatch):
+    """A list that gets one entry per breadth-first level `is_connected` runs."""
+    levels, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a: levels.append(1) or matmul(*a))
+    return levels
+
+
+@st.composite
+def _graphs(draw, n):
+    """A symmetric weight array with a zero diagonal: each vertex pair an edge
+    or not, or all pairs but a few, so graphs above the edge bound come up too."""
+    i, j = np.triu_indices(n, 1)
+    present = draw(st.one_of(
+        st.lists(st.booleans(), min_size=len(i), max_size=len(i)),
+        st.sets(st.integers(0, max(len(i) - 1, 0))).map(lambda gone: [k not in gone for k in range(len(i))])))
+    g = np.zeros((n, n))
+    g[i, j] = g[j, i] = np.where(present, 0.5, 0.0)
+    return g
+
+
+class TestConnectivityFromEdgeCount:
+    """More than (n-1)(n-2)/2 edges answer one graph without a search; at or
+    under it, and for a stack, the search runs."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_most_edges_of_a_disconnected_graph(self, n, monkeypatch):
+        g = _complete_but_one(n)
+        assert len(edges(g)[0]) == (n - 1) * (n - 2) // 2
+        levels = _searches(monkeypatch)
+        assert not is_connected(g)
+        assert levels
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_any_edge_more_connects_it(self, n, monkeypatch):
+        levels = _searches(monkeypatch)
+        for v in range(1, n):  # every edge K_{n-1} plus a vertex lacks ends at the isolated vertex
+            g = _complete_but_one(n)
+            g[0, v] = g[v, 0] = 0.25
+            assert is_connected(g)
+        assert not levels
+
+    def test_rho5_at_the_bound_is_searched(self, rho5, monkeypatch):
+        g = rho5.graph
+        assert len(edges(g)[0]) == 3 == (4 - 1) * (4 - 2) // 2
+        levels = _searches(monkeypatch)
+        assert is_connected(g)
+        assert levels
+
+    def test_a_stack_above_and_at_the_bound(self, rho5):
+        complete = np.ones((4, 4)) - np.eye(4)
+        mixed = np.stack([complete, rho5.graph, _complete_but_one(4), complete])
+        assert is_connected(mixed).tolist() == [True, True, False, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.lists(_graphs(n), min_size=1, max_size=5)))
+    def test_matches_bruteforce(self, graphs):
+        want = [bf_connected(len(g), bf_edges(-g)) for g in graphs]  # -g: the off-diagonal of a Laplacian
+        assert [bool(is_connected(g)) for g in graphs] == want
+        assert is_connected(np.stack(graphs)).tolist() == want
 
 
 class TestVertexWeight:
