@@ -191,11 +191,12 @@ def cmd_laplacian(args) -> int:
 def cmd_graph(args) -> int:
     rho, label = _load_state(args)
     # the DOT labels are the printed entries, exact where the state has them, on the
-    # float graph's edges; the stats are those of the float graph classify reads
-    graph = rho.graph if rho.exact is None else graph_on_edges(rho.graph, rho.exact)
-    _write(args.dot, export_dot(graph))
+    # float graph's edges, read once; the stats are those of the float graph classify reads
+    ends = edges(rho.graph)
+    graph = rho.graph if rho.exact is None else graph_on_edges(ends, rho.exact)
+    _write(args.dot, export_dot(graph, ends))
     conn = "connected" if rho.connected else "disconnected"
-    print(f"vertices {rho.n} edges {len(edges(rho.graph)[0])} {conn}")
+    print(f"vertices {rho.n} edges {len(ends[0])} {conn}")
     print(f"total_degree {_fmt(rho.total_degree)}")
     print("max_w undefined (no edges)" if math.isnan(rho.max_w) else f"max_w {_fmt(rho.max_w)}")
     return EXIT_OK

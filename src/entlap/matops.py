@@ -7,6 +7,13 @@ so no sparsity or blocking is attempted.  `eigvals_sym`, `determinant` and
 with the same arithmetic per matrix as on that matrix alone.  A state reads
 det(phi(rho) - I) off the spectrum it solves anyway; `determinant`, an LU, is
 the reference it is checked against.
+
+`eigvals_sym` is the one Hermitian eigensolver of the package.  It calls the
+LAPACK gufunc that `np.linalg.eigvalsh` dispatches to (`eigvalsh_lo` of
+numpy's `_umath_linalg`, `_syevd`/`_heevd` on the lower triangle) directly,
+with eigvalsh's signature, error mapping and result dtype but without its
+Python-level checks and casts, a fixed cost per call that is a large share of
+a small solve; a full-rank state solves six spectra.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionMismatch
 
@@ -52,12 +60,28 @@ def as_stack(m) -> np.ndarray:
     return a
 
 
+# The gufunc np.linalg.eigvalsh(m) calls with its default UPLO='L'.
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+
+
+def _no_convergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
 def eigvals_sym(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of an exactly Hermitian matrix, or of each matrix of
     a stack, read off the lower triangle unchecked: every matrix a validated
     state derives is exactly Hermitian.
+
+    Bit for bit `np.linalg.eigvalsh(m)`: the same gufunc, solved in double
+    precision ('D->d' for complex m, 'd->d' otherwise), with LAPACK's
+    non-convergence, which the gufunc signals as an invalid value, raised as
+    LinAlgError; the result is float32 for float32 and complex64 m, float64
+    otherwise.
     """
-    return np.linalg.eigvalsh(m)
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        w = _eigvalsh_lo(m, signature="D->d" if m.dtype.kind == "c" else "d->d")
+    return w.astype(np.float32) if m.dtype.char in "fF" else w
 
 
 def determinant(m: np.ndarray) -> float | np.ndarray:

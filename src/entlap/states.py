@@ -8,7 +8,8 @@ matrix already (the corpus, the matrix-file parser) hands it over with a
 function that builds the Exact entries.  Exact entries from a matrix file
 or an object matrix are kept only when they are exactly symmetric: a state
 that is Hermitian only within the tolerance is their average, and prints its
-floats.  `validate` solves rho's spectrum once and stores it.  The state's
+floats.  `validate` solves rho's spectrum once, with `eigvals_sym` like every
+spectrum of the package, and stores it.  The state's
 `exact` entries, every other derived matrix and spectrum (L_rho, rho^TB,
 L^TB, phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB and
 phi(rho) - I; det(phi(rho) - I), the product of that last spectrum, so no LU
@@ -194,7 +195,7 @@ def validate(raw, dims: BipartiteDims, tol: float = DEFAULT_TOL,
     asym = np.abs(stack - stack_h).max(axis=(1, 2))
     h = (stack + stack_h) / 2
     tr = h.trace(axis1=1, axis2=2).real
-    spectrum = np.linalg.eigvalsh(h)
+    spectrum = eigvals_sym(h)
     for state in zip(asym.tolist(), tr.tolist(), spectrum[:, 0].tolist()):  # in stack order
         if violations := _violations(*state, tol):
             raise StateValidationError(violations)

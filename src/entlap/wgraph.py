@@ -4,10 +4,10 @@ A graph is its weight array: the read-only, dense, symmetric (n, n) matrix of
 edge weights with a zero diagonal, in the entry type of the Laplacian it was
 read off: floats, or Exact scalars (an object array), so DOT labels and W
 values stay exact for exact inputs.  Edges are chosen on float values;
-`edges(g)` lists them as index arrays, and `graph_on_edges` weighs a float
-graph's edges with the moduli of a state's exact entries.  W is one closed
-form, by the max identity a + b + |a - b| = 2 max(a, b), over heap-sized edge
-slices (`_w_values`).
+`edges(g)` lists them as index arrays, and `graph_on_edges` weighs the edges
+it lists for a float graph with the moduli of a state's exact entries.  W is
+one closed form, by the max identity a + b + |a - b| = 2 max(a, b), over
+heap-sized edge slices (`_w_values`).
 
 A stack of graphs is a (b, n, n) weight array, read off a stack of
 Laplacians.  Its edges are (s, i, j) triples, and `is_connected` and `max_w`
@@ -83,18 +83,18 @@ def graph_from_laplacian(lap: np.ndarray) -> np.ndarray:
     return w
 
 
-def graph_on_edges(g: np.ndarray, exact: np.ndarray) -> np.ndarray:
-    """The graph with one graph g's edges, each weighted |exact_ij|, from an
-    object matrix of Exact entries.
+def graph_on_edges(ends: tuple[np.ndarray, np.ndarray], exact: np.ndarray) -> np.ndarray:
+    """The graph with the edges `ends`, one graph's (i, j) as `edges` lists
+    them, each weighted |exact_ij|, from an object matrix of Exact entries.
 
-    For a state's float graph and its exact entries this is the exact
+    For a state's float graph's edges and its exact entries this is the exact
     Laplacian's graph, built from |rho_ij| at the edges alone: off the
     diagonal, the state's float Laplacian is the exact one's bit for bit, so
     both choose the same edges.
     """
-    _check_one_graph(g)
-    i, j = edges(g)
-    w = np.full(g.shape, ZERO, dtype=object)
+    _check_one_graph(exact)
+    i, j = ends
+    w = np.full(exact.shape, ZERO, dtype=object)
     w[i, j] = w[j, i] = np.abs(exact[i, j])
     w.flags.writeable = False
     return w
@@ -187,14 +187,18 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exac
     return best if g.dtype == object else float(best)
 
 
-def export_dot(g: np.ndarray) -> str:
+def export_dot(g: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | None = None) -> str:
     """Deterministic DOT text of one graph: undirected, vertices labelled 1..n,
-    edge labels written by `format_scalar`: literals when expressible, else 12-significant-digit decimals."""
+    edge labels written by `format_scalar`: literals when expressible, else 12-significant-digit decimals.
+
+    `ends` are g's edges as `edges(g)` lists them, from a caller that has
+    them: finding them on an exact graph tests each Exact entry.
+    """
     _check_one_graph(g)
     lines = ["graph G {"]
     for i in range(g.shape[-1]):
         lines.append(f"  {i + 1};")
-    for i, j in zip(*edges(g)):
+    for i, j in zip(*(edges(g) if ends is None else ends)):
         lines.append(f'  {i + 1} -- {j + 1} [label="{format_scalar(g[i, j])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

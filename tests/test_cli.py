@@ -364,6 +364,16 @@ class TestGraph:
         rho = build(name, param)
         assert {e for e in rho.exact.flat if e} == set(created)
 
+    def test_makes_no_exact_bool_call(self, capsys, tmp_path, monkeypatch):
+        # the DOT writer is handed the float graph's edges, so no Exact entry is
+        # tested for being non-zero to find them again
+        tested = Counter()
+        to_bool = Exact.__bool__
+        monkeypatch.setattr(Exact, "__bool__", lambda e: tested.update(["bool"]) or to_bool(e))
+        code, out, _ = run(capsys, "graph", "--state", "rho6", "--param", "0.5", "--dot", str(tmp_path / "g.dot"))
+        assert code == 0 and out.startswith("vertices 9 edges 9 ")
+        assert tested["bool"] == 0
+
     @pytest.mark.parametrize("name, param", list(corpus_points()))
     def test_exact_dot_is_the_exact_laplacians_graph(self, capsys, tmp_path, name, param):
         args = ("--state", name) + (() if param is None else ("--param", str(param)))
@@ -515,7 +525,7 @@ class TestSweep:
             assert calls["float"] == 0
             fractions[steps] = calls["fraction"]
             stacks = -(-steps // (8192 // entry.dims.n ** 2))
-            assert calls["eigvals_sym"] <= 4 * stacks
+            assert calls["eigvals_sym"] == 5 * stacks  # rho in validate, then rho^TB, L, L + rho^TB and L^TB
             assert calls["laplacian_of_density"] == calls["graph_from_laplacian"] == stacks
         assert fractions[2000] == fractions[200]
 

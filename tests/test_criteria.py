@@ -514,12 +514,13 @@ class TestSharedAnalysis:
     @pytest.mark.parametrize("states", [_corpus_states, _seeded_ensemble], ids=["corpus", "seeded"])
     def test_every_eigensolve_gets_an_exactly_hermitian_matrix(self, monkeypatch, states):
         # eigvals_sym reads only the lower triangle and checks nothing, so every
-        # matrix a validated state derives must be exactly Hermitian
+        # matrix a validated state derives, and validate's averaged (1, n, n) stack
+        # itself, must be exactly Hermitian
         solved = []
         original = entlap.states.eigvals_sym
 
         def recording(m):
-            solved.append(bool(np.array_equal(m, m.conj().T)))
+            solved.append(bool(np.array_equal(m, m.conj().swapaxes(-1, -2))))
             return original(m)
 
         monkeypatch.setattr(entlap.states, "eigvals_sym", recording)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entlap import matops
 from entlap.errors import DimensionMismatch
 from entlap.matops import BipartiteDims, as_stack, determinant, eigvals_sym, partial_transpose
 
@@ -70,6 +71,35 @@ class TestEigSym:
             # a stack gives each matrix's spectrum, bit for bit
             stack = np.stack([m, m.conj()])
             assert eigvals_sym(stack)[0].tobytes() == vals.tobytes()
+
+
+class TestEigSymKernel:
+    """eigvals_sym calls numpy's private LAPACK gufunc directly: it must stay
+    np.linalg.eigvalsh bit for bit, dtype and errors included, on the numpy it runs on."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128],
+                             ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("shape", [(), (5,), (0,)], ids=["one", "stack", "empty stack"])
+    def test_parity_with_eigvalsh(self, rng, dtype, shape):
+        n = 6
+        complex_entries = np.dtype(dtype).kind == "c"
+        m = np.array([random_hermitian(rng, n, complex_entries) for _ in range(int(np.prod(shape)))])
+        m = m.reshape(shape + (n, n)).astype(dtype)
+        got, want = eigvals_sym(m), np.linalg.eigvalsh(m)
+        assert got.dtype == want.dtype and got.shape == want.shape == shape + (n,)
+        assert np.array_equal(got, want)
+
+    def test_non_convergence_is_a_lin_alg_error(self, monkeypatch):
+        # the gufunc reports LAPACK non-convergence by setting the invalid flag
+        def not_converging(m, signature):
+            return np.sqrt(np.full(m.shape[:-1], -1.0))
+
+        m = np.eye(3)
+        monkeypatch.setattr(matops, "_eigvalsh_lo", not_converging)
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvalsh_lo", not_converging)
+        for solve in (np.linalg.eigvalsh, eigvals_sym):
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                solve(m)
 
 
 class TestDeterminant:

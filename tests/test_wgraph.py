@@ -88,7 +88,7 @@ class TestGraphOnEdges:
     @pytest.mark.parametrize("name, param", list(corpus_points()))
     def test_exact_weights_are_the_exact_laplacians_graph(self, name, param):
         rho = build(name, param)
-        g = graph_on_edges(rho.graph, rho.exact)
+        g = graph_on_edges(edges(rho.graph), rho.exact)
         want = graph_from_laplacian(laplacian_of_density(rho.exact))
         assert g.dtype == object and not g.flags.writeable
         assert all(type(w) is Exact for w in g.flat)
@@ -97,7 +97,7 @@ class TestGraphOnEdges:
     def test_a_stack_is_a_dimension_mismatch(self):
         stack = build_stack("rho_ab", [0.0, 0.1])
         with pytest.raises(DimensionMismatch):
-            graph_on_edges(stack.graph, stack.exact)
+            graph_on_edges(edges(stack.graph), stack.exact)
 
 
 class TestConnectivity:
