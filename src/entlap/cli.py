@@ -5,9 +5,13 @@ Exit codes: 0 success, 1 parse error, 2 validation error, 3 usage error (a bad
 option value, or a path that cannot be read or written), 141 (128 + SIGPIPE)
 when the reader of stdout closed it before all output was written.
 
-`graph` labels each edge of the state's float coherence graph with its
-weight |rho_ij|, exact for a state with exact entries, so it builds no exact
-Laplacian; `laplacian` prints the exact Laplacian.
+Every command prints what it reads off the state: `laplacian` the Laplacian
+of the state's `literal` entries, `graph` the edges of its float coherence
+graph labelled |rho_ij| from those same entries (exact for a state with exact
+entries, so it builds no exact graph), and `sweep` lambda_min(rho) and max W / 2
+off each stack of states.  `exact.format_scalar` writes every number printed
+as text; the JSON report and the sweep's CSV rows write the same 12
+significant digits in bulk.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import sys
 from . import corpus as corpus_mod
 from .criteria import ORACLE_VERDICTS, DecisionTolerance, classify, cor6, oracle, thm3, thm5, thm6
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
+from .exact import format_scalar
 from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
 from .matrixfile import ParseError, emit, parse
-from .states import DensityMatrix, linear_entropy, purity, rank
-from .wgraph import edges, export_dot, graph_on_edges
+from .states import DEFAULT_TOL, DensityMatrix, linear_entropy, purity, rank
+from .wgraph import edges, export_dot
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -49,11 +54,7 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
-# A sweep's CSV row, each number as _fmt writes it; without edges the
+# A sweep's CSV row, each number as format_scalar writes it; without edges the
 # half_max_w cell (NaN) is written empty.
 _ROW = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s,%s"
 _ROW_NO_EDGES = "%.12g,%.12g,%.12g,%.0s,%s,%s,%s,%s,%s"
@@ -137,8 +138,8 @@ def cmd_validate(args) -> int:
         for v in exc.violations:
             print(str(v))
         return EXIT_VALIDATION
-    print(f"VALID dims {rho.dims.d1}x{rho.dims.d2} purity {_fmt(purity(rho))} "
-          f"linear_entropy {_fmt(linear_entropy(rho))} rank {rank(rho)}")
+    print(f"VALID dims {rho.dims.d1}x{rho.dims.d2} purity {format_scalar(purity(rho))} "
+          f"linear_entropy {format_scalar(linear_entropy(rho))} rank {rank(rho)}")
     return EXIT_OK
 
 
@@ -170,9 +171,9 @@ def cmd_classify(args) -> int:
         print(json.dumps(_report_to_dict(report), indent=2))
         return EXIT_OK
     print(f"state: {label} ({rho.dims.d1}x{rho.dims.d2})")
-    print(f"oracle: {report.oracle_verdict} lambda_min(rho^TB) = {_fmt(report.oracle_lambda_min_ptb)}")
+    print(f"oracle: {report.oracle_verdict} lambda_min(rho^TB) = {format_scalar(report.oracle_lambda_min_ptb)}")
     for r in report.results:
-        scalars = " ".join(f"{k}={_fmt(v)}" for k, v in r.scalars.items())
+        scalars = " ".join(f"{k}={format_scalar(v)}" for k, v in r.scalars.items())
         line = f"{r.criterion_id.value:<18} {r.verdict.value:<20} {scalars}"
         if r.caveat:
             line += f"  [{r.caveat}]"
@@ -190,15 +191,14 @@ def cmd_laplacian(args) -> int:
 
 def cmd_graph(args) -> int:
     rho, label = _load_state(args)
-    # the DOT labels are the printed entries, exact where the state has them, on the
-    # float graph's edges, read once; the stats are those of the float graph classify reads
+    # the float graph classify reads gives the edges, read once, and the stats;
+    # its weights are |rho_ij|, so the entries the state prints label its edges
     ends = edges(rho.graph)
-    graph = rho.graph if rho.exact is None else graph_on_edges(ends, rho.exact)
-    _write(args.dot, export_dot(graph, ends))
+    _write(args.dot, export_dot(rho.literal, ends))
     conn = "connected" if rho.connected else "disconnected"
     print(f"vertices {rho.n} edges {len(ends[0])} {conn}")
-    print(f"total_degree {_fmt(rho.total_degree)}")
-    print("max_w undefined (no edges)" if math.isnan(rho.max_w) else f"max_w {_fmt(rho.max_w)}")
+    print(f"total_degree {format_scalar(rho.total_degree)}")
+    print("max_w undefined (no edges)" if math.isnan(rho.max_w) else f"max_w {format_scalar(rho.max_w)}")
     return EXIT_OK
 
 
@@ -236,10 +236,10 @@ def cmd_sweep(args) -> int:
         oracle_codes, lam_ptbs = oracle(stack, args.eps)
         columns = [[ORACLE_VERDICTS[c] for c in oracle_codes.tolist()]]
         for criterion in (thm3, thm5, thm6, cor6):
-            table, codes, scalars = criterion(stack, args.eps)
+            table, codes, _ = criterion(stack, args.eps)
             names = [outcome.verdict.value for outcome in table.outcomes]
             columns.append([names[c] for c in codes.tolist()])
-        lam_rhos, halves = scalars["lambda_min_rho"], scalars["half_max_w"]  # cor6's, the last; NaN: no edges
+        lam_rhos, halves = stack.spectrum[:, 0], stack.max_w / 2.0  # half is NaN without edges
         for value, lam_rho, lam_ptb, half, oracle_v, thm3_v, thm5_v, thm6_v, cor6_v in zip(
                 values, lam_rhos.tolist(), lam_ptbs.tolist(), halves.tolist(), *columns):
             lines.append((_ROW_NO_EDGES if math.isnan(half) else _ROW) % (
@@ -250,6 +250,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_corpus(args) -> int:
     if args.action == "list":
+        if (args.name, args.param, args.out) != (None, None, None):
+            raise CliError(EXIT_USAGE, "corpus list takes no state name, --param or --out")
         for entry in corpus_mod.list_entries():
             domain = ""
             if entry.parameter_name is not None:
@@ -273,13 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a matrix file as a density matrix")
     p.add_argument("file")
-    p.add_argument("--tol", type=nonnegative_float, default=1e-9)
+    p.add_argument("--tol", type=nonnegative_float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("classify", help="run the oracle and every criterion")
     _add_state_args(p)
     p.add_argument("--json", action="store_true", help="JSON report (default: text table)")
-    p.add_argument("--eps", type=positive_float, default=1e-9, help="indeterminate band half-width")
+    p.add_argument("--eps", type=positive_float, default=DecisionTolerance().eps, help="indeterminate band half-width")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("laplacian", help="emit the Laplacian of a state in matrix-file format")
@@ -299,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", help="CSV output path (default stdout)")
-    p.add_argument("--eps", type=positive_float, default=1e-9)
+    p.add_argument("--eps", type=positive_float, default=DecisionTolerance().eps)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("corpus", help="list built-in states or emit one as a matrix file")

@@ -4,12 +4,16 @@ This is the small arithmetic layer that lets matrix entries like 1/81 or
 sqrt(7)/8 survive the Laplacian / graph / edge-functional pipeline without
 floating-point truncation.  Only the operations that pipeline needs are
 implemented: +, -, *, absolute value, comparisons.  `format_scalar` is the
-one writer of a printed entry: a matrix-file literal, else a 12-digit decimal.
+one writer of a printed number (a matrix-file entry, a DOT label, a CLI
+scalar): a matrix-file literal, else a 12-digit decimal, complex as re+imi.
 
-Radicands are kept square-free (sqrt(8) is normalised to 2*sqrt(2)); the
-rational part is the radicand-1 term.  Signs of one- and two-term values are
-decided exactly; values with three or more distinct radicals fall back to a
-guarded float comparison (they never occur in the built-in state corpus).
+Radicands are kept square-free (sqrt(8) is normalised to 2*sqrt(2)): `radical`
+factors its radicand once, `*` reduces a product of two square-free radicands
+by their gcd, and +, - and negation keep their operands' radicands, so no sum
+factors anything.  The rational part is the radicand-1 term.  Signs of one-
+and two-term values are decided exactly; values with three or more distinct
+radicals fall back to a guarded float comparison (they never occur in the
+built-in state corpus).
 
 A literal never holds more than MAX_DIGITS digits in a row, the parser's
 limit: a longer numerator or denominator, found by integer comparison under
@@ -75,18 +79,16 @@ class Exact:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Rational] | None = None):
+        """The sum of c * sqrt(k) over `terms`, whose radicands k are square-free
+        (`radical` and `*` reduce theirs); zero coefficients are dropped."""
         clean: dict[int, Fraction] = {}
         if terms:
             for k, c in terms.items():
                 if not isinstance(c, Fraction):
                     c = Fraction(c)
-                if c == 0:
-                    continue
-                m, r = _square_free(int(k))
-                if m != 1:
-                    c = c * m
-                clean[r] = clean[r] + c if r in clean else c
-        object.__setattr__(self, "_terms", {k: c for k, c in sorted(clean.items()) if c != 0})
+                if c:
+                    clean[k] = c
+        object.__setattr__(self, "_terms", dict(sorted(clean.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("Exact is immutable")
@@ -100,8 +102,13 @@ class Exact:
 
     @classmethod
     def radical(cls, coeff: Rational, k: int) -> "Exact":
-        """coeff * sqrt(k), a Fraction coeff kept as given when k is square-free."""
-        return cls({k: coeff})
+        """coeff * sqrt(k), a Fraction coeff kept as given when k is square-free.
+
+        The one place a radicand is factored: every other value's radicands
+        come from here, and sums, differences and negations keep them.
+        """
+        m, r = _square_free(k)
+        return cls({r: coeff * m if m != 1 else coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -176,11 +183,14 @@ class Exact:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # k1 * k2 = g**2 * (k1/g) * (k2/g) with g = gcd(k1, k2), and for square-free
+        # k1, k2 the cofactors are coprime and square-free: no trial division
         terms: dict[int, Fraction] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in o._terms.items():
-                k = k1 * k2
-                terms[k] = terms.get(k, Fraction(0)) + c1 * c2
+                g = math.gcd(k1, k2)
+                k = (k1 // g) * (k2 // g)
+                terms[k] = terms.get(k, Fraction(0)) + c1 * c2 * g
         return Exact(terms)
 
     __rmul__ = __mul__
@@ -265,11 +275,16 @@ class Exact:
 ZERO = Exact()
 
 
-def format_scalar(value: Exact | float) -> str:
-    """Exact literal when expressible, else 12-significant-digit decimal."""
+def format_scalar(value: Exact | float | complex) -> str:
+    """The one writer of a printed number: an Exact literal when expressible,
+    else a 12-significant-digit decimal; a complex value with a non-zero
+    imaginary part as re+imi or re-imi, each part such a decimal."""
     if isinstance(value, Exact):
         lit = value.format_literal()
         if lit is not None:
             return lit
         value = float(value)
-    return f"{value:.12g}"
+    text = f"{value.real:.12g}"
+    if not value.imag:
+        return text
+    return f"{text}{'+' if value.imag > 0 else '-'}{abs(value.imag):.12g}i"

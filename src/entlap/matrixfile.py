@@ -25,8 +25,9 @@ before any Fraction is built.  So is a run of more than MAX_DIGITS (4300,
 from `exact`) digits anywhere in a file, before int() or Fraction reads it:
 Python refuses longer runs by default, and a setting can lift that limit, so
 the check keeps the set of files that parse the same under every setting.
-`emit` writes each entry with `exact.format_scalar`, which never writes a
-longer run, so what it writes parses.  A zero denominator is a ParseError.
+`emit` writes each entry, real, complex or Exact, with `exact.format_scalar`,
+the package's one writer of a printed number, which never writes a longer
+run, so what it writes parses.  A zero denominator is a ParseError.
 `parse` parses each distinct token of a file once, and equal tokens share
 one Exact (Exact is immutable).  It returns a
 real file as its object matrix of Exact entries and a file with an imaginary
@@ -200,20 +201,12 @@ def parse(text: str) -> ParsedMatrix:
                         floats=floats)
 
 
-def _format_complex(value: complex) -> str:
-    re_ = f"{value.real:.12g}"
-    if value.imag == 0:
-        return re_
-    sign = "+" if value.imag >= 0 else "-"
-    return f"{re_}{sign}{abs(value.imag):.12g}i"
-
-
 def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None = None) -> str:
     """Render a matrix in the file format, each entry as the type it holds.
 
-    A DensityMatrix is rendered as its `literal` entries.  Exact entries are
-    written as literals where expressible; float and complex ones as
-    12-significant-digit decimals.
+    A DensityMatrix is rendered as its `literal` entries.  `format_scalar`
+    writes each entry: an Exact one as a literal where expressible, a float or
+    complex one as 12-significant-digit decimals.
     """
     if isinstance(matrix, DensityMatrix):
         dims = matrix.dims
@@ -223,8 +216,7 @@ def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None =
     arr = np.asarray(matrix)
     n = arr.shape[0]
     dims.check_order(n)
-    fmt = _format_complex if np.iscomplexobj(arr) else format_scalar
     lines = [f"# {header_comment}"] if header_comment else []
     lines.append(f"dims {n} {dims.d1} {dims.d2}")
-    lines.extend(" ".join(fmt(v) for v in row) for row in arr)
+    lines.extend(" ".join(map(format_scalar, row)) for row in arr)
     return "\n".join(lines) + "\n"

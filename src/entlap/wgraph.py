@@ -2,19 +2,20 @@
 
 A graph is its weight array: the read-only, dense, symmetric (n, n) matrix of
 edge weights with a zero diagonal, in the entry type of the Laplacian it was
-read off: floats, or Exact scalars (an object array), so DOT labels and W
-values stay exact for exact inputs.  Edges are chosen on float values;
-`edges(g)` lists them as index arrays, and `graph_on_edges` weighs the edges
-it lists for a float graph with the moduli of a state's exact entries.  W is
-one closed form, by the max identity a + b + |a - b| = 2 max(a, b), over
+read off: floats, or Exact scalars (an object array), so W values stay exact
+for exact inputs; the paper's exact W values are pinned on such graphs.
+Edges are chosen on float values, and `edges(g)` lists them as index arrays.
+W is one closed form, by the max identity a + b + |a - b| = 2 max(a, b), over
 heap-sized edge slices (`_w_values`).
 
 A stack of graphs is a (b, n, n) weight array, read off a stack of
 Laplacians.  Its edges are (s, i, j) triples, and `is_connected` and `max_w`
-give one value per graph; `edge_w`, `export_dot` and `graph_on_edges` read
-one graph and reject a stack.  W is defined on edges only, so the max W of a
-graph without edges is NaN, for one graph as for each graph of a stack.  DOT
-edge labels are written by `exact.format_scalar`, as matrix-file entries are.
+give one value per graph; `edge_w` and `export_dot` read one graph and
+reject a stack.  W is defined on edges only, so the max W of a graph without
+edges is NaN, for one graph as for each graph of a stack.  A graph's weights
+are the moduli of its state's off-diagonal entries, so `export_dot` labels a
+state's graph from the state's own entries at that graph's edges, with
+`exact.format_scalar`, as matrix-file entries are written.
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
@@ -79,23 +80,6 @@ def graph_from_laplacian(lap: np.ndarray) -> np.ndarray:
     edge = (np.abs(lap.astype(float, copy=False)) > EDGE_THRESHOLD) & _upper(lap.shape[-1])
     w = zero - np.where(edge, lap, zero)
     w = w + w.swapaxes(-1, -2)
-    w.flags.writeable = False
-    return w
-
-
-def graph_on_edges(ends: tuple[np.ndarray, np.ndarray], exact: np.ndarray) -> np.ndarray:
-    """The graph with the edges `ends`, one graph's (i, j) as `edges` lists
-    them, each weighted |exact_ij|, from an object matrix of Exact entries.
-
-    For a state's float graph's edges and its exact entries this is the exact
-    Laplacian's graph, built from |rho_ij| at the edges alone: off the
-    diagonal, the state's float Laplacian is the exact one's bit for bit, so
-    both choose the same edges.
-    """
-    _check_one_graph(exact)
-    i, j = ends
-    w = np.full(exact.shape, ZERO, dtype=object)
-    w[i, j] = w[j, i] = np.abs(exact[i, j])
     w.flags.writeable = False
     return w
 
@@ -187,18 +171,21 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exac
     return best if g.dtype == object else float(best)
 
 
-def export_dot(g: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | None = None) -> str:
+def export_dot(m: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | None = None) -> str:
     """Deterministic DOT text of one graph: undirected, vertices labelled 1..n,
-    edge labels written by `format_scalar`: literals when expressible, else 12-significant-digit decimals.
+    each edge (i, j) labelled `format_scalar` of |m_ij|.
 
-    `ends` are g's edges as `edges(g)` lists them, from a caller that has
-    them: finding them on an exact graph tests each Exact entry.
+    `m` is a graph, whose label is its weight, or, with the edges `ends` of
+    its graph as `edges` lists them, a matrix whose graph's weights are its
+    entry moduli: a state's `literal` entries, exact when the state has them.
+    Without `ends`, the edges are m's own.  The moduli are np.abs's, as
+    `laplacian_of_density` takes them: Python's abs of a numpy complex scalar
+    can differ from it in the last bit.
     """
-    _check_one_graph(g)
+    _check_one_graph(m)
+    i, j = edges(m) if ends is None else ends
     lines = ["graph G {"]
-    for i in range(g.shape[-1]):
-        lines.append(f"  {i + 1};")
-    for i, j in zip(*(edges(g) if ends is None else ends)):
-        lines.append(f'  {i + 1} -- {j + 1} [label="{format_scalar(g[i, j])}"];')
+    lines.extend(f"  {v + 1};" for v in range(m.shape[-1]))
+    lines.extend(f'  {a + 1} -- {b + 1} [label="{format_scalar(w)}"];' for a, b, w in zip(i, j, np.abs(m[i, j])))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entlap import cli, states
+from entlap import exact as exact_module
 from entlap.cli import main
 from entlap.corpus import build, get_entry
 from entlap.exact import Exact
@@ -256,6 +257,26 @@ class TestLaplacian:
         assert (lap == lap.T).all()
         assert all(sum(row, Exact()).is_zero() for row in lap)
         assert lap[0, 1] == Exact.of(Fraction(-1, 10))
+
+    @pytest.mark.parametrize("n, d1", [(8, 2), (16, 4)])
+    def test_factors_a_radicand_once(self, capsys, tmp_path, monkeypatch, n, d1):
+        # (1/n - c) I + c J with c = sqrt(k)/10**9: its Laplacian's entries all have radicand k,
+        # which the file's one distinct token factors; no sum factors it again
+        k = 999_999_999_989
+        assert _is_prime(k)
+        c = f"sqrt({k})/1000000000"
+        path = tmp_path / "radicals.mat"
+        path.write_text(f"dims {n} {d1} {n // d1}\n" + "".join(
+            " ".join(f"1/{n}" if i == j else c for j in range(n)) + "\n" for i in range(n)))
+        factored = []
+        square_free = exact_module._square_free
+        monkeypatch.setattr(exact_module, "_square_free", lambda r: factored.append(r) or square_free(r))
+        code, out, _ = run(capsys, "laplacian", str(path))
+        assert code == 0 and factored == [k]
+        degree = Fraction(n - 1, 10**9)  # each diagonal entry is (n - 1) c
+        degree = f"{degree.numerator}*sqrt({k})/{degree.denominator}"
+        assert out == f"# laplacian of {path}\ndims {n} {d1} {n // d1}\n" + "".join(
+            " ".join(degree if i == j else f"-{c}" for j in range(n)) + "\n" for i in range(n))
 
     def test_unwritable_out_path_exit_3(self, capsys, tmp_path):
         out_path = tmp_path / "no_such_dir" / "x.txt"
@@ -726,6 +747,22 @@ class TestUsage:
         code, out, err = run(capsys, command, *(arg.format(file=mixed_file) for arg in given))
         assert code == 3 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("given", [("rho3",), ("--param", "0.5"), ("--out", "{out}"),
+                                       ("rho3", "--param", "0.5", "--out", "{out}")],
+                             ids=["name", "param", "out", "name-param-and-out"])
+    def test_corpus_list_takes_no_name_param_or_out_exit_3(self, capsys, tmp_path, given):
+        out_path = tmp_path / "x.txt"
+        code, out, err = run(capsys, "corpus", "list", *(arg.format(out=out_path) for arg in given))
+        assert code == 3 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_tolerance_defaults_are_the_librarys(self):
+        parse_args = cli.build_parser().parse_args
+        assert parse_args(["validate", "any.mat"]).tol == states.DEFAULT_TOL
+        for argv in (["classify", "--state", "rho3"],
+                     ["sweep", "--state", "rho6", "--param-name", "a", "--from", "0", "--to", "1", "--steps", "2"]):
+            assert parse_args(argv).eps == DecisionTolerance().eps
 
     def test_zero_tol_is_legal(self, capsys, mixed_file):
         code, out, _ = run(capsys, "validate", mixed_file, "--tol", "0")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from entlap import exact as exact_module
 from entlap.exact import MAX_DIGITS, ZERO, Exact, _square_free
 
 rationals = st.fractions(
@@ -40,6 +41,25 @@ def test_radical_arithmetic():
     assert s2 * s3 == Exact.radical(1, 6)
     mixed = Exact.of(Fraction(3, 8)) + Exact.radical(Fraction(1, 8), 7)
     assert float(mixed) == pytest.approx(3 / 8 + math.sqrt(7) / 8, abs=1e-15)
+
+
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=3), st.lists(st.integers(1, 60), min_size=1, max_size=3),
+       rationals, rationals)
+def test_a_product_is_the_product_of_its_radicals(ks, ls, a, b):
+    # x * y for x = a sum_k sqrt(k), y = b sum_l sqrt(l), against radical(a b, k l) for every pair
+    x = sum((Exact.radical(a, k) for k in ks), ZERO)
+    y = sum((Exact.radical(b, l) for l in ls), ZERO)
+    assert x * y == sum((Exact.radical(a * b, k * l) for k in ks for l in ls), ZERO)
+    assert all(_square_free(k) == (1, k) for k in (x * y).terms)
+
+
+def test_only_radical_factors(monkeypatch):
+    factored = []
+    monkeypatch.setattr(exact_module, "_square_free", lambda k: factored.append(k) or _square_free(k))
+    x, y = Exact.radical(1, 12), Exact.radical(Fraction(1, 3), 18)  # 2 sqrt(3) and sqrt(2)
+    assert factored == [12, 18]
+    assert (x + y - x * y) * (x - y) == Exact.of(10) - Exact.radical(12, 2) + Exact.radical(4, 3)
+    assert factored == [12, 18, 2, 3]  # and the expected value's radicals: sums and products factor nothing
 
 
 def test_exact_sign_of_two_term_values():

@@ -239,6 +239,28 @@ class TestEmit:
         assert format_scalar(0.1) == "0.1"
         assert format_scalar(Exact.of(Fraction(3, 8)) + Exact.radical(Fraction(1, 8), 7)) == "0.705718913883"
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("value, want128, want64", [
+        (complex(0.1, 0.2), "0.1+0.2i", "0.10000000149+0.20000000298i"),
+        (complex(-0.1, -0.2), "-0.1-0.2i", "-0.10000000149-0.20000000298i"),
+        (complex(0.25, 0.0), "0.25", "0.25"),
+        (complex(0.25, -0.0), "0.25", "0.25"),
+        (complex(0, -1e-20), "0-1e-20i", "0-9.99999968266e-21i"),
+    ], ids=["imag-above-0", "imag-below-0", "imag-0", "imag-minus-0", "tiny-imag"])
+    def test_format_scalar_complex(self, dtype, value, want128, want64):
+        assert format_scalar(dtype(value)) == (want128 if dtype is np.complex128 else want64)
+
+    def test_complex_state_round_trip(self, rng):
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = a @ a.conj().T
+        rho = validate(a / np.trace(a).real, BipartiteDims(2, 3))
+        text = emit(rho)
+        assert "i " in text and "-" in text
+        reparsed = parse(text)
+        assert reparsed.array.dtype == complex
+        np.testing.assert_allclose(reparsed.array, rho.array, rtol=1e-11, atol=0)
+        assert emit(reparsed.validate()) == text
+
 
 @given(
     st.lists(

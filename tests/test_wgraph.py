@@ -21,13 +21,11 @@ from entlap.wgraph import (
     edges,
     export_dot,
     graph_from_laplacian,
-    graph_on_edges,
     is_connected,
     max_w,
 )
 
 from _oracles import bf_connected, bf_edge_w, bf_edges, bf_max_w, random_psd
-from _sampling import corpus_points
 
 
 def _graph_of(rho):
@@ -82,22 +80,6 @@ class TestGraphFromLaplacian:
             g = _graph_of(rho)
             total = sum(float(_degree(g, i)) for i in range(len(g)))
             assert total == pytest.approx(rho.total_degree, abs=1e-12)
-
-
-class TestGraphOnEdges:
-    @pytest.mark.parametrize("name, param", list(corpus_points()))
-    def test_exact_weights_are_the_exact_laplacians_graph(self, name, param):
-        rho = build(name, param)
-        g = graph_on_edges(edges(rho.graph), rho.exact)
-        want = graph_from_laplacian(laplacian_of_density(rho.exact))
-        assert g.dtype == object and not g.flags.writeable
-        assert all(type(w) is Exact for w in g.flat)
-        assert np.array_equal(g, want)
-
-    def test_a_stack_is_a_dimension_mismatch(self):
-        stack = build_stack("rho_ab", [0.0, 0.1])
-        with pytest.raises(DimensionMismatch):
-            graph_on_edges(edges(stack.graph), stack.exact)
 
 
 class TestConnectivity:
@@ -529,3 +511,10 @@ class TestExportDot:
         rho = _random_density(rng, 2, 2)
         dot = export_dot(_graph_of(rho))
         assert "sqrt" not in dot and "/" not in dot.replace("--", "")
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
+    def test_a_float_states_entries_label_its_graph(self, rng, dtype):
+        a = _random_density(rng, 2, 3).array  # complex; its real part is a real state
+        rho = validate((a.real if dtype is np.float64 else a).astype(dtype), BipartiteDims(2, 3))
+        assert rho.exact is None
+        assert export_dot(rho.literal, edges(rho.graph)) == export_dot(rho.graph)
