@@ -6,7 +6,19 @@ read off: floats, or Exact scalars (an object array), so W values stay exact
 for exact inputs; the paper's exact W values are pinned on such graphs.
 Edges are chosen on float values, and `edges(g)` lists them as index arrays.
 W is one closed form, by the max identity a + b + |a - b| = 2 max(a, b), over
-heap-sized edge slices (`_w_values`).
+heap-sized edge slices (`_w_values`).  `max_w` and `edge_w` read bool and
+integer weights as float64, so no sum or doubled weight wraps around.
+
+With d the weighted degrees, q_i = sum_k w_ik^2 and G = w w^T, that closed form
+is W[i,j] = d_i + d_j + sum_{k != i,j} |w_ik - w_jk| (EXCLUDED) for
+non-negative weights, so by Cauchy-Schwarz over the n - 2 terms of the sum
+
+    d_i + d_j <= W[i,j] <= U[i,j] = d_i + d_j + sqrt(n-2) sqrt(q_i + q_j - 2 G_ij - 2 w_ij^2),
+
+and INCLUSIVE adds 2 w_ij to all three.  `max_w` of one float graph whose
+edges fill more than one slice reads U off one matrix product, weighs the edge
+with the largest U, and then only the edges whose U reaches that W: the
+others cannot hold the max (see `max_w`).
 
 A stack of graphs is a (b, n, n) weight array, read off a stack of
 Laplacians.  Its edges are (s, i, j) triples, and `is_connected` and `max_w`
@@ -109,6 +121,12 @@ def _check_one_graph(g: np.ndarray) -> None:
         raise DimensionMismatch(f"expected one graph, got a stack of {len(g)}")
 
 
+def _weights(g: np.ndarray) -> np.ndarray:
+    """g with bool and integer weights read as float64: W doubles weights and
+    sums n of them, which wraps a small integer type, and a bool matmul is logical."""
+    return g.astype(np.float64) if g.dtype.kind in "biu" else g
+
+
 def _w_values(w: np.ndarray, ends: tuple[np.ndarray, ...], convention: WConvention) -> np.ndarray:
     """W over the edges (i[e], j[e]), or (s[e], i[e], j[e]) of a stack w, by the closed form
 
@@ -145,6 +163,7 @@ def edge_w(g: np.ndarray, i: int, j: int,
     Exact on exact graphs, float otherwise.
     """
     _check_one_graph(g)
+    g = _weights(g)
     n = g.shape[-1]
     for v in (i, j):
         if not 0 <= v < n:
@@ -155,10 +174,77 @@ def edge_w(g: np.ndarray, i: int, j: int,
     return value if g.dtype == object else float(value)
 
 
+def _contenders(g: np.ndarray, convention: WConvention) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (i, j) of one float graph, in row-major order, whose W can be
+    its max: the edge with the largest bound U, and each edge whose U reaches
+    that edge's W less the margin tau of `max_w`.  Every edge when a weight is
+    negative, inf or NaN."""
+    low, top = g.min(), g.max()
+    if low < 0 or not np.isfinite(top):
+        return edges(g)
+    n = len(g)
+    exp = math.frexp(top)[1]
+    h = np.ldexp(g, -exp, dtype=np.float64)  # 0 <= h < 1; exact unless an entry falls below 2^-1022
+    gram = h @ h.T
+    q, d = gram.diagonal(), h.sum(axis=1)
+    bound = h * h  # in place: q_i + q_j - 2 G_ij - 2 h_ij^2, then U
+    bound += gram
+    bound *= -2
+    bound += q[:, None]
+    bound += q
+    np.maximum(bound, 0, out=bound)
+    bound += 4 * n * n * np.finfo(np.float64).eps  # rho
+    np.sqrt(bound, out=bound)
+    bound *= math.sqrt(n - 2)
+    bound += d[:, None]
+    bound += d
+    if convention == WConvention.INCLUSIVE:
+        bound += 2 * h
+    bound = np.where(g.astype(bool) & _upper(n), bound, -np.inf).ravel()  # edges only
+    seed = bound.argmax()
+    floor = np.ldexp(_w_values(g, np.divmod([seed], n), convention)[0], -exp, dtype=np.float64)
+    keep = bound >= floor - 4 * n * n * np.finfo(g.dtype).eps  # tau
+    keep[seed] = True  # also when its W overflows to inf
+    return np.divmod(np.flatnonzero(keep), n)
+
+
 def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exact | float | np.ndarray:
     """Maximum of edge_w over all edges, NaN for a graph without edges; one
-    maximum per graph of a stack of float graphs."""
-    found = edges(g)
+    maximum per graph of a stack of float graphs.
+
+    One float graph with non-negative, finite weights (a coherence graph's
+    are moduli) whose edges fill more than one slice of `_w_values` weighs
+    only its contenders (`_contenders`).  Its max is bit for bit the max over
+    all edges: it is the same kernel on the same rows, and the edge where the
+    kernel's W is largest is a contender.  The bound U of the module
+    docstring is read on h = 2^-e g, e the binary exponent of max g.  A power
+    of two scales exactly, so h < 1 keeps the matrix product from
+    overflowing, and subnormal weights come out normal; only entries of h
+    below 2^-1022 round, by under 2^-1074.
+
+    The margins, with u = 2^-53, u_w the unit roundoff of g's dtype (float64
+    or float32), n >= 26 (more than 8192 // n edges) and every value in units
+    of h.  The computed R = q_i + q_j - 2 G_ij - 2 h_ij^2 errs by under
+    4.4 n^2 u, so rho = 8 n^2 u under the root keeps sqrt(max(R, 0) + rho)
+    at or above the exact root.  With the rounding of d and of the last sums,
+    the exact U exceeds the computed one by under 3 n^2 u.  The kernel sums
+    n terms under 1 in g's dtype, so its W is within 2.2 n^2 u_w of the exact
+    one.  Let floor be the kernel's W of the edge s with the largest computed
+    U, and a an edge where the kernel's W is largest.  In exact arithmetic
+    U_a + 3 n^2 u >= W_a >= floor - 2.2 n^2 u_w, so keeping each edge whose
+    computed U is at least floor - tau, tau = 8 n^2 u_w, keeps a; the rest
+    of tau covers the rounding of the comparison and the underflow above.
+    s is kept by name, so a floor that overflows to inf keeps it, and an
+    edge whose W overflows has a finite U above every finite floor.  Graphs
+    with a negative, inf or NaN weight, stacks, exact graphs and graphs that
+    fit one slice weigh every edge.
+    """
+    g = _weights(g)
+    # more edges than one slice holds, each edge being two non-zero entries
+    if g.ndim == 2 and g.dtype != object and np.count_nonzero(g) > 2 * (SLICE_ENTRIES // len(g)):
+        found = _contenders(g, convention)
+    else:
+        found = edges(g)
     if g.ndim == 3:
         best = np.full(len(g), np.nan)
         if len(found[0]):

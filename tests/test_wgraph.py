@@ -25,6 +25,7 @@ from entlap.wgraph import (
     max_w,
 )
 
+from _bench import pool_keys, wl
 from _oracles import bf_connected, bf_edge_w, bf_edges, bf_max_w, random_psd
 
 
@@ -424,6 +425,181 @@ class TestWMemory:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+def _all_edges_max(g, convention):
+    """The max of W over every edge of one graph, by the kernel alone."""
+    return wgraph._w_values(g, edges(g), convention).max()
+
+
+def _symmetric(upper):
+    """The graph with the strict upper triangle of `upper` as its weights."""
+    w = np.triu(upper, 1)
+    return w + w.T
+
+
+def _weighed(monkeypatch):
+    """A list that gets the edge count of every `_w_values` call."""
+    weighed, kernel = [], wgraph._w_values
+    monkeypatch.setattr(wgraph, "_w_values", lambda w, ends, c: weighed.append(len(ends[0])) or kernel(w, ends, c))
+    return weighed
+
+
+def _assert_max_w_is_all_edges_max(g):
+    for convention in WConvention:
+        got, want = max_w(g, convention), _all_edges_max(g, convention)
+        assert got == want and type(got) is float, (convention, got, want)
+
+
+@st.composite
+def _bounded_graphs(draw):
+    """A graph on 20..64 vertices: random weights at one of many scales, with a
+    share of pairs cut, or near-equal weights, where bounds are tight."""
+    n = draw(st.integers(20, 64))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["uniform", "log-uniform", "near-equal", "sparse"]))
+    if kind == "uniform":
+        upper = rng.random((n, n))
+    elif kind == "log-uniform":
+        upper = 10.0 ** rng.uniform(-12, 0, (n, n))
+    elif kind == "near-equal":
+        upper = 0.3 + rng.integers(-2, 3, (n, n)) * 2.0 ** -52
+    else:
+        upper = rng.random((n, n)) * (rng.random((n, n)) < draw(st.floats(0.3, 1.0)))
+    return np.ldexp(_symmetric(upper), draw(st.integers(-40, 40)))
+
+
+class TestBoundedMaxW:
+    """One float graph whose edges fill more than one slice weighs only the
+    edges whose Cauchy-Schwarz bound reaches its seed edge's W; its max W is
+    still bit for bit the max over every edge."""
+
+    def test_pool_states(self):
+        keys = pool_keys()
+        assert len(keys) == 640
+        for d1, d2, kind, index in keys:
+            g = validate(wl.make_state(d1, d2, kind, index), BipartiteDims(d1, d2)).graph
+            for convention in WConvention:
+                assert max_w(g, convention) == _all_edges_max(g, convention), (d1, d2, kind, index, convention)
+
+    @pytest.mark.parametrize("n", [26, 32, 47, 64])
+    @pytest.mark.parametrize("weight", [0.1, 1 / 3, 0.7, 2.0 ** -30])
+    def test_complete_graph_ties_keep_every_edge(self, n, weight):
+        g = np.full((n, n), weight) - np.diag(np.full(n, weight))
+        for convention in WConvention:
+            assert len(wgraph._contenders(g, convention)[0]) == n * (n - 1) // 2
+        _assert_max_w_is_all_edges_max(g)
+
+    @pytest.mark.parametrize("n", [26, 40, 64])
+    def test_near_duplicate_rows(self, rng, n):
+        # q_i + q_j - 2 G_ij cancels to the last bits where two rows nearly agree
+        for spread in (2.0 ** -52, 2.0 ** -40, 1e-9):
+            base = np.full((n, n), 0.25)
+            _assert_max_w_is_all_edges_max(_symmetric(base + spread * rng.standard_normal((n, n))))
+            v = 1 + spread * rng.standard_normal(n)
+            _assert_max_w_is_all_edges_max(_symmetric(np.outer(v, v)))
+
+    def test_weights_from_the_edge_threshold_to_one(self, rng):
+        for n in (26, 48, 64):
+            for _ in range(5):
+                g = _symmetric(10.0 ** rng.uniform(math.log10(wgraph.EDGE_THRESHOLD), 0, (n, n)))
+                assert len(edges(g)[0]) == n * (n - 1) // 2
+                _assert_max_w_is_all_edges_max(g)
+
+    @pytest.mark.parametrize("exponent", [500, -500, -1060, 1018])
+    def test_weights_scaled_by_powers_of_two(self, rng, exponent):
+        # 2^-1060 makes every weight subnormal: the bound is read on a copy scaled by 2^1060;
+        # at 2^1018 every W overflows to inf, the seed edge's too
+        g = _symmetric(rng.uniform(0.5, 1.0, (48, 48)))
+        scaled = np.ldexp(g, exponent)
+        assert np.count_nonzero(scaled) == np.count_nonzero(g)
+        with np.errstate(over="ignore"):
+            _assert_max_w_is_all_edges_max(scaled)
+            assert math.isinf(max_w(scaled)) == (exponent > 1000)
+        if abs(exponent) <= 500:  # no W rounds differently when scaled
+            for convention in WConvention:
+                assert max_w(scaled, convention) == np.ldexp(max_w(g, convention), exponent)
+
+    def test_float32_graphs_keep_their_precision(self, rng):
+        for n in (32, 64):
+            g = _symmetric(rng.random((n, n))).astype(np.float32)
+            _assert_max_w_is_all_edges_max(g)
+            assert max_w(g) != max_w(g.astype(np.float64))  # the kernel sums in float32
+
+    def test_float32_ties_need_a_float32_margin(self, rng):
+        # a circulant graph on 2h vertices, h odd, where c[m] and c[h - m] differ by exactly 1/4:
+        # every |w_ik - w_jk| of an edge (i, i + h) is 1/4, so these h edges share one exact W,
+        # equal to their bound U, and float32 sums of the rotated rows round apart by an ulp or
+        # two, far more than a margin at float64's precision covers
+        h, n = 29, 58
+        for _ in range(40):
+            low = rng.uniform(0.5, 0.75, h // 2).astype(np.float32)
+            pair = np.stack([low, low + np.float32(0.25)])
+            c = np.zeros(n, dtype=np.float32)
+            c[1:h // 2 + 1], c[h - 1:h // 2:-1] = np.where(rng.random(h // 2) < 0.5, pair, pair[::-1])
+            c[h], c[h + 1:] = rng.uniform(0.5, 1.0), c[h - 1:0:-1]
+            g = c[(np.arange(n) - np.arange(n)[:, None]) % n]
+            assert (g == g.T).all()
+            _assert_max_w_is_all_edges_max(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_bounded_graphs())
+    def test_matches_all_edges(self, g):
+        _assert_max_w_is_all_edges_max(g)
+
+    @pytest.mark.parametrize("weight", [-30.0, math.inf, math.nan])
+    def test_a_negative_or_non_finite_weight_weighs_every_edge(self, rng, monkeypatch, weight):
+        # the bound holds for non-negative weights only: a negative w_ij adds 4 |w_ij| to W[i,j]
+        g = _symmetric(rng.random((40, 40)))
+        g[3, 7] = g[7, 3] = weight
+        with np.errstate(invalid="ignore"):  # EXCLUDED's W of an inf edge is inf - inf
+            want = [_all_edges_max(g, convention) for convention in WConvention]
+            weighed = _weighed(monkeypatch)
+            got = [max_w(g, convention) for convention in WConvention]
+        assert weighed == [40 * 39 // 2] * 2
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestIntegerGraphs:
+    """Bool and integer weights are read as float64: no W wraps an integer type."""
+
+    def test_uint8_complete_graph(self):
+        g = np.full((4, 4), 200, dtype=np.uint8) - np.diag(np.full(4, 200, dtype=np.uint8))
+        assert max_w(g) == 1200.0 and max_w(g, WConvention.INCLUSIVE) == 1600.0
+        assert edge_w(g, 0, 1) == 1200.0 and edge_w(g, 0, 1, WConvention.INCLUSIVE) == 1600.0
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int16, np.int64])
+    def test_equal_the_float_graph(self, rng, n, dtype):
+        weights = rng.integers(0, 2 if dtype is bool else 120, (n, n))
+        g = _symmetric(weights).astype(dtype)
+        want = _symmetric(weights).astype(np.float64)
+        i, j = (int(v[0]) for v in edges(g))
+        for convention in WConvention:
+            assert max_w(g, convention) == max_w(want, convention)
+            assert edge_w(g, i, j, convention) == edge_w(want, i, j, convention)
+        stack = np.stack([g, g])
+        assert max_w(stack).tolist() == [max_w(want)] * 2
+
+
+class TestContenders:
+    def test_dense_8x8_pool_states_weigh_few_edges(self, monkeypatch):
+        """Besides its seed edge, max_w of an 8x8 dense or rank-2 pool state
+        weighs at most two slices of 128 edges, and half a slice on average,
+        where weighing every edge takes 2016 edges in 16 slices."""
+        weighed = _weighed(monkeypatch)
+        per_slice = wgraph.SLICE_ENTRIES // 64
+        extra = []
+        for kind in ("dense", "rank2"):
+            for index in range(wl.POOL_PER_CLASS):
+                g = validate(wl.make_state(8, 8, kind, index), BipartiteDims(8, 8)).graph
+                weighed.clear()
+                max_w(g)
+                assert weighed[0] == 1 and len(weighed) == 2, (kind, index, weighed)
+                extra.append(weighed[1])
+        assert max(extra) <= 2 * per_slice
+        assert sum(extra) <= len(extra) * per_slice // 2
 
 
 class TestEdgeIndex:
