@@ -24,9 +24,10 @@ A stack of graphs is a (b, n, n) weight array, read off a stack of
 Laplacians.  Its edges are (s, i, j) triples, and `is_connected` and `max_w`
 give one value per graph; `edge_w` and `export_dot` read one graph and
 reject a stack.  W is defined on edges only, so the max W of a graph without
-edges is NaN, for one graph as for each graph of a stack.  A graph's weights
-are the moduli of its state's off-diagonal entries, so `export_dot` labels a
-state's graph from the state's own entries at that graph's edges, with
+edges is NaN, for one graph as for each graph of a stack; `edge_w` also
+refuses an edge whose weight is negative, inf or NaN.  A graph's weights are
+the moduli of its state's off-diagonal entries, so `export_dot(m, ends)`
+labels the edges it is handed from a state's own entries m, with
 `exact.format_scalar`, as matrix-file entries are written.
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
@@ -127,21 +128,22 @@ def _weights(g: np.ndarray) -> np.ndarray:
     return g.astype(np.float64) if g.dtype.kind in "biu" else g
 
 
-def _w_values(w: np.ndarray, ends: tuple[np.ndarray, ...], convention: WConvention) -> np.ndarray:
+def _w_values(w: np.ndarray, ends: tuple[int | np.ndarray, ...], convention: WConvention) -> np.ndarray:
     """W over the edges (i[e], j[e]), or (s[e], i[e], j[e]) of a stack w, by the closed form
 
         W[i,j] = 2 sum_k max(w_ik, w_jk) - 2 w_ij   (EXCLUDED)
 
     with k over all vertices; INCLUSIVE drops the -2 w_ij term.  It is exactly
     `edge_w`'s d_i + d_j + sum_{k != i, j} |w_ik - w_jk|, d the weighted
-    degrees: the k = i, j terms of the max sum are w_ij each, and for every
-    other k, 2 max(a, b) = a + b + |a - b|.  One edge reads its two rows of w,
-    O(n).  Edges go in slices of SLICE_ENTRIES // n, so no temporary passes 64 KiB;
+    degrees, for a finite w_ij >= 0: the k = i, j terms of the max sum are
+    w_ij each, and for every other k, 2 max(a, b) = a + b + |a - b|.  One edge,
+    as two ints (i, j), reads its two rows of w, O(n), and gives a scalar.
+    Edges go in slices of SLICE_ENTRIES // n, so no temporary passes 64 KiB;
     when one slice holds them all, its rows are gathered directly.
     """
     row_i, row_j = ends[:-1], ends[:-2] + ends[-1:]  # (s, i) and (s, j) on a stack
     step = max(1, SLICE_ENTRIES // w.shape[-1])
-    if len(ends[0]) <= step:
+    if np.size(ends[0]) <= step:
         total = 2 * np.maximum(w[row_i], w[row_j]).sum(axis=-1)
     else:
         total = 2 * np.concatenate([
@@ -160,7 +162,9 @@ def edge_w(g: np.ndarray, i: int, j: int,
                  + sum_{k~i, k~j} |w_ik - w_jk|
 
     over an existing edge (i,j) of one graph; see WConvention for the k range.
-    Exact on exact graphs, float otherwise.
+    Exact on exact graphs, float otherwise.  W is defined on an edge whose
+    weight w_ij is finite and non-negative, as every coherence graph's is: a
+    negative, infinite or NaN w_ij raises ValueError.
     """
     _check_one_graph(g)
     g = _weights(g)
@@ -168,9 +172,12 @@ def edge_w(g: np.ndarray, i: int, j: int,
     for v in (i, j):
         if not 0 <= v < n:
             raise VertexOutOfRange(f"vertex {v} outside [0, {n})")
-    if i == j or not g[i, j]:
+    w = g[i, j]
+    if i == j or not w:
         raise NotAnEdge(f"({i}, {j}) is not an edge")
-    value = _w_values(g, (np.array([i]), np.array([j])), convention)[0]
+    if w < 0 or (g.dtype != object and not np.isfinite(w)):
+        raise ValueError(f"W is not defined on the edge ({i}, {j}) of weight {w}")
+    value = _w_values(g, (i, j), convention)
     return value if g.dtype == object else float(value)
 
 
@@ -202,7 +209,7 @@ def _contenders(g: np.ndarray, convention: WConvention) -> tuple[np.ndarray, np.
         bound += 2 * h
     bound = np.where(g.astype(bool) & _upper(n), bound, -np.inf).ravel()  # edges only
     seed = bound.argmax()
-    floor = np.ldexp(_w_values(g, np.divmod([seed], n), convention)[0], -exp, dtype=np.float64)
+    floor = np.ldexp(_w_values(g, divmod(int(seed), n), convention), -exp, dtype=np.float64)
     keep = bound >= floor - 4 * n * n * np.finfo(g.dtype).eps  # tau
     keep[seed] = True  # also when its W overflows to inf
     return np.divmod(np.flatnonzero(keep), n)
@@ -237,7 +244,10 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exac
     s is kept by name, so a floor that overflows to inf keeps it, and an
     edge whose W overflows has a finite U above every finite floor.  Graphs
     with a negative, inf or NaN weight, stacks, exact graphs and graphs that
-    fit one slice weigh every edge.
+    fit one slice weigh every edge.  Unlike `edge_w`, `max_w` does not refuse
+    such weights, on which W is not defined: a coherence graph has none, and
+    the check would run on every state.  It returns the closed form's max,
+    in which a negative w_ij adds 4 |w_ij| and an inf one is NaN (EXCLUDED).
     """
     g = _weights(g)
     # more edges than one slice holds, each edge being two non-zero entries
@@ -257,21 +267,19 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exac
     return best if g.dtype == object else float(best)
 
 
-def export_dot(m: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | None = None) -> str:
+def export_dot(m: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> str:
     """Deterministic DOT text of one graph: undirected, vertices labelled 1..n,
-    each edge (i, j) labelled `format_scalar` of |m_ij|.
+    each edge (i, j) of `ends` labelled `format_scalar` of |m_ij|.
 
-    `m` is a graph, whose label is its weight, or, with the edges `ends` of
-    its graph as `edges` lists them, a matrix whose graph's weights are its
-    entry moduli: a state's `literal` entries, exact when the state has them.
-    Without `ends`, the edges are m's own.  The moduli are np.abs's, as
-    `laplacian_of_density` takes them: Python's abs of a numpy complex scalar
-    can differ from it in the last bit.
+    `m` is a matrix whose entry moduli are its graph's weights, such as the
+    graph itself or a state's `literal` entries, exact when the state has
+    them; `ends` are that graph's edges, as `edges` lists them.  The moduli
+    are np.abs's, as `laplacian_of_density` takes them: Python's abs of a
+    numpy complex scalar can differ from it in the last bit.
     """
     _check_one_graph(m)
-    i, j = edges(m) if ends is None else ends
     lines = ["graph G {"]
     lines.extend(f"  {v + 1};" for v in range(m.shape[-1]))
-    lines.extend(f'  {a + 1} -- {b + 1} [label="{format_scalar(w)}"];' for a, b, w in zip(i, j, np.abs(m[i, j])))
+    lines.extend(f'  {a + 1} -- {b + 1} [label="{format_scalar(w)}"];' for a, b, w in zip(*ends, np.abs(m[ends])))
     lines.append("}")
     return "\n".join(lines) + "\n"

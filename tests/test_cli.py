@@ -207,6 +207,14 @@ class TestClassify:
         _, out2, _ = run(capsys, "classify", "--state", "rho3", "--json")
         assert out1 == out2
 
+    def test_eps_sets_the_band(self, capsys):
+        # rho3's margins are all far above 1e-6; a band of 0.1 swallows its lambda_min(rho^TB) = -0.0119
+        default = run(capsys, "classify", "--state", "rho3")
+        assert default[0] == 0 and "oracle: NPT" in default[1]
+        assert run(capsys, "classify", "--state", "rho3", "--eps", "1e-6") == default
+        code, out, _ = run(capsys, "classify", "--state", "rho3", "--eps", "0.1")
+        assert code == 0 and "oracle: PPT" in out
+
     def test_unknown_state_exit_3(self, capsys):
         code, _, err = run(capsys, "classify", "--state", "nosuch")
         assert code == 3
@@ -399,7 +407,8 @@ class TestGraph:
     def test_exact_dot_is_the_exact_laplacians_graph(self, capsys, tmp_path, name, param):
         args = ("--state", name) + (() if param is None else ("--param", str(param)))
         run(capsys, "graph", *args, "--dot", str(tmp_path / "g.dot"))
-        want = export_dot(graph_from_laplacian(laplacian_of_density(build(name, param).exact)))
+        g = graph_from_laplacian(laplacian_of_density(build(name, param).exact))
+        want = export_dot(g, edges(g))
         assert (tmp_path / "g.dot").read_text() == want
 
 
@@ -648,6 +657,7 @@ def test_sweep_output_matches_the_benchmark_reference(key):
     (["sweep", "--state", "rho6", "--param-name", "a", "--from", "0.5", "--to", "2", "--steps", "2"], 2,
      "a = 2.0 outside [0.01, 1.0] for state 'rho6'"),
     (["corpus", "emit", "psi", "--param", "0.5"], 2, "state 'psi' takes no parameter"),
+    (["corpus", "emit"], 3, "corpus emit requires a state name"),
 ])
 def test_corpus_errors_exit_code_and_message(capsys, argv, code, message):
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")

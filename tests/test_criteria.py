@@ -84,6 +84,13 @@ def _lifting_counterexample(p=0.2):
     return _dm(rho, 2, 2)
 
 
+class TestDecisionTolerance:
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, float("nan")])
+    def test_a_band_that_is_not_positive_is_refused(self, eps):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            DecisionTolerance(eps)
+
+
 class TestPptOracle:
     def test_rho2_ppt(self, rho2):
         verdict, lam = ppt_oracle(rho2)

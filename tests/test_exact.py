@@ -73,6 +73,24 @@ def test_exact_sign_of_two_term_values():
     assert (Exact.radical(2, 2) - Exact.radical(1, 8)).sign() == 0
 
 
+def test_exact_sign_of_three_term_values():
+    # three radicands: the sign is read off the float value, away from zero only
+    assert (Exact.radical(1, 2) + Exact.radical(1, 3) - Exact.radical(1, 5)).sign() == 1
+    assert (Exact.radical(1, 2) - Exact.radical(1, 3) - Exact.radical(1, 5)).sign() == -1
+    # c is the float nearest (sqrt(2) + sqrt(3)) / sqrt(5), so the value is within 1e-15 of zero, not zero
+    c = Fraction((math.sqrt(2) + math.sqrt(3)) / math.sqrt(5))
+    near_zero = Exact.radical(1, 2) + Exact.radical(1, 3) - Exact.radical(c, 5)
+    assert not near_zero.is_zero()
+    with pytest.raises(ValueError, match="^cannot decide sign of"):
+        near_zero.sign()
+
+
+def test_an_irrational_value_has_no_fraction():
+    with pytest.raises(ValueError, match="is not rational$"):
+        Exact.radical(1, 2).as_fraction()
+    assert Exact.radical(1, 4).as_fraction() == 2
+
+
 def test_adding_zero_returns_the_other_operand():
     x = Exact.radical(Fraction(1, 8), 7)
     assert x + Exact() is x

@@ -37,6 +37,11 @@ class TestAsStack:
     def test_finite_int_bool_and_empty_input_is_accepted(self, m):
         assert as_stack(m) is m
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 2, 3)])
+    def test_a_matrix_that_is_not_square_is_a_dimension_mismatch(self, shape):
+        with pytest.raises(DimensionMismatch, match="^expected a square matrix or a stack of them"):
+            as_stack(np.ones(shape))
+
     def test_object_array_of_fractions_is_a_type_error(self):
         with pytest.raises(TypeError):
             as_stack(np.array([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], dtype=object))

@@ -116,6 +116,21 @@ class TestParse:
             parse("dims 6 2 2\n")
         assert "d1*d2" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# a comment\n\n# and another\n"])
+    def test_input_without_a_header_is_empty(self, text):
+        with pytest.raises(ParseError, match="^line 1, column 1: empty input: missing 'dims' header$"):
+            parse(text)
+
+    def test_a_row_past_the_order_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^line 6, column 1: expected 4 rows, got more$"):
+            parse("dims 4 2 2\n1/4 0 0 0\n0 1/4 0 0\n0 0 1/4 0\n0 0 0 1/4\n0 0 0 0\n")
+
+    def test_a_zero_radicand_is_a_parse_error(self):
+        with pytest.raises(ValueError, match="^radicand must be positive$"):
+            parse_entry("sqrt(0)")
+        with pytest.raises(ParseError, match="^line 2, column 1: radicand must be positive$"):
+            parse("dims 4 2 2\nsqrt(0) 0 0 0\n0 1/4 0 0\n0 0 1/4 0\n0 0 0 1/4\n")
+
     def test_subsystem_dimension_below_two_is_a_parse_error(self):
         with pytest.raises(ParseError) as err:
             parse("# header on line 2\ndims 2 1 2\n1 0\n0 0\n")
@@ -200,6 +215,11 @@ class TestParse:
 
 
 class TestEmit:
+    def test_a_bare_matrix_needs_dims(self):
+        with pytest.raises(ValueError, match="^dims required when not passing a DensityMatrix$"):
+            emit(np.eye(4) / 4)
+        assert emit(np.eye(4) / 4, BipartiteDims(2, 2)).startswith("dims 4 2 2\n0.25 0 0 0\n")
+
     def test_exact_rationals_preserved(self, rho2):
         text = emit(rho2)
         assert "1/81" in text

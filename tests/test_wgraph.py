@@ -27,6 +27,7 @@ from entlap.wgraph import (
 
 from _bench import pool_keys, wl
 from _oracles import bf_connected, bf_edge_w, bf_edges, bf_max_w, random_psd
+from _sampling import corpus_points
 
 
 def _graph_of(rho):
@@ -244,6 +245,58 @@ class TestEdgeW:
                     want = bf_edge_w(6, edges, i, j, inclusive)
                     assert got == pytest.approx(want, abs=1e-12)
 
+    def test_a_negative_weight_is_refused(self):
+        # the closed form adds 4 |w_ij| for a negative w_ij: 12 here, where the neighbour sums give 0
+        weights = {(0, 1): 1.0, (0, 2): 2.0, (1, 2): -3.0, (1, 3): 1.0, (2, 3): 1.0}
+        g = np.zeros((4, 4))
+        for (i, j), w in weights.items():
+            g[i, j] = g[j, i] = w
+        assert wgraph._w_values(g, (1, 2), WConvention.EXCLUDED) == 12.0
+        assert bf_edge_w(4, weights, 1, 2, inclusive=False) == 0.0
+        for convention in WConvention:
+            with pytest.raises(ValueError, match=r"^W is not defined on the edge \(1, 2\) of weight -3.0$"):
+                edge_w(g, 1, 2, convention)
+            assert edge_w(g, 0, 1, convention) == bf_edge_w(4, weights, 0, 1, convention == WConvention.INCLUSIVE)
+
+    @pytest.mark.parametrize("weight", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_weight_is_refused(self, weight):
+        # EXCLUDED's closed form would read inf - inf, with numpy's invalid-value warning
+        g = np.ones((3, 3)) - np.eye(3)
+        g[0, 1] = g[1, 0] = weight
+        for convention in WConvention:
+            with pytest.raises(ValueError, match=r"^W is not defined on the edge \(0, 1\)"):
+                edge_w(g, 0, 1, convention)
+
+    def test_a_negative_exact_weight_is_refused(self):
+        g = np.array([[0, 1], [1, 0]]) * Exact.radical(-1, 2)
+        with pytest.raises(ValueError, match="^W is not defined on the edge"):
+            edge_w(g, 0, 1)
+        assert edge_w(-g, 0, 1) == Exact.radical(2, 2)
+        assert edge_w(-g, 0, 1, WConvention.INCLUSIVE) == Exact.radical(4, 2)
+
+
+class TestOneEdgeRead:
+    """`edge_w` reads its edge from the edge's two rows, and `max_w` reads the
+    edge lists; both are `_w_values`, so they agree bit for bit."""
+
+    def test_float_pool_states_bit_for_bit(self):
+        for d1, d2, kind, index in pool_keys():
+            graph = validate(wl.make_state(d1, d2, kind, index), BipartiteDims(d1, d2)).graph
+            for g in (graph, graph.astype(np.float32)):
+                ends = edges(g)
+                for convention in WConvention:
+                    want = [float(v).hex() for v in wgraph._w_values(g, ends, convention)]
+                    got = [edge_w(g, int(i), int(j), convention).hex() for i, j in zip(*ends)]
+                    assert got == want, (d1, d2, kind, index, g.dtype, convention)
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_exact_corpus_graphs(self, name, param):
+        g = graph_from_laplacian(laplacian_of_density(build(name, param).exact))
+        ends = edges(g)
+        for convention in WConvention:
+            want = wgraph._w_values(g, ends, convention)
+            assert [edge_w(g, int(i), int(j), convention) for i, j in zip(*ends)] == list(want)
+
 
 class TestMaxW:
     def test_no_edges(self):
@@ -397,7 +450,7 @@ class TestStackedGraphs:
     def test_one_graph_readers_reject_a_stack(self):
         values = [0.1, 0.5, 0.9]
         stack = build_stack("rho6", values).graph
-        for read in (lambda g: edge_w(g, 0, 1), export_dot):
+        for read in (lambda g: edge_w(g, 0, 1), lambda g: export_dot(g, edges(g))):
             with pytest.raises(DimensionMismatch, match="^expected one graph, got a stack of 3$"):
                 read(stack)
         alone = [build("rho6", a).graph for a in values]
@@ -441,7 +494,7 @@ def _symmetric(upper):
 def _weighed(monkeypatch):
     """A list that gets the edge count of every `_w_values` call."""
     weighed, kernel = [], wgraph._w_values
-    monkeypatch.setattr(wgraph, "_w_values", lambda w, ends, c: weighed.append(len(ends[0])) or kernel(w, ends, c))
+    monkeypatch.setattr(wgraph, "_w_values", lambda w, ends, c: weighed.append(np.size(ends[0])) or kernel(w, ends, c))
     return weighed
 
 
@@ -666,26 +719,30 @@ class TestSpectralBound:
 
 class TestExportDot:
     def test_edgeless_two_vertices(self):
-        dot = export_dot(np.zeros((2, 2)))
+        g = np.zeros((2, 2))
+        dot = export_dot(g, edges(g))
         assert dot == "graph G {\n  1;\n  2;\n}\n"
 
     def test_rho5_labels(self, rho5):
-        dot = export_dot(_graph_of(rho5))
+        g = _graph_of(rho5)
+        dot = export_dot(g, edges(g))
         assert dot.count('[label="1/20"]') == 3
 
     def test_rho2_labels(self, rho2):
-        dot = export_dot(_graph_of(rho2))
+        g = _graph_of(rho2)
+        dot = export_dot(g, edges(g))
         assert dot.count('[label="1/81"]') == 4
         assert "1 -- 5" in dot and "1 -- 8" in dot and "4 -- 5" in dot and "4 -- 8" in dot
 
     def test_byte_identical_across_runs(self, rho3):
-        a = export_dot(_graph_of(rho3))
-        b = export_dot(graph_from_laplacian(laplacian_of_density(build("rho3").exact)))
+        g, h = _graph_of(rho3), graph_from_laplacian(laplacian_of_density(build("rho3").exact))
+        a, b = export_dot(g, edges(g)), export_dot(h, edges(h))
         assert a == b
 
     def test_float_weights_render_decimal(self, rng):
         rho = _random_density(rng, 2, 2)
-        dot = export_dot(_graph_of(rho))
+        g = _graph_of(rho)
+        dot = export_dot(g, edges(g))
         assert "sqrt" not in dot and "/" not in dot.replace("--", "")
 
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
@@ -693,4 +750,4 @@ class TestExportDot:
         a = _random_density(rng, 2, 3).array  # complex; its real part is a real state
         rho = validate((a.real if dtype is np.float64 else a).astype(dtype), BipartiteDims(2, 3))
         assert rho.exact is None
-        assert export_dot(rho.literal, edges(rho.graph)) == export_dot(rho.graph)
+        assert export_dot(rho.literal, edges(rho.graph)) == export_dot(rho.graph, edges(rho.graph))
