@@ -10,18 +10,21 @@ of the state's `literal` entries, `graph` the edges of its float coherence
 graph labelled |rho_ij| from those same entries (exact for a state with exact
 entries, so it builds no exact graph), and `sweep` lambda_min(rho) and max W / 2
 off each stack of states.  `exact.format_scalar` writes every number printed
-as text; the JSON report and the sweep's CSV rows write the same 12
-significant digits in bulk.
+as text; the sweep's CSV rows write the same 12 significant digits in bulk.
+`classify --json` writes its report here, in one pass over its fixed schema,
+in the layout json.dumps(..., indent=2) gives it: strings through json's own
+ASCII escaper, each scalar the float repr of its 12-significant-digit value,
+and NaN, Infinity and -Infinity as json spells them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 from . import corpus as corpus_mod
 from .criteria import ORACLE_VERDICTS, DecisionTolerance, classify, cor6, oracle, thm3, thm5, thm6
@@ -143,32 +146,41 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _report_to_dict(report) -> dict:
-    return {
-        "state_id": report.state_id,
-        "dims": {"d1": report.dims.d1, "d2": report.dims.d2},
-        "oracle": {
-            "verdict": report.oracle_verdict,
-            "lambda_min_ptb": _round12(report.oracle_lambda_min_ptb),
-        },
-        "criteria": [
-            {
-                "id": r.criterion_id.value,
-                "verdict": r.verdict.value,
-                "scalars": {k: _round12(v) for k, v in r.scalars.items()},
-                "caveat": r.caveat,
-            }
-            for r in report.results
-        ],
-        "consistency_flags": [c.value for c in report.consistency_flags],
-    }
+# The classify report as json.dumps(..., indent=2) lays it out (see the module docstring).
+_REPORT = ('{\n  "state_id": %s,\n  "dims": {\n    "d1": %d,\n    "d2": %d\n  },\n  "oracle": {\n'
+           '    "verdict": %s,\n    "lambda_min_ptb": %s\n  },\n  "criteria": %s,\n  "consistency_flags": %s\n}')
+_CRITERION = '{\n      "id": %s,\n      "verdict": %s,\n      "scalars": %s,\n      "caveat": %s\n    }'
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(x: float) -> str:
+    """The float repr of _round12(x), or json's NaN, Infinity or -Infinity."""
+    text = repr(_round12(x))
+    return _NON_FINITE.get(text, text)
+
+
+def _block(items: list[str], pad: str, brackets: str) -> str:
+    """A JSON array or object of written items, each on a line of its own after `pad`."""
+    if not items:
+        return brackets
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _report_json(report) -> str:
+    criteria = [_CRITERION % (_string(r.criterion_id.value), _string(r.verdict.value),
+                              _block([f"{_string(k)}: {_number(v)}" for k, v in r.scalars.items()], "\n        ", "{}"),
+                              "null" if r.caveat is None else _string(r.caveat))
+                for r in report.results]
+    return _REPORT % (_string(report.state_id), report.dims.d1, report.dims.d2, _string(report.oracle_verdict),
+                      _number(report.oracle_lambda_min_ptb), _block(criteria, "\n    ", "[]"),
+                      _block([_string(c.value) for c in report.consistency_flags], "\n    ", "[]"))
 
 
 def cmd_classify(args) -> int:
     rho, label = _load_state(args)
     report = classify(rho, DecisionTolerance(args.eps), state_id=label)
     if args.json:
-        print(json.dumps(_report_to_dict(report), indent=2))
+        print(_report_json(report))
         return EXIT_OK
     print(f"state: {label} ({rho.dims.d1}x{rho.dims.d2})")
     print(f"oracle: {report.oracle_verdict} lambda_min(rho^TB) = {format_scalar(report.oracle_lambda_min_ptb)}")

@@ -15,6 +15,8 @@ off a state's `exact` entries and the state's float `laplacian` agree bit for bi
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .exact import ZERO
@@ -27,17 +29,35 @@ def laplacian_of_density(m) -> np.ndarray:
     (read as its float matrix), Exact for an Exact object array.  A stack
     (..., n, n) gives the stack of each matrix's Laplacian.
 
-    Built as 0 - w with the row sums written onto the diagonal, so an exact
-    Laplacian reuses one zero and constructs an Exact only for a non-zero entry.
+    Built as 0 - w with the row sums written onto the diagonal.  An exact
+    Laplacian reuses one zero, and builds |v| once per distinct entry object and
+    -|v| once per distinct off-diagonal modulus (a per-call memo keyed on id():
+    corpus slots and parsed tokens share their objects), so beyond the row sums
+    it constructs an Exact only for a distinct negative entry or non-zero modulus.
     """
-    w = np.abs(np.asarray(m))
-    zero = ZERO if w.dtype == object else 0.0
+    a = np.asarray(m)
+    exact = a.dtype == object
+    w = _once(abs)(a) if exact else np.abs(a)
+    zero = ZERO if exact else 0.0
     diag = np.arange(w.shape[-1])
     w[..., diag, diag] = zero
-    lap = zero - w
+    lap = _once(operator.neg)(w) if exact else zero - w
     lap[..., diag, diag] = w.sum(axis=-1)
     lap.flags.writeable = False
     return lap
+
+
+def _once(f):
+    """f elementwise over an object array, called once per distinct entry object."""
+    seen = {}
+
+    def memo(v):
+        key = id(v)
+        if key not in seen:
+            seen[key] = f(v)
+        return seen[key]
+
+    return np.frompyfunc(memo, 1, 1)
 
 
 def phi(a) -> np.ndarray:

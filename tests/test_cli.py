@@ -19,8 +19,10 @@ from entlap import exact as exact_module
 from entlap.cli import main
 from entlap.corpus import build, get_entry
 from entlap.exact import Exact
-from entlap.criteria import DecisionTolerance, cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt, thm6_ppt
+from entlap.criteria import (ClassificationReport, CriterionId, CriterionResult, DecisionTolerance, Verdict, classify,
+                             cor6_ppt, ppt_oracle, thm3_separability, thm5_ppt, thm6_ppt)
 from entlap.laplacian import laplacian_of_density
+from entlap.matops import BipartiteDims
 from entlap.matrixfile import emit, parse
 from entlap.states import validate
 from entlap.wgraph import edges, export_dot, graph_from_laplacian
@@ -224,6 +226,79 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", mixed_file)
         assert code == 0
         assert "oracle: PPT" in out
+
+
+def _check_json_report(text, report):
+    """`text` is json.dumps(..., indent=2)'s layout of `report`, each scalar at 12 significant digits."""
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2) + "\n" == text
+
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    assert doc["state_id"] == report.state_id
+    assert doc["dims"] == {"d1": report.dims.d1, "d2": report.dims.d2}
+    assert doc["oracle"]["verdict"] == report.oracle_verdict
+    assert same(doc["oracle"]["lambda_min_ptb"], float(f"{report.oracle_lambda_min_ptb:.12g}"))
+    assert [(c["id"], c["verdict"], c["caveat"]) for c in doc["criteria"]] == [
+        (r.criterion_id.value, r.verdict.value, r.caveat) for r in report.results]
+    for c, r in zip(doc["criteria"], report.results):
+        assert list(c["scalars"]) == list(r.scalars)
+        assert all(same(c["scalars"][k], float(f"{v:.12g}")) for k, v in r.scalars.items())
+    assert doc["consistency_flags"] == [f.value for f in report.consistency_flags]
+    return doc
+
+
+class TestJsonReport:
+    """classify --json writes its report in json.dumps(indent=2)'s layout, one pass over a fixed schema."""
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_corpus_point(self, capsys, name, param):
+        argv = ["classify", "--state", name, "--json"] + ([] if param is None else ["--param", repr(param)])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        label = name if param is None else f"{name}({float(param)})"
+        _check_json_report(out, classify(build(name, param), DecisionTolerance(), state_id=label))
+
+    def test_corpus_has_empty_and_filled_blocks(self):
+        reports = {name: classify(build(name, param), DecisionTolerance()) for name, param in corpus_points()}
+        assert reports["rho2"].consistency_flags == () and reports["rho3"].consistency_flags
+        for name in ("rho1", "rho2"):
+            assert any(not r.scalars for r in reports[name].results)
+
+    def test_dense_8x8_file(self, capsys, tmp_path):
+        x, y = np.random.default_rng(24).standard_normal((2, 64, 128))
+        a = (x + 1j * y) @ (x + 1j * y).conj().T
+        path = tmp_path / "dense8x8.txt"
+        path.write_text(emit(a / np.trace(a).real, BipartiteDims(8, 8)))
+        code, out, _ = run(capsys, "classify", str(path), "--json")
+        assert code == 0
+        rho = parse(path.read_text()).validate()
+        _check_json_report(out, classify(rho, DecisionTolerance(), state_id=str(path)))
+
+    @pytest.mark.parametrize("name", ['quote"d', "back\\slash", "bell\x07tab\t", "caf\u00e9", os.fsdecode(b"\xff")])
+    def test_path_is_escaped_as_json_escapes_it(self, capsys, tmp_path, rho5, name):
+        path = tmp_path / name
+        path.write_text(emit(rho5))
+        code, out, _ = run(capsys, "classify", str(path), "--json")
+        assert code == 0
+        assert out.isascii()
+        doc = _check_json_report(out, classify(rho5, DecisionTolerance(), state_id=str(path)))
+        assert doc["state_id"] == str(path)
+
+    def test_non_finite_and_exponent_scalars(self):
+        inf = math.inf
+        report = ClassificationReport(
+            state_id="overflow", dims=BipartiteDims(32, 32), oracle_verdict="NPT", oracle_lambda_min_ptb=-inf,
+            results=(CriterionResult(CriterionId.THM1_PURITY, Verdict.MIXED,
+                                     {"det": np.float64(inf), "purity": math.nan, "neg": -inf, "tiny": 5e-324,
+                                      "small": 1.234567890123456e-7, "large": -1.5e16}),
+                     CriterionResult(CriterionId.COR6_PPT, Verdict.PRECONDITION_FAILED, {}, "a \"caveat\"")),
+            consistency_flags=(CriterionId.COR6_PPT,))
+        text = cli._report_json(report) + "\n"
+        _check_json_report(text, report)
+        assert '"det": Infinity,' in text and '"purity": NaN,' in text and '"lambda_min_ptb": -Infinity' in text
+        assert '"small": 1.23456789012e-07,' in text and '"large": -1.5e+16\n' in text
 
 
 class TestLaplacian:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from entlap.cli import main
 from entlap.corpus import build, list_entries
 from entlap.exact import Exact
 from entlap.laplacian import laplacian_of_density, phi
@@ -70,6 +71,29 @@ class TestLaplacianOfDensity:
                 np.testing.assert_allclose(lap.astype(float), bf_laplacian(rho.array), atol=1e-15)
                 zero_entries += sum(not x for x in lap.flat)
         assert built > 0 and zero_entries > 0
+
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_exact_laplacian_builds_each_distinct_value_once(self, exact_created, name, param):
+        # |v| once per distinct negative entry object, -|v| once per distinct
+        # off-diagonal modulus, and one Exact per non-zero addend of a row sum
+        # past its first: corpus slots share their objects, so repeats cost nothing
+        rho = build(name, param)
+        m, n = rho.exact, rho.n
+        off = [m[i, j] for i in range(n) for j in range(n) if i != j and m[i, j]]
+        negatives = {id(v) for v in off if v < 0}
+        moduli = negatives | {id(v) for v in off if v > 0}
+        row_sums = sum(max(sum(bool(v) for k, v in enumerate(row) if k != i) - 1, 0) for i, row in enumerate(m))
+        with exact_created() as created:
+            lap = laplacian_of_density(m)
+        assert len(created) == len(negatives) + len(moduli) + row_sums
+        assert not off or len(off) > len(moduli)  # every corpus state with edges repeats a coherence object
+        np.testing.assert_allclose(lap.astype(float), bf_laplacian(rho.array), atol=1e-15)
+
+    def test_cli_rho6_laplacian_builds_fifteen_exact(self, exact_created, capsys):
+        # rho6's 4 distinct non-zero entries, -|v| of its 2 distinct coherences and 9 row sums
+        with exact_created() as created:
+            assert main(["laplacian", "--state", "rho6", "--param", "0.5"]) == 0
+        assert len(created) == 15
 
     def test_matches_bruteforce_on_random_states(self, rng):
         for _ in range(200):
