@@ -13,8 +13,15 @@ off each stack of states.  `exact.format_scalar` writes every number printed
 as text; the sweep's CSV rows write the same 12 significant digits in bulk.
 `classify --json` writes its report here, in one pass over its fixed schema,
 in the layout json.dumps(..., indent=2) gives it: strings through json's own
-ASCII escaper, each scalar the float repr of its 12-significant-digit value,
-and NaN, Infinity and -Infinity as json spells them.
+ASCII escaper, each scalar the float repr of its 12-significant-digit value
+(its .12g text itself, unless that has an exponent), and NaN, Infinity and
+-Infinity as json spells them.
+
+`build_parser` is the one table of options.  `main` hands an argv that starts
+with a subcommand's name straight to that subcommand's parser, as the full
+parser would, and leaves any other argv (none, -h, an unknown command) to the
+full parser, so every namespace, usage error and help text is argparse's own.
+A matrix file is read as UTF-8, less a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is 3."""
 
+    commands: argparse.Action | None = None  # the top-level parser's add_subparsers action
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -61,10 +70,6 @@ class CliError(Exception):
 # half_max_w cell (NaN) is written empty.
 _ROW = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s,%s"
 _ROW_NO_EDGES = "%.12g,%.12g,%.12g,%.0s,%s,%s,%s,%s,%s"
-
-
-def _round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
 
 
 def finite_float(text: str) -> float:
@@ -92,9 +97,12 @@ def nonnegative_float(text: str) -> float:
 
 
 def _read(path: str) -> str:
-    """Text of a UTF-8 file; a file that cannot be opened or decoded is a usage error."""
+    """Text of a UTF-8 file, without a leading byte-order mark.
+
+    A file that cannot be opened or decoded is a usage error.
+    """
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_USAGE, str(exc)) from None
@@ -154,9 +162,20 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _number(x: float) -> str:
-    """The float repr of _round12(x), or json's NaN, Infinity or -Infinity."""
-    text = repr(_round12(x))
-    return _NON_FINITE.get(text, text)
+    """The float repr of x rounded to 12 significant digits, or json's NaN, Infinity or -Infinity.
+
+    .12g writes fixed notation for 1e-4 <= |x| < 1e12, as repr does, and at
+    most 12 significant digits, a decimal no shorter one shares a float with;
+    so that text is the repr, less the ".0" of a whole number.  Text with an
+    exponent is read back and written by repr, which keeps fixed notation up
+    to 1e16.
+    """
+    text = f"{x:.12g}"
+    if "e" in text:
+        return repr(float(text))
+    if "." in text:
+        return text
+    return _NON_FINITE.get(text) or text + ".0"
 
 
 def _block(items: list[str], pad: str, brackets: str) -> str:
@@ -283,7 +302,7 @@ def cmd_corpus(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entlap",
                      description="Entanglement detection via density-matrix Laplacians and graph spectra")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate", help="validate a matrix file as a density matrix")
     p.add_argument("file")
@@ -333,7 +352,18 @@ _EXIT_CODES = {ParseError: EXIT_PARSE, StateValidationError: EXIT_VALIDATION,
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the full parser would hand every word after a subcommand's name to that
+    # subcommand's parser, so main does so itself; any other argv (none, -h, an
+    # unknown command) goes to the full parser
+    command = parser.commands.choices.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

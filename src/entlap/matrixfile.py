@@ -28,8 +28,9 @@ the check keeps the set of files that parse the same under every setting.
 `emit` writes each entry, real, complex or Exact, with `exact.format_scalar`,
 the package's one writer of a printed number, which never writes a longer
 run, so what it writes parses.  A zero denominator is a ParseError.
-`parse` parses each distinct token of a file once, and equal tokens share
-one Exact (Exact is immutable).  It returns a
+`parse` splits each row with str.split, parses each distinct token of a file
+once, and equal tokens share one Exact (Exact is immutable); it finds a
+token's 1-based column only to report a ParseError.  It returns a
 real file as its object matrix of Exact entries and a file with an imaginary
 part as a complex array, each with the entries' float values it computed for
 its range check; `ParsedMatrix.validate` hands `validate` those floats, and
@@ -145,11 +146,16 @@ class ParsedMatrix:
                         exact_values=(lambda: exact_if_symmetric(self.array.copy())) if real else None)
 
 
+def _column(line: str, index: int) -> int:
+    """1-based column of the index-th whitespace-separated token of line."""
+    return [match.start() for match in re.finditer(r"\S+", line)][index] + 1
+
+
 def parse(text: str) -> ParsedMatrix:
     """Parse matrix-file text; raise ParseError with line/column on bad input."""
     header: tuple[int, int, int] | None = None
-    rows: list[list[tuple[Exact, Exact, float | complex]]] = []
-    seen: dict[str, tuple[Exact, Exact, float | complex]] = {}  # a token's entry, parsed at its first occurrence
+    rows: list[list[str]] = []
+    seen: dict[str, tuple[Exact, float | complex]] = {}  # a token's real part and value, parsed at its first occurrence
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -172,20 +178,16 @@ def parse(text: str) -> ParsedMatrix:
                 raise ParseError(lineno, 1, str(exc)) from None
             continue
         n = header[0]
-        row = []
-        col = 1
-        for match in re.finditer(r"\S+", line):
-            col, tok = match.start() + 1, match.group()
-            entry = seen.get(tok)
-            if entry is None:
+        row = line.split()
+        for tok in row:
+            if tok not in seen:
                 try:
                     real, imag = parse_entry(tok)
-                    entry = seen[tok] = (real, imag, _float_value(real, imag))
+                    seen[tok] = (real, _float_value(real, imag))
                 except ValueError as exc:
-                    raise ParseError(lineno, col, str(exc)) from None
-            row.append(entry)
+                    raise ParseError(lineno, _column(line, row.index(tok)), str(exc)) from None
         if len(row) != n:
-            raise ParseError(lineno, col, f"expected {n} entries per row, got {len(row)}")
+            raise ParseError(lineno, _column(line, -1), f"expected {n} entries per row, got {len(row)}")
         rows.append(row)
         if len(rows) > n:
             raise ParseError(lineno, 1, f"expected {n} rows, got more")
@@ -194,10 +196,10 @@ def parse(text: str) -> ParsedMatrix:
     n, d1, d2 = header
     if len(rows) != n:
         raise ParseError(len(text.splitlines()) or 1, 1, f"expected {n} rows, got {len(rows)}")
-    floats = np.array([[value for _, _, value in row] for row in rows])
+    floats = np.array([[seen[tok][1] for tok in row] for row in rows])
     if floats.dtype == complex:
         return ParsedMatrix(array=floats, dims=dims, floats=floats)
-    return ParsedMatrix(array=np.array([[re_ for re_, _, _ in row] for row in rows], dtype=object), dims=dims,
+    return ParsedMatrix(array=np.array([[seen[tok][0] for tok in row] for row in rows], dtype=object), dims=dims,
                         floats=floats)
 
 

@@ -301,6 +301,31 @@ class TestJsonReport:
         assert '"small": 1.23456789012e-07,' in text and '"large": -1.5e+16\n' in text
 
 
+def _number_oracle(x):
+    """A scalar as the writer first spelled it: the repr of the float of its .12g text, or json's name for it."""
+    text = repr(float(f"{float(x):.12g}"))
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+class TestNumber:
+    """cli._number writes the .12g text itself where it is already the float repr."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=2000)
+    def test_finite_floats(self, x):
+        assert cli._number(x) == _number_oracle(x)
+
+    @pytest.mark.parametrize("x", [
+        0.0, -0.0, 1.0, -1.0, 123.0, -123.456, 0.1, 1 / 3, -2 / 3, 0.1 + 0.2, np.float64(0.1), np.float64(-7.0),
+        5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+        1e-4, -1e-4, 9.99999999999e-5, 9.999999999995e-5, 9.9999999999949e-5, 1.00000000000001e-4, 1e-5,
+        1e12, -1e12, 999999999999.0, 999999999999.4, 999999999999.5, 1e12 + 1, 1.5e12,
+        1e16, -1e16, 9999999999999998.0, 1e16 + 2, 1.23456789012345e16, 1e15, 123456789012345.0,
+        math.nan, -math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)])
+    def test_edge_cases(self, x):
+        assert cli._number(x) == _number_oracle(x)
+
+
 class TestLaplacian:
     def test_rho2_exact_entries(self, capsys, tmp_path):
         out_path = tmp_path / "lap.mat"
@@ -786,7 +811,91 @@ class TestBrokenPipe:
         assert (done.returncode, done.stderr) == (141, "")
 
 
+_SWEEP = ["sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "1", "--steps", "200"]
+
+
+@pytest.fixture()
+def dispatched():
+    """The namespace each command is called with: a fresh parser whose every command records its args."""
+    cli.build_parser.cache_clear()
+    seen = []
+    for command in cli.build_parser().commands.choices.values():
+        command.set_defaults(func=lambda args: seen.append(args) or 0)
+    yield seen
+    cli.build_parser.cache_clear()
+
+
+def _outcome(capsys, call):
+    """Exit code, stdout and stderr of a call that ends in SystemExit, as argparse ends a usage error or help."""
+    with pytest.raises(SystemExit) as exc:
+        call()
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestDispatch:
+    """main hands argv after a subcommand's name to that subcommand's parser; the result
+    is what the full parser's parse_args gives, namespace or usage error alike."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "f.mat"], ["validate", "f.mat", "--tol", "0"], ["validate", "--tol=1e-6", "f.mat"],
+        ["validate", "--to", "0", "f.mat"], ["validate", "--", "f.mat"], ["validate", "--tol", "0", "--", "-f.mat"],
+        ["classify", "--state", "rho3"], ["classify", "--state=rho6", "--param=0.5", "--json"],
+        ["classify", "--st", "rho3", "--js"], ["classify", "--eps", "1e-6", "f.mat"], ["classify", "f.mat", "--json"],
+        ["classify", "--", "f.mat"], ["classify", "--json", "--", "--odd.mat"], ["classify", "--param", "-1", "f"],
+        ["laplacian", "--state", "psi"], ["laplacian", "--state", "rho6", "--param", "0.5", "--out=x.mat"],
+        ["laplacian", "--o", "x.mat", "f.mat"],
+        ["graph", "--state", "rho3", "--dot", "g.dot"], ["graph", "--d=g.dot", "f.mat"],
+        _SWEEP, ["sweep", "--state=rho6", "--param-name=a", "--from=-1", "--to=1", "--steps=3", "--csv=o.csv",
+                 "--eps=1e-3"],
+        ["sweep", "--sta", "rho6", "--param", "a", "--fr", "-1", "--t", "1", "--ste", "2", "--c", "o.csv"],
+        ["corpus", "list"], ["corpus", "emit", "rho6", "--param", "0.5", "--out", "x.mat"],
+        ["corpus", "emit", "--", "rho3"], ["corpus", "emit", "rho3", "--o=x.mat"]])
+    def test_valid_argv_gives_the_full_parsers_namespace(self, dispatched, argv):
+        assert main(list(argv)) == 0
+        assert dispatched == [cli.build_parser().parse_args(argv)]
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--bogus"], ["classify", "--state", "rho3", "f.mat", "extra", "more"],
+        ["laplacian", "--bogus=1", "--state", "psi"], ["corpus", "list", "rho3", "extra"],
+        ["classify", "--", "f.mat", "extra"],
+        ["classify", "--eps", "-1", "--state", "rho3"], ["classify", "--eps", "x"], ["classify", "--eps"],
+        ["classify", "--js=1"], ["classify", "-x"], ["validate", "f.mat", "--tol", "nan"],
+        ["sweep", "--state", "rho6", "--steps", "two"], ["corpus", "frob"],
+        ["validate"], ["sweep", "--state", "rho6"], ["corpus"], ["sweep", "--st", "rho6"],
+        ["frobnicate"], ["frobnicate", "--state", "rho3"], ["--state", "rho3"], ["--", "classify"], [],
+        ["-h"], ["--help"], ["-h", "classify"], ["classify", "-h"], ["classify", "--h"], ["sweep", "--help"],
+        ["classify", "--state", "rho3", "-h"], ["corpus", "emit", "rho3", "--he"]])
+    def test_usage_errors_and_help_are_the_full_parsers(self, capsys, argv):
+        assert _outcome(capsys, lambda: main(list(argv))) == _outcome(
+            capsys, lambda: cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [_SWEEP, ["classify", "--st=rho3", "--", "f.mat"], ["corpus", "list"]])
+    def test_sys_argv_when_no_argv_is_given(self, monkeypatch, dispatched, argv):
+        monkeypatch.setattr(sys, "argv", ["entlap", *argv])
+        assert main() == 0
+        assert dispatched == [cli.build_parser().parse_args()]
+
+    @pytest.mark.parametrize("argv", [["classify", "--bogus"], ["classify", "--eps", "-1"], ["bogus"], [],
+                                      ["classify", "-h"]])
+    def test_sys_argv_usage_errors_and_help(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["entlap", *argv])
+        assert _outcome(capsys, main) == _outcome(capsys, cli.build_parser().parse_args)
+
+
 class TestUsage:
+    def test_a_byte_order_mark_is_not_part_of_the_file(self, capsys, monkeypatch, tmp_path):
+        # each file is read by the same relative name, so the label classify prints is the same
+        text = emit(build("rho6", 0.5))
+        outputs = {}
+        for folder, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "s.mat").write_bytes(data)
+            monkeypatch.chdir(tmp_path / folder)
+            outputs[folder] = [run(capsys, *argv) for argv in (("validate", "s.mat"), ("classify", "s.mat"),
+                                                                 ("classify", "s.mat", "--json"), ("graph", "s.mat"))]
+        assert outputs["bom"] == outputs["plain"]
+        assert [code for code, _, _ in outputs["plain"]] == [0] * 4
+
     def test_one_parser_serves_consecutive_calls(self, capsys, mixed_file):
         calls = [("classify", "--state", "rho3", "--json"),
                  ("classify", "--state", "rho3", "--eps", "-1"),  # argparse usage error

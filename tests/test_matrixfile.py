@@ -214,6 +214,52 @@ class TestParse:
             parse("dims 4 2 2\n1 0 0 0\n")
 
 
+_ROWS = ["1/4 0 0 0", "0 1/4 0 0", "0 0 1/4 0", "0 0 0 1/4"]
+
+
+def _file(*rows, newline="\n"):
+    return newline.join(["dims 4 2 2", *rows]) + newline
+
+
+class TestParseErrorLocation:
+    """Each malformed file's line, column and message, as the tokenizer of
+    `re.finditer(r"\\S+")` reported them; `parse` splits rows with str.split and
+    finds a column only for the error."""
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        (_file("nope 0 0 0", *_ROWS[1:]), 2, 1, "malformed entry 'nope'"),
+        (_file(_ROWS[0], "0 1/4 x 0", *_ROWS[2:]), 3, 7, "malformed entry 'x'"),
+        (_file(*_ROWS[:3], "0 0 0 1/0"), 5, 7, "zero denominator"),
+        (_file(_ROWS[0], "   0  1/4   0 sqrt(0)", *_ROWS[2:]), 3, 15, "radicand must be positive"),
+        (_file("1/4 0 a b", *_ROWS[1:]), 2, 7, "malformed entry 'a'"),
+        (_file(_ROWS[0], "0 1/4 0 zz # note", *_ROWS[2:]), 3, 9, "malformed entry 'zz'"),
+        (_file(_ROWS[0], "0 1/4 1e400 0", *_ROWS[2:]), 3, 7, "entry is outside the floating-point range"),
+        (_file("0 0 0 0", "0 1/4 0 1/4 0 1/4", *_ROWS[2:]), 3, 15, "expected 4 entries per row, got 6"),
+        (_file(*_ROWS[:2], "0 0  1/4", _ROWS[3]), 4, 6, "expected 4 entries per row, got 3"),
+        (_file("1/4 0 q", *_ROWS[1:]), 2, 7, "malformed entry 'q'"),
+        (_file(*_ROWS, "0 0 0 0"), 6, 1, "expected 4 rows, got more"),
+        (_file(*_ROWS[:3]), 4, 1, "expected 4 rows, got 3"),
+        (_file(*_ROWS[:3], "# end"), 5, 1, "expected 4 rows, got 3"),
+        (_file(_ROWS[0], "0\t1/4\t\tbad\t0", *_ROWS[2:]), 3, 8, "malformed entry 'bad'"),
+        (_file("\t1/4\t0\t0\t0\t0", *_ROWS[1:]), 2, 12, "expected 4 entries per row, got 5"),
+        (_file(_ROWS[0], "0\u00a01/4\u00a0\u00a0bad 0", *_ROWS[2:]), 3, 8, "malformed entry 'bad'"),
+        (_file("1/4\u00a00 0", *_ROWS[1:]), 2, 7, "expected 4 entries per row, got 3"),
+        (_file(_ROWS[0], "0\u30001/4 bad\u30000", *_ROWS[2:]), 3, 7, "malformed entry 'bad'"),
+        (_file("1/4\u30000\u30000\u3000\u30000\u30000", *_ROWS[1:]), 2, 12, "expected 4 entries per row, got 5"),
+        (_file(_ROWS[0], "0 1/4 0 bad", *_ROWS[2:], newline="\r\n"), 3, 9, "malformed entry 'bad'"),
+        (_file(*_ROWS[:3], "0 0 1/4", newline="\r\n"), 5, 5, "expected 4 entries per row, got 3"),
+        (_file(*_ROWS, "0 0 0 0", newline="\r\n"), 6, 1, "expected 4 rows, got more"),
+    ], ids=["bad-first", "bad-middle", "bad-last", "bad-indented", "first-of-two-bad", "bad-before-comment",
+            "out-of-range", "too-wide", "too-short", "bad-in-a-short-row", "extra-row", "missing-row",
+            "missing-row-then-comment", "tabs", "tabs-too-wide", "nbsp", "nbsp-too-short", "ideographic-space",
+            "ideographic-space-too-wide", "crlf-bad", "crlf-too-short", "crlf-extra-row"])
+    def test_line_column_and_message(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, str(err.value)) == (line, column,
+                                                                       f"line {line}, column {column}: {message}")
+
+
 class TestEmit:
     def test_a_bare_matrix_needs_dims(self):
         with pytest.raises(ValueError, match="^dims required when not passing a DensityMatrix$"):
