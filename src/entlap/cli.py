@@ -41,7 +41,7 @@ from .laplacian import laplacian_of_density
 from .matops import SLICE_ENTRIES
 from .matrixfile import ParseError, emit, parse
 from .states import DEFAULT_TOL, DensityMatrix, linear_entropy, purity, rank
-from .wgraph import edges, export_dot
+from .wgraph import export_dot
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -222,9 +222,9 @@ def cmd_laplacian(args) -> int:
 
 def cmd_graph(args) -> int:
     rho, label = _load_state(args)
-    # the float graph classify reads gives the edges, read once, and the stats;
-    # its weights are |rho_ij|, so the entries the state prints label its edges
-    ends = edges(rho.graph)
+    # the edges and stats are those of the float graph classify reads; its
+    # weights are |rho_ij|, so the entries the state prints label its edges
+    ends = rho.edges
     _write(args.dot, export_dot(rho.literal, ends))
     conn = "connected" if rho.connected else "disconnected"
     print(f"vertices {rho.n} edges {len(ends[0])} {conn}")

@@ -6,6 +6,8 @@ floating-point truncation.  Only the operations that pipeline needs are
 implemented: +, -, *, absolute value, comparisons.  `format_scalar` is the
 one writer of a printed number (a matrix-file entry, a DOT label, a CLI
 scalar): a matrix-file literal, else a 12-digit decimal, complex as re+imi.
+`once_per_object` lets a reader of an object matrix (the exact Laplacian,
+`emit`, `export_dot`) handle an Exact shared by several entries once.
 
 Radicands are kept square-free (sqrt(8) is normalised to 2*sqrt(2)): `radical`
 factors its radicand once, `*` reduces a product of two square-free radicands
@@ -288,3 +290,19 @@ def format_scalar(value: Exact | float | complex) -> str:
     if not value.imag:
         return text
     return f"{text}{'+' if value.imag > 0 else '-'}{abs(value.imag):.12g}i"
+
+
+def once_per_object(f):
+    """f, computed once per distinct argument object: a per-call memo keyed on
+    id(), for the entries of one object array, which keep their objects alive
+    while it is read.  Corpus slots and parsed tokens share their Exact
+    objects, so an exact matrix holds few distinct ones."""
+    seen = {}
+
+    def memo(v):
+        key = id(v)
+        if key not in seen:
+            seen[key] = f(v)
+        return seen[key]
+
+    return memo

@@ -19,7 +19,7 @@ import operator
 
 import numpy as np
 
-from .exact import ZERO
+from .exact import ZERO, once_per_object
 from .matops import as_stack
 
 
@@ -49,15 +49,7 @@ def laplacian_of_density(m) -> np.ndarray:
 
 def _once(f):
     """f elementwise over an object array, called once per distinct entry object."""
-    seen = {}
-
-    def memo(v):
-        key = id(v)
-        if key not in seen:
-            seen[key] = f(v)
-        return seen[key]
-
-    return np.frompyfunc(memo, 1, 1)
+    return np.frompyfunc(once_per_object(f), 1, 1)
 
 
 def phi(a) -> np.ndarray:

@@ -27,7 +27,8 @@ Python refuses longer runs by default, and a setting can lift that limit, so
 the check keeps the set of files that parse the same under every setting.
 `emit` writes each entry, real, complex or Exact, with `exact.format_scalar`,
 the package's one writer of a printed number, which never writes a longer
-run, so what it writes parses.  A zero denominator is a ParseError.
+run, so what it writes parses; it writes an Exact object shared by several
+entries once.  A zero denominator is a ParseError.
 `parse` splits each row with str.split, parses each distinct token of a file
 once, and equal tokens share one Exact (Exact is immutable); it finds a
 token's 1-based column only to report a ParseError.  It returns a
@@ -49,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, EntlapError
-from .exact import MAX_DIGITS, ZERO, Exact, format_scalar
+from .exact import MAX_DIGITS, ZERO, Exact, format_scalar, once_per_object
 from .matops import BipartiteDims
 from .states import DEFAULT_TOL, DensityMatrix, exact_if_symmetric, validate
 
@@ -208,7 +209,9 @@ def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None =
 
     A DensityMatrix is rendered as its `literal` entries.  `format_scalar`
     writes each entry: an Exact one as a literal where expressible, a float or
-    complex one as 12-significant-digit decimals.
+    complex one as 12-significant-digit decimals.  An object matrix writes
+    each distinct entry object once (`once_per_object`): corpus slots,
+    parsed tokens and an exact Laplacian's entries share their objects.
     """
     if isinstance(matrix, DensityMatrix):
         dims = matrix.dims
@@ -220,5 +223,6 @@ def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None =
     dims.check_order(n)
     lines = [f"# {header_comment}"] if header_comment else []
     lines.append(f"dims {n} {dims.d1} {dims.d2}")
-    lines.extend(" ".join(map(format_scalar, row)) for row in arr)
+    write = once_per_object(format_scalar) if arr.dtype == object else format_scalar
+    lines.extend(" ".join(map(write, row)) for row in arr)
     return "\n".join(lines) + "\n"

@@ -13,9 +13,13 @@ spectrum of the package, and stores it.  The state's
 `exact` entries, every other derived matrix and spectrum (L_rho, rho^TB,
 L^TB, phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB and
 phi(rho) - I; det(phi(rho) - I), the product of that last spectrum, so no LU
-is run), the coherence graph (its read-only weight array) and the graph's
-total degree, connectivity and max W (NaN for a graph without edges, as
-`wgraph.max_w` gives it) are computed the first time they are read.
+is run), the coherence graph (its read-only weight array), its edge list and
+the graph's total degree, connectivity and max W (NaN for a graph without
+edges, as `wgraph.max_w` gives it) are computed the first time they are read.
+The edge list (`edges`, one np.nonzero) has three readers: `connected`,
+when the edge count does not answer it, `max_w`, unless it weighs only its
+contenders, and the CLI's `graph`.  The first of them to need it finds it,
+and a state none of them needs it for never lists its edges.
 Criteria called one after another on the same state share that work, and a
 criterion computes only what it reads.  Every decision quantity is
 floating point, also for exact inputs: the Laplacian and the graph are read
@@ -42,7 +46,7 @@ from .errors import AxiomViolation, DimensionMismatch, StateValidationError
 from .exact import Exact
 from .laplacian import laplacian_of_density
 from .matops import BipartiteDims, as_stack, eigvals_sym, partial_transpose
-from .wgraph import graph_from_laplacian, is_connected, max_w
+from .wgraph import WConvention, edges, graph_from_laplacian, is_connected, max_w
 
 DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-9
@@ -108,8 +112,9 @@ class DensityMatrix:
         """The entries to print: `exact` when the state has exact entries, else `array`."""
         return self.array if self.exact is None else self.exact
 
-    # The Exact entries, then derived matrices, spectra (ascending) and graph
-    # scalars, each computed on first read and kept; all but the first are float.
+    # The Exact entries, then derived matrices, spectra (ascending), the graph,
+    # its edge list (index arrays) and graph scalars, each computed on first
+    # read and kept; all but the first and the edge list are float.
     exact = _derived(lambda self: None if self.exact_source is None else _read_only(self.exact_source()))
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
     ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
@@ -124,8 +129,9 @@ class DensityMatrix:
     rank = _derived(lambda self: (self.spectrum > RANK_TOL).sum(-1))  # eigenvalues above RANK_TOL
     total_degree = _derived(lambda self: self.laplacian.trace(axis1=-2, axis2=-1))  # d_G = Tr L_rho
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
-    connected = _derived(lambda self: is_connected(self.graph))
-    max_w = _derived(lambda self: max_w(self.graph))  # EXCLUDED convention; NaN without edges
+    edges = _derived(lambda self: edges(self.graph))  # one np.nonzero, read by `connected`, `max_w` and the CLI
+    connected = _derived(lambda self: is_connected(self.graph, lambda: self.edges))
+    max_w = _derived(lambda self: max_w(self.graph, WConvention.EXCLUDED, lambda: self.edges))  # NaN without edges
 
 
 def _read_only(a: np.ndarray | None) -> np.ndarray | None:

@@ -4,7 +4,14 @@ A graph is its weight array: the read-only, dense, symmetric (n, n) matrix of
 edge weights with a zero diagonal, in the entry type of the Laplacian it was
 read off: floats, or Exact scalars (an object array), so W values stay exact
 for exact inputs; the paper's exact W values are pinned on such graphs.
-Edges are chosen on float values, and `edges(g)` lists them as index arrays.
+Edges are chosen on float values, and `edges(g)` lists them as index arrays,
+with one np.nonzero.  That list is the one-graph form every edge reader
+takes: `is_connected` and `max_w` accept it as `ends`, a function that
+returns it, which they call only on the paths that read it, so a caller
+that keeps the list (a state's `edges`) finds it at most once per graph,
+and not at all when the edge count answers connectivity and max W takes
+its bounded path.  `is_connected` answers one graph from its edge count or
+with one depth-first pass over adjacency lists built from the list.
 W is one closed form, by the max identity a + b + |a - b| = 2 max(a, b), over
 heap-sized edge slices (`_w_values`).  `max_w` and `edge_w` read bool and
 integer weights as float64, so no sum or doubled weight wraps around.
@@ -22,13 +29,15 @@ others cannot hold the max (see `max_w`).
 
 A stack of graphs is a (b, n, n) weight array, read off a stack of
 Laplacians.  Its edges are (s, i, j) triples, and `is_connected` and `max_w`
-give one value per graph; `edge_w` and `export_dot` read one graph and
-reject a stack.  W is defined on edges only, so the max W of a graph without
-edges is NaN, for one graph as for each graph of a stack; `edge_w` also
-refuses an edge whose weight is negative, inf or NaN.  A graph's weights are
-the moduli of its state's off-diagonal entries, so `export_dot(m, ends)`
-labels the edges it is handed from a state's own entries m, with
-`exact.format_scalar`, as matrix-file entries are written.
+give one value per graph, `is_connected` by a breadth-first search of all
+the graphs at once, one numpy pass per level; `edge_w` and `export_dot`
+read one graph and reject a stack.  W is defined on edges only, so the max
+W of a graph without edges is NaN, for one graph as for each graph of a
+stack; `edge_w` also refuses an edge whose weight is negative, inf or NaN.
+A graph's weights are the moduli of its state's off-diagonal entries, so
+`export_dot(m, ends)` labels the edges it is handed from a state's own
+entries m, with `exact.format_scalar`, as matrix-file entries are written:
+an exact m's labels once per distinct entry object.
 
 Vertices are 0-based everywhere in the API; rendering (DOT, CLI) is 1-based.
 """
@@ -38,10 +47,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cache
+from typing import Callable
 
 import numpy as np
 
-from .exact import ZERO, Exact, format_scalar
+from .exact import ZERO, Exact, format_scalar, once_per_object
 from .errors import DimensionMismatch, NotAnEdge, VertexOutOfRange
 from .matops import SLICE_ENTRIES
 
@@ -82,35 +92,76 @@ def edges(g: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def graph_from_laplacian(lap: np.ndarray) -> np.ndarray:
-    """Edge (i,j, -l_ij) for every off-diagonal |l_ij| above EDGE_THRESHOLD;
-    the stack of each Laplacian's graph for a stack (..., n, n).
+    """The graph of a Laplacian as `laplacian_of_density` builds it: edge
+    (i,j, -l_ij) for every off-diagonal l_ij below -EDGE_THRESHOLD; the stack
+    of each Laplacian's graph for a stack (..., n, n).
 
-    The weights are in lap's entry type, float or Exact.  Edges are chosen on
-    lap's float values.  Off the diagonal, those of a state's exact Laplacian
-    equal its float Laplacian bit for bit, so the two graphs have the same edges.
+    The weights are in lap's entry type, float or Exact.  A float graph is
+    read off -L with one comparison and one `where`: such an L is symmetric,
+    its off-diagonal entries are -|m_ij| <= 0 and its diagonal, a row sum of
+    moduli, is >= 0, so the comparison already leaves the diagonal and every
+    non-edge out, and the graph is symmetric with +0.0 off the edges.  An
+    exact graph chooses its edges on the float values of the strict upper
+    triangle, |l_ij| above EDGE_THRESHOLD, and mirrors them.  Off the
+    diagonal, a state's exact Laplacian equals its float Laplacian bit for
+    bit, so the two graphs have the same edges.
     """
-    zero = ZERO if lap.dtype == object else 0.0
-    edge = (np.abs(lap.astype(float, copy=False)) > EDGE_THRESHOLD) & _upper(lap.shape[-1])
-    w = zero - np.where(edge, lap, zero)
-    w = w + w.swapaxes(-1, -2)
+    if lap.dtype != object:
+        w = np.where(lap < -EDGE_THRESHOLD, -lap, 0.0)
+    else:
+        edge = (np.abs(lap.astype(float)) > EDGE_THRESHOLD) & _upper(lap.shape[-1])
+        w = ZERO - np.where(edge, lap, ZERO)
+        w = w + w.swapaxes(-1, -2)
     w.flags.writeable = False
     return w
 
 
-def is_connected(g: np.ndarray) -> bool | np.ndarray:
+def is_connected(g: np.ndarray, ends: Callable[[], tuple[np.ndarray, ...]] | None = None) -> bool | np.ndarray:
     """True iff all vertices lie in one component; one bool per graph of a stack.
 
     A simple graph on n vertices with more than (n-1)(n-2)/2 edges is
     connected: a disconnected one has at most the edges of a complete graph
     on n - 1 vertices.  So for one graph above that count, the count answers;
-    else, and for a stack, a breadth-first search from vertex 0, level by
-    level, does.
+    else one depth-first pass over g's edge list does (`_spans`).  `ends`,
+    when given, returns that list as `edges(g)` does: a caller that keeps it
+    (a state's `edges`) hands it over, and it is read only for the search.
+    Graphs on 0 or 1 vertices are connected.  A stack is searched breadth
+    first from vertex 0, level by level, one numpy pass per level for all of
+    its graphs (`_stack_connected`).
     """
-    n = g.shape[-1]
-    if g.ndim == 2 and np.count_nonzero(g) > (n - 1) * (n - 2):  # each edge is two non-zero entries
+    if g.ndim == 3:
+        return _stack_connected(g)
+    n = len(g)
+    if n < 2 or np.count_nonzero(g) > (n - 1) * (n - 2):  # each edge is two non-zero entries
         return True
+    return _spans(n, edges(g) if ends is None else ends())
+
+
+def _spans(n: int, ends: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether the edges (i[e], j[e]) join all n >= 1 vertices: one depth-first
+    pass from vertex 0 over Python adjacency lists built from them."""
+    adjacent = [[] for _ in range(n)]
+    for i, j in zip(ends[0].tolist(), ends[1].tolist()):
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    seen = [False] * n
+    seen[0] = True
+    todo, unseen = [0], n - 1
+    while todo:
+        for v in adjacent[todo.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                unseen -= 1
+                todo.append(v)
+    return not unseen
+
+
+def _stack_connected(g: np.ndarray) -> np.ndarray:
+    """`is_connected` of each graph of a stack: breadth first from vertex 0,
+    each level one boolean matmul for all the graphs; True for each graph on
+    no vertex."""
     adj = g.astype(bool)
-    seen = frontier = np.arange(n) == 0
+    seen = frontier = np.broadcast_to(np.arange(g.shape[-1]) == 0, g.shape[:-1])
     while frontier.any():
         frontier = np.matmul(frontier[..., None, :], adj)[..., 0, :] & ~seen  # boolean: any frontier neighbour
         seen = seen | frontier
@@ -215,9 +266,14 @@ def _contenders(g: np.ndarray, convention: WConvention) -> tuple[np.ndarray, np.
     return np.divmod(np.flatnonzero(keep), n)
 
 
-def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exact | float | np.ndarray:
+def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED,
+          ends: Callable[[], tuple[np.ndarray, ...]] | None = None) -> Exact | float | np.ndarray:
     """Maximum of edge_w over all edges, NaN for a graph without edges; one
     maximum per graph of a stack of float graphs.
+
+    Every path but the bounded one below weighs g's edge list: `ends`, when
+    given, returns it as `edges(g)` does (a state's `edges`), and it is read
+    only there, so a graph that takes the bounded path builds no edge list.
 
     One float graph with non-negative, finite weights (a coherence graph's
     are moduli) whose edges fill more than one slice of `_w_values` weighs
@@ -254,7 +310,7 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED) -> Exac
     if g.ndim == 2 and g.dtype != object and np.count_nonzero(g) > 2 * (SLICE_ENTRIES // len(g)):
         found = _contenders(g, convention)
     else:
-        found = edges(g)
+        found = edges(g) if ends is None else ends()
     if g.ndim == 3:
         best = np.full(len(g), np.nan)
         if len(found[0]):
@@ -274,12 +330,18 @@ def export_dot(m: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> str:
     `m` is a matrix whose entry moduli are its graph's weights, such as the
     graph itself or a state's `literal` entries, exact when the state has
     them; `ends` are that graph's edges, as `edges` lists them.  The moduli
-    are np.abs's, as `laplacian_of_density` takes them: Python's abs of a
-    numpy complex scalar can differ from it in the last bit.
+    of a float or complex m are np.abs's, as `laplacian_of_density` takes
+    them: Python's abs of a numpy complex scalar can differ from it in the
+    last bit.  An exact m's label is written once per distinct entry object
+    (`once_per_object`), as its exact Laplacian takes each modulus once.
     """
     _check_one_graph(m)
     lines = ["graph G {"]
     lines.extend(f"  {v + 1};" for v in range(m.shape[-1]))
-    lines.extend(f'  {a + 1} -- {b + 1} [label="{format_scalar(w)}"];' for a, b, w in zip(*ends, np.abs(m[ends])))
+    if m.dtype == object:
+        labels = map(once_per_object(lambda v: format_scalar(abs(v))), m[ends])
+    else:
+        labels = map(format_scalar, np.abs(m[ends]))
+    lines.extend(f'  {a + 1} -- {b + 1} [label="{label}"];' for a, b, label in zip(*ends, labels))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entlap import wgraph
+from entlap import states, wgraph
 from entlap.corpus import build, build_stack
 from entlap.criteria import classify
 from entlap.errors import DimensionMismatch, NotAnEdge, VertexOutOfRange
@@ -118,10 +118,13 @@ def _complete_but_one(n):
 
 
 def _searches(monkeypatch):
-    """A list that gets one entry per breadth-first level `is_connected` runs."""
-    levels, matmul = [], np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *a: levels.append(1) or matmul(*a))
-    return levels
+    """A list that gets "graph" for each depth-first pass `is_connected` runs
+    over one graph's edge list, and "stack" for each breadth-first level it
+    runs over a stack."""
+    searches, spans, matmul = [], wgraph._spans, np.matmul
+    monkeypatch.setattr(wgraph, "_spans", lambda *a: searches.append("graph") or spans(*a))
+    monkeypatch.setattr(np, "matmul", lambda *a: searches.append("stack") or matmul(*a))
+    return searches
 
 
 @st.composite
@@ -137,38 +140,57 @@ def _graphs(draw, n):
     return g
 
 
+@st.composite
+def _graphs_near_the_bound(draw, n):
+    """A graph on n vertices, some of them isolated, whose other pairs hold a
+    random set of edges: of any size, or exactly (n-1)(n-2)/2, the most a
+    disconnected graph has, or one more."""
+    isolated = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(i, j) for i, j in zip(*np.triu_indices(n, 1)) if not isolated[i] and not isolated[j]]
+    bound = (n - 1) * (n - 2) // 2
+    size = draw(st.sampled_from([bound, bound + 1]) | st.integers(0, len(pairs)))
+    g = np.zeros((n, n))
+    for i, j in draw(st.permutations(pairs))[:size]:
+        g[i, j] = g[j, i] = draw(st.sampled_from([0.5, 1e-3, 2.0]))
+    return g
+
+
 class TestConnectivityFromEdgeCount:
     """More than (n-1)(n-2)/2 edges answer one graph without a search; at or
-    under it, and for a stack, the search runs."""
+    under it one depth-first pass over its edge list runs, and every stack is
+    searched breadth first."""
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_most_edges_of_a_disconnected_graph(self, n, monkeypatch):
         g = _complete_but_one(n)
         assert len(edges(g)[0]) == (n - 1) * (n - 2) // 2
-        levels = _searches(monkeypatch)
+        searches = _searches(monkeypatch)
         assert not is_connected(g)
-        assert levels
+        assert searches == ["graph"]
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_any_edge_more_connects_it(self, n, monkeypatch):
-        levels = _searches(monkeypatch)
+        searches = _searches(monkeypatch)
         for v in range(1, n):  # every edge K_{n-1} plus a vertex lacks ends at the isolated vertex
             g = _complete_but_one(n)
             g[0, v] = g[v, 0] = 0.25
             assert is_connected(g)
-        assert not levels
+        assert not searches
 
     def test_rho5_at_the_bound_is_searched(self, rho5, monkeypatch):
         g = rho5.graph
         assert len(edges(g)[0]) == 3 == (4 - 1) * (4 - 2) // 2
-        levels = _searches(monkeypatch)
+        searches = _searches(monkeypatch)
         assert is_connected(g)
-        assert levels
+        assert searches == ["graph"]
 
-    def test_a_stack_above_and_at_the_bound(self, rho5):
+    def test_a_stack_above_and_at_the_bound(self, rho5, monkeypatch):
         complete = np.ones((4, 4)) - np.eye(4)
         mixed = np.stack([complete, rho5.graph, _complete_but_one(4), complete])
+        searches = _searches(monkeypatch)
         assert is_connected(mixed).tolist() == [True, True, False, True]
+        assert is_connected(np.stack([complete, complete])).tolist() == [True, True]
+        assert searches.count("stack") > 2 and "graph" not in searches  # each stack is searched, level by level
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 9).flatmap(lambda n: st.lists(_graphs(n), min_size=1, max_size=5)))
@@ -176,6 +198,15 @@ class TestConnectivityFromEdgeCount:
         want = [bf_connected(len(g), bf_edges(-g)) for g in graphs]  # -g: the off-diagonal of a Laplacian
         assert [bool(is_connected(g)) for g in graphs] == want
         assert is_connected(np.stack(graphs)).tolist() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.lists(_graphs_near_the_bound(n), min_size=1, max_size=4)))
+    def test_one_graph_matches_bruteforce_and_its_stack_slice(self, graphs):
+        stacked = is_connected(np.stack(graphs))
+        for k, g in enumerate(graphs):
+            alone = is_connected(g)
+            assert alone == bf_connected(len(g), bf_edges(-g)) == stacked[k]
+            assert alone == is_connected(g, lambda: edges(g))
 
 
 class TestVertexWeight:
@@ -670,6 +701,20 @@ class TestEdgeIndex:
         for count, rho in enumerate(states, start=1):
             classify(rho)
             assert len(calls) == count
+
+    @pytest.mark.parametrize("dims", [(4, 8), (8, 8)], ids=["4x8", "8x8"])
+    def test_listed_only_for_a_reader(self, dims, monkeypatch):
+        """A state lists its graph's edges once, for connectivity and max W
+        alike, and not at all when the edge count answers connectivity and max
+        W weighs its contenders only: the dense and rank-2 pool states."""
+        listed = []
+        monkeypatch.setattr(states, "edges", lambda g: listed.append(g) or edges(g))
+        for kind in wl.KINDS:
+            for index in range(4):
+                rho = validate(wl.make_state(*dims, kind, index), BipartiteDims(*dims))
+                listed.clear()
+                classify(rho)
+                assert len(listed) == (kind.startswith("sparse")), (kind, index)
 
 
 class TestSpectralBound:
