@@ -216,12 +216,15 @@ def thm1(rho: DensityMatrix, eps: float):
 
     det > eps, or det < -eps with an even negative-eigenvalue count, reports
     MIXED; det < -eps with an odd count reports CONSISTENT_WITH_PURE; the band
-    is INCONCLUSIVE.  Caution: this test misfires on a sizeable fraction of
-    genuinely pure states (see package docs); the classifier's oracle
-    cross-check does not cover it since purity is orthogonal to the PPT question.
+    is INCONCLUSIVE.  Both are read off the spectrum of the Hermitian
+    phi(rho) - I: det is its product, so no LU is run and its sign is (-1) to
+    the count.  Caution: this test misfires on a sizeable fraction of genuinely
+    pure states (see package docs); the classifier's oracle cross-check does
+    not cover it since purity is orthogonal to the PPT question.
     """
-    det = rho.det_phi_minus_i
-    neg = _below(rho.spec_phi_minus_i, 0.0, eps).sum(-1, dtype=float)
+    spec = rho.spec_phi_minus_i
+    det = spec.prod(-1)
+    neg = _below(spec, 0.0, eps).sum(-1, dtype=float)
     pure = _below(det, 0.0, eps) & (neg % 2 == 1)
     return _THM1, _pick(_above(abs(det), 0.0, eps), _pick(pure, 2, 1), 0), {
         "det": det, "negative_eigenvalue_count": neg}

@@ -212,6 +212,7 @@ def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None =
     complex one as 12-significant-digit decimals.  An object matrix writes
     each distinct entry object once (`once_per_object`): corpus slots,
     parsed tokens and an exact Laplacian's entries share their objects.
+    Anything but one square matrix, a stack among them, is a DimensionMismatch.
     """
     if isinstance(matrix, DensityMatrix):
         dims = matrix.dims
@@ -219,6 +220,8 @@ def emit(matrix, dims: BipartiteDims | None = None, header_comment: str | None =
     if dims is None:
         raise ValueError("dims required when not passing a DensityMatrix")
     arr = np.asarray(matrix)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"expected one square matrix, got shape {arr.shape}")
     n = arr.shape[0]
     dims.check_order(n)
     lines = [f"# {header_comment}"] if header_comment else []

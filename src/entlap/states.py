@@ -9,13 +9,15 @@ function that builds the Exact entries.  Exact entries from a matrix file
 or an object matrix are kept only when they are exactly symmetric: a state
 that is Hermitian only within the tolerance is their average, and prints its
 floats.  `validate` solves rho's spectrum once, with `eigvals_sym` like every
-spectrum of the package, and stores it.  The state's
-`exact` entries, every other derived matrix and spectrum (L_rho, rho^TB,
-L^TB, phi(rho) - I; the spectra of rho^TB, L, L + rho^TB, L^TB and
-phi(rho) - I; det(phi(rho) - I), the product of that last spectrum, so no LU
-is run), the coherence graph (its read-only weight array), its edge list and
-the graph's total degree, connectivity and max W (NaN for a graph without
-edges, as `wgraph.max_w` gives it) are computed the first time they are read.
+spectrum of the package, and stores it.  The state keeps its eigensolves and
+the values two or more readers share.  Its `exact` entries, L_rho and rho^TB,
+the spectra of rho^TB, L, L + rho^TB, L^TB and phi(rho) - I, the coherence
+graph (its read-only weight array), its edge list and the graph's total
+degree, connectivity and max W (NaN for a graph without edges, as
+`wgraph.max_w` gives it) are computed the first time they are read.
+L + rho^TB, L^TB and phi(rho) - I are built inside the read of their
+spectrum, their one reader, and not kept; THM1 takes det(phi(rho) - I) as
+the product of that spectrum (`criteria.thm1`).
 The edge list (`edges`, one np.nonzero) has three readers: `connected`,
 when the edge count does not answer it, `max_w`, unless it weighs only its
 contenders, and the CLI's `graph`.  The first of them to need it finds it,
@@ -81,9 +83,6 @@ class DensityMatrix:
     or a stack of them along a leading axis.
 
     `spectrum` is rho's ascending spectrum, solved once by `validate`.
-    `det_phi_minus_i` is the product of `spec_phi_minus_i`: THM1 reads det
-    and its negative-eigenvalue count off one spectrum, so the sign of det is
-    (-1) to that count.
     `exact` is the read-only object matrix of the Exact entries the state was
     validated from, or None for a float or complex input; `array` holds their
     float values.  `exact_source` builds them the first time `exact` is read,
@@ -112,20 +111,17 @@ class DensityMatrix:
         """The entries to print: `exact` when the state has exact entries, else `array`."""
         return self.array if self.exact is None else self.exact
 
-    # The Exact entries, then derived matrices, spectra (ascending), the graph,
-    # its edge list (index arrays) and graph scalars, each computed on first
-    # read and kept; all but the first and the edge list are float.
+    # The Exact entries, then the shared matrices, spectra (ascending), the
+    # graph, its edge list (index arrays) and graph scalars, each computed on
+    # first read and kept; all but the first and the edge list are float.
     exact = _derived(lambda self: None if self.exact_source is None else _read_only(self.exact_source()))
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
     ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
-    lap_ptb = _derived(lambda self: partial_transpose(self.laplacian, self.dims))  # L^TB
-    phi_minus_i = _derived(lambda self: _minus_identity(self.laplacian + self.array))
     spec_ptb = _derived(lambda self: eigvals_sym(self.ptb))
     spec_lap = _derived(lambda self: eigvals_sym(self.laplacian))
     spec_l_plus_ptb = _derived(lambda self: eigvals_sym(self.laplacian + self.ptb))
-    spec_lap_ptb = _derived(lambda self: eigvals_sym(self.lap_ptb))
-    spec_phi_minus_i = _derived(lambda self: eigvals_sym(self.phi_minus_i))
-    det_phi_minus_i = _derived(lambda self: self.spec_phi_minus_i.prod(-1))
+    spec_lap_ptb = _derived(lambda self: eigvals_sym(partial_transpose(self.laplacian, self.dims)))  # of L^TB
+    spec_phi_minus_i = _derived(lambda self: eigvals_sym(_minus_identity(self.laplacian + self.array)))
     rank = _derived(lambda self: (self.spectrum > RANK_TOL).sum(-1))  # eigenvalues above RANK_TOL
     total_degree = _derived(lambda self: self.laplacian.trace(axis1=-2, axis2=-1))  # d_G = Tr L_rho
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))

@@ -4,14 +4,15 @@ A graph is its weight array: the read-only, dense, symmetric (n, n) matrix of
 edge weights with a zero diagonal, in the entry type of the Laplacian it was
 read off: floats, or Exact scalars (an object array), so W values stay exact
 for exact inputs; the paper's exact W values are pinned on such graphs.
-Edges are chosen on float values, and `edges(g)` lists them as index arrays,
-with one np.nonzero.  That list is the one-graph form every edge reader
-takes: `is_connected` and `max_w` accept it as `ends`, a function that
-returns it, which they call only on the paths that read it, so a caller
-that keeps the list (a state's `edges`) finds it at most once per graph,
-and not at all when the edge count answers connectivity and max W takes
-its bounded path.  `is_connected` answers one graph from its edge count or
-with one depth-first pass over adjacency lists built from the list.
+Edges are chosen on float values, by one rule for float and exact Laplacians
+(`graph_from_laplacian`), and `edges(g)` lists them as index arrays, with one
+np.nonzero.  That list is the one-graph form every edge reader takes:
+`is_connected` and `max_w` accept it as `ends`, a function that returns it,
+which they call only on the paths that read it, so a caller that keeps the
+list (a state's `edges`) finds it at most once per graph, and not at all when
+the edge count answers connectivity and max W takes its bounded path.
+`is_connected` answers one graph from its edge count or with one depth-first
+pass over adjacency lists built from the list.
 W is one closed form, by the max identity a + b + |a - b| = 2 max(a, b), over
 heap-sized edge slices (`_w_values`).  `max_w` and `edge_w` read bool and
 integer weights as float64, so no sum or doubled weight wraps around.
@@ -96,22 +97,18 @@ def graph_from_laplacian(lap: np.ndarray) -> np.ndarray:
     (i,j, -l_ij) for every off-diagonal l_ij below -EDGE_THRESHOLD; the stack
     of each Laplacian's graph for a stack (..., n, n).
 
-    The weights are in lap's entry type, float or Exact.  A float graph is
-    read off -L with one comparison and one `where`: such an L is symmetric,
-    its off-diagonal entries are -|m_ij| <= 0 and its diagonal, a row sum of
-    moduli, is >= 0, so the comparison already leaves the diagonal and every
-    non-edge out, and the graph is symmetric with +0.0 off the edges.  An
-    exact graph chooses its edges on the float values of the strict upper
-    triangle, |l_ij| above EDGE_THRESHOLD, and mirrors them.  Off the
-    diagonal, a state's exact Laplacian equals its float Laplacian bit for
-    bit, so the two graphs have the same edges.
+    The weights are in lap's entry type, float or Exact, and one rule reads
+    both off -L: one comparison on lap's float values and one `where`, with
+    no mask and no mirror.  Such an L is symmetric, its off-diagonal entries
+    are -|m_ij| <= 0 and its diagonal, a row sum of moduli, is >= 0, so the
+    comparison already leaves the diagonal and every non-edge out, and the
+    graph is symmetric with zeros (+0.0 or ZERO) off the edges.  A state's
+    exact Laplacian is exactly symmetric, since its exact entries are kept
+    only when they are, and off the diagonal it equals its float Laplacian
+    bit for bit, so the two graphs have the same edges.
     """
-    if lap.dtype != object:
-        w = np.where(lap < -EDGE_THRESHOLD, -lap, 0.0)
-    else:
-        edge = (np.abs(lap.astype(float)) > EDGE_THRESHOLD) & _upper(lap.shape[-1])
-        w = ZERO - np.where(edge, lap, ZERO)
-        w = w + w.swapaxes(-1, -2)
+    zero = ZERO if lap.dtype == object else 0.0
+    w = zero - np.where(lap.astype(float, copy=False) < -EDGE_THRESHOLD, lap, zero)
     w.flags.writeable = False
     return w
 
@@ -307,7 +304,7 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED,
     """
     g = _weights(g)
     # more edges than one slice holds, each edge being two non-zero entries
-    if g.ndim == 2 and g.dtype != object and np.count_nonzero(g) > 2 * (SLICE_ENTRIES // len(g)):
+    if g.ndim == 2 and g.dtype != object and len(g) > 0 and np.count_nonzero(g) > 2 * (SLICE_ENTRIES // len(g)):
         found = _contenders(g, convention)
     else:
         found = edges(g) if ends is None else ends()

@@ -39,6 +39,7 @@ from entlap.criteria import (
 from entlap.corpus import build_stack
 from entlap.errors import DimensionMismatch, WrongDimensions
 from entlap.exact import Exact
+from entlap.laplacian import phi
 from entlap.matops import BipartiteDims
 from entlap.states import linear_entropy, purity, rank, validate
 
@@ -145,7 +146,7 @@ class TestPurityTest:
         The branch needs an eigenvalue of phi(rho) - I inside (-eps, 0]: a seeded
         search of 4,000 random, pure and product-mixture states at each of 2x2,
         2x3, 3x3, 2x4 and 4x4 found no state that reaches it at eps = 1e-9, so
-        a stand-in carries the two values THM1 reads.  Spectrum (-0.9, -0.8,
+        a stand-in carries the spectrum THM1 reads.  Spectrum (-0.9, -0.8,
         -5e-4, 3.0) at eps = 1e-3: det = -1.08e-3 lies below the band, and so
         do two eigenvalues (-5e-4 is inside it); with one below, as in the
         second state of the stack, THM1 reports CONSISTENT_WITH_PURE.
@@ -155,9 +156,9 @@ class TestPurityTest:
         det = np.prod(spec, axis=-1)
         assert det[0] == pytest.approx(-1.08e-3)
         # the one-state reader also reads the stand-in's array, to reject a stack
-        res = purity_test(SimpleNamespace(array=np.eye(4) / 4, det_phi_minus_i=det[0], spec_phi_minus_i=spec[0]), tol)
+        res = purity_test(SimpleNamespace(array=np.eye(4) / 4, spec_phi_minus_i=spec[0]), tol)
         assert res.verdict == Verdict.MIXED and res.scalars["negative_eigenvalue_count"] == 2
-        table, codes, _ = thm1(SimpleNamespace(det_phi_minus_i=det, spec_phi_minus_i=spec), tol.eps)
+        table, codes, _ = thm1(SimpleNamespace(spec_phi_minus_i=spec), tol.eps)
         assert [table.outcomes[c].verdict for c in codes] == [Verdict.MIXED, Verdict.CONSISTENT_WITH_PURE]
 
 
@@ -481,8 +482,8 @@ class TestSharedAnalysis:
         for _ in range(100):
             for rho in (random_density(rng, dims), random_pure_density(rng, dims),
                         random_mixture_density(rng, dims)):
-                det = rho.det_phi_minus_i
-                assert abs(det - np.linalg.det(rho.phi_minus_i).real) <= 1e-12 + 1e-9 * abs(det)
+                det = rho.spec_phi_minus_i.prod()
+                assert abs(det - np.linalg.det(phi(rho.array) - np.eye(rho.n)).real) <= 1e-12 + 1e-9 * abs(det)
                 assert np.sign(det) == (-1) ** int((rho.spec_phi_minus_i < 0).sum())
 
     def test_ppt_oracle_reads_only_the_partial_transpose(self, monkeypatch, rho3):
@@ -625,7 +626,7 @@ def _outcome(row):
 # margin of it is negative.
 _THRESHOLDS = {
     "oracle": lambda r: -r.spec_ptb[0],
-    "thm1": lambda r: abs(r.det_phi_minus_i),
+    "thm1": lambda r: abs(r.spec_phi_minus_i.prod()),
     "thm3": lambda r: -r.spec_l_plus_ptb[0],
     "thm5": lambda r: r.spec_lap_ptb[-1] - r.spec_lap_ptb[0] - r.spectrum[0] if r.rank == r.n else 0.0,
     "thm6": lambda r: r.spec_lap[-1] - r.spectrum[0] if r.rank == r.n else 0.0,

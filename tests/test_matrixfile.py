@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entlap import matrixfile
-from entlap.corpus import build, list_entries
+from entlap.corpus import build, build_stack, list_entries
+from entlap.errors import DimensionMismatch
 from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
 from entlap.matrixfile import (MAX_DIGITS, MAX_EXPONENT, MAX_RADICAND, ParseError, emit, format_scalar, parse,
@@ -265,6 +267,18 @@ class TestEmit:
         with pytest.raises(ValueError, match="^dims required when not passing a DensityMatrix$"):
             emit(np.eye(4) / 4)
         assert emit(np.eye(4) / 4, BipartiteDims(2, 2)).startswith("dims 4 2 2\n0.25 0 0 0\n")
+
+    @pytest.mark.parametrize("matrix, dims, shape", [
+        (build_stack("rho_ab", [0.1, 0.2, 0.15, 0.05]), None, (4, 4, 4)),
+        (build_stack("rho_ab", [0.1, 0.2]), None, (2, 4, 4)),
+        (np.zeros((4, 3)), BipartiteDims(2, 2), (4, 3)),
+        (np.full(4, 0.25), BipartiteDims(2, 2), (4,)),
+    ], ids=["stack-of-4", "stack-of-2", "not-square", "one-dimensional"])
+    def test_only_one_square_matrix(self, matrix, dims, shape):
+        # as export_dot refuses a stack: a stack of 2 would read as order 2, a
+        # non-square matrix would write rows that parse rejects
+        with pytest.raises(DimensionMismatch, match=re.escape(f"expected one square matrix, got shape {shape}")):
+            emit(matrix, dims)
 
     def test_exact_rationals_preserved(self, rho2):
         text = emit(rho2)

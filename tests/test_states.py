@@ -297,8 +297,8 @@ class TestRhoAbFamily:
 
 
 # Every value a state derives, read the same way from a single state and from a slice of a stack's.
-_DERIVED = ("laplacian", "ptb", "lap_ptb", "phi_minus_i", "spec_ptb", "spec_lap", "spec_l_plus_ptb",
-            "spec_lap_ptb", "spec_phi_minus_i", "det_phi_minus_i", "total_degree", "rank", "connected", "max_w")
+_DERIVED = ("laplacian", "ptb", "spec_ptb", "spec_lap", "spec_l_plus_ptb", "spec_lap_ptb", "spec_phi_minus_i",
+            "total_degree", "rank", "connected", "max_w")
 
 
 def _stack_members(rng, dims):

@@ -66,6 +66,17 @@ class TestGraphFromLaplacian:
         weight = Exact.of(Fraction(1, 20))
         assert set(_edge_list(g)) == {(0, 1, weight), (0, 3, weight), (2, 3, weight)}
 
+    @pytest.mark.parametrize("name, param", list(corpus_points()))
+    def test_exact_graph_is_the_float_graph(self, name, param):
+        # one edge rule for both entry types: a state's exact Laplacian is exactly
+        # symmetric, so its graph is, with the float graph's values and edges
+        rho = build(name, param)
+        g = graph_from_laplacian(laplacian_of_density(rho.exact))
+        assert g.dtype == object and (g == g.T).all()
+        floats = g.astype(float)
+        assert floats.shape == rho.graph.shape and floats.tobytes() == rho.graph.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(edges(g), rho.edges, strict=True))
+
     def test_round_trip_reconstruction(self, rng):
         for _ in range(500):
             rho = _random_density(rng, 2, 2)
@@ -93,6 +104,11 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(np.zeros((1, 1)))
+        assert math.isnan(max_w(np.zeros((1, 1))))  # W is defined on edges only
+
+    def test_no_vertex(self):
+        assert is_connected(np.zeros((0, 0)))
+        assert math.isnan(max_w(np.zeros((0, 0)))) and math.isnan(max_w(np.zeros((0, 0)), WConvention.INCLUSIVE))
 
     def test_matches_bruteforce(self, rng):
         for _ in range(300):
