@@ -9,11 +9,13 @@ scalar): a matrix-file literal, else a 12-digit decimal, complex as re+imi.
 `once_per_object` lets a reader of an object matrix (the exact Laplacian,
 `emit`, `export_dot`) handle an Exact shared by several entries once.
 
-Radicands are kept square-free (sqrt(8) is normalised to 2*sqrt(2)): `radical`
-factors its radicand once, `*` reduces a product of two square-free radicands
-by their gcd, and +, - and negation keep their operands' radicands, so no sum
-factors anything.  The rational part is the radicand-1 term.  Signs of one-
-and two-term values are decided exactly; values with three or more distinct
+Radicands are kept square-free (sqrt(8) is normalised to 2*sqrt(2)):
+`_square_free` is the one factoring routine, called by `radical` and by the
+matrix-file parser, once per distinct literal, before it builds any Exact.
+`*` reduces a product of two square-free radicands by their gcd, and sums,
+differences and negations keep their operands' radicands, so no sum factors
+anything.  The rational part is the radicand-1 term.  Signs of one- and
+two-term values are decided exactly; values with three or more distinct
 radicals fall back to a guarded float comparison (they never occur in the
 built-in state corpus).
 
@@ -106,8 +108,8 @@ class Exact:
     def radical(cls, coeff: Rational, k: int) -> "Exact":
         """coeff * sqrt(k), a Fraction coeff kept as given when k is square-free.
 
-        The one place a radicand is factored: every other value's radicands
-        come from here, and sums, differences and negations keep them.
+        The one constructor that factors a radicand; sums, differences and
+        negations keep their operands' radicands.
         """
         m, r = _square_free(k)
         return cls({r: coeff * m if m != 1 else coeff})

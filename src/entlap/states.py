@@ -3,7 +3,8 @@
 A validated `DensityMatrix` is the one record every criterion reads.
 `validate` takes the state's entries as given: a float or complex array, or
 exact entries (int, Fraction or Exact) as an object matrix, whose float matrix
-it reads off with one conversion per entry.  A caller that has the float
+it reads off with one conversion per entry, and whose Exact entries it builds
+one per distinct value.  A caller that has the float
 matrix already (the corpus, the matrix-file parser) hands it over with a
 function that builds the Exact entries.  Exact entries from a matrix file
 or an object matrix are kept only when they are exactly symmetric: a state
@@ -38,6 +39,7 @@ The readers of one state's scalars (`purity`, `rank`, ...) reject a stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -56,8 +58,14 @@ RANK_TOL = 1e-9
 
 # The entries an exact (object) matrix may hold.
 _EXACT_TYPES = (int, Fraction, Exact)
-# An exact entry as an Exact scalar, elementwise over an object array; zeros share Exact.of's one zero.
-_to_exact = np.frompyfunc(lambda v: v if isinstance(v, Exact) else Exact.of(v), 1, 1)
+
+
+def _to_exact(values: np.ndarray) -> np.ndarray:
+    """An object array's exact entries as Exact scalars: an Exact as itself, and
+    one Exact per distinct int or Fraction value, shared by its entries (a
+    per-call memo keyed on the value); zeros share Exact.of's one zero."""
+    of = functools.cache(Exact.of)
+    return np.frompyfunc(lambda v: v if isinstance(v, Exact) else of(v), 1, 1)(values)
 
 
 class _derived:

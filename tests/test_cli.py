@@ -249,6 +249,44 @@ def _check_json_report(text, report):
     return doc
 
 
+def _file_points():
+    """The corpus points whose state a matrix file gives: those valid at the
+    default tolerance a file is read with (rho_ab at x = 0.283 needs 5e-4)."""
+    return [(name, param) for name, param in corpus_points() if get_entry(name).tol == states.DEFAULT_TOL
+            or param < get_entry(name).parameter_domain[1]]
+
+
+class TestMatrixFileExact:
+    """A matrix file's Exact entries are built only for a command that prints them."""
+
+    @pytest.mark.parametrize("name, param", _file_points())
+    def test_classify_and_validate_build_no_exact(self, capsys, tmp_path, exact_created, name, param):
+        path = tmp_path / "state.mat"
+        path.write_text(emit(build(name, param)))
+        for argv in (("classify", str(path), "--json"), ("validate", str(path))):
+            with exact_created() as created:
+                code, _, _ = run(capsys, *argv)
+            assert code == 0 and created == [], argv
+
+    @pytest.mark.parametrize("name, param", _file_points() + [("rho6", 0.5)])
+    def test_laplacian_of_a_file_builds_what_its_corpus_state_builds(self, capsys, tmp_path, exact_created,
+                                                                     name, param):
+        path = tmp_path / "state.mat"
+        path.write_text(emit(build(name, param)))
+        args = ("--state", name) + (() if param is None else ("--param", str(param)))
+        counts, outs = [], []
+        for argv in (("laplacian", str(path)), ("laplacian", *args)):
+            with exact_created() as created:
+                code, out, _ = run(capsys, *argv)
+            assert code == 0
+            counts.append(len(created))
+            outs.append(out.split("\n", 1)[1])  # less the header comment, which names the source
+        # one Exact per distinct token: a file shares what equal corpus slots do not (rho6 at a = 0.01: z = w)
+        assert counts[0] <= counts[1] and outs[0] == outs[1]
+        if (name, param) == ("rho6", 0.5):
+            assert counts == [15, 15]
+
+
 class TestJsonReport:
     """classify --json writes its report in json.dumps(indent=2)'s layout, one pass over a fixed schema."""
 

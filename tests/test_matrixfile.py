@@ -1,9 +1,10 @@
+import cmath
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entlap import matrixfile
 from entlap.corpus import build, build_stack, list_entries
@@ -153,6 +154,9 @@ class TestParse:
         tokens = [tok for line in text.splitlines()[1:] for tok in line.split()]
         with exact_created() as created:
             parsed = parse(text)
+        assert created == []  # parse reads each token to its int form; the Exact entries wait for a reader
+        with exact_created() as created:
+            parsed.array
         assert len(created) == 4 == len(set(tokens) - {"0"})
         assert sum(v is ZERO for v in parsed.array.flat) == 81 - 27 == tokens.count("0")
 
@@ -160,7 +164,8 @@ class TestParse:
         text = emit(build("rho6", 0.5))
         tokens = {tok for line in text.splitlines()[1:] for tok in line.split()}
         calls = []
-        monkeypatch.setattr(matrixfile, "parse_entry", lambda token: calls.append(token) or parse_entry(token))
+        read_entry = matrixfile.read_entry
+        monkeypatch.setattr(matrixfile, "read_entry", lambda token: calls.append(token) or read_entry(token))
         parse(text)
         assert len(calls) == 5 == len(set(calls)) == len(tokens)
 
@@ -354,3 +359,131 @@ def test_rational_matrix_round_trip(rows):
     text = emit(exact, BipartiteDims(2, 2))
     reparsed = parse(text)
     assert np.array_equal(reparsed.array, exact)
+
+
+def _exact_parts(token: str) -> tuple[Exact, Exact]:
+    """An entry's (real, imaginary) Exact parts by the exact route, apart from
+    `read_entry`: Fraction of a part's text, or Exact.radical of its p/q and k;
+    ValueError with the parser's message, each check in the parser's order."""
+    m = matrixfile._ENTRY_RE.match(token)
+    if not m:
+        raise ValueError(f"malformed entry {token!r}")
+    parts = []
+    for sign, core in ((m["re_sign"], m["re_core"]), (m["im_sign"], m["im_core"])):
+        if core is None:
+            parts.append(ZERO)
+            continue
+        exponent = core.lower().partition("e")[2].lstrip("+-").lstrip("0")
+        if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+            raise ValueError(f"exponent above the limit {MAX_EXPONENT}")
+        if max(map(len, re.findall(r"\d+", core))) > MAX_DIGITS:
+            raise ValueError(f"more digits in a row than the limit {MAX_DIGITS}")
+        radical = re.fullmatch(r"(?:(\d+)\*)?sqrt\((\d+)\)(?:/(\d+))?", core)
+        if radical:
+            p, k, q = (1 if g is None else int(g) for g in radical.groups())
+            if q == 0:
+                raise ValueError("zero denominator")
+            if k == 0:
+                raise ValueError("radicand must be positive")
+            if k > MAX_RADICAND:
+                raise ValueError(f"radicand above the limit {MAX_RADICAND}")
+            value = Exact.radical(Fraction(p, q), k)
+        else:
+            if "/" in core and int(core.partition("/")[2]) == 0:
+                raise ValueError("zero denominator")
+            value = Exact.of(Fraction(core))
+        parts.append(-value if sign == "-" else value)
+    return parts[0], parts[1]
+
+
+def _exact_value(real: Exact, imag: Exact) -> float | complex:
+    """float of the real part, or complex of both when the imaginary part is not
+    zero; ValueError when that is beyond float range."""
+    try:
+        value = float(real) if imag.is_zero() else complex(float(real), float(imag))
+    except OverflowError:
+        value = complex(np.inf)
+    if not cmath.isfinite(value):
+        raise ValueError("entry is outside the floating-point range")
+    return value
+
+
+_digits = st.text("0123456789", min_size=1, max_size=20)
+_ints = st.one_of(st.integers(0, 99), st.integers(0, 10**400)).map(str)
+_exponents = st.one_of(st.integers(-30, 30), st.integers(-420, 420),
+                       st.sampled_from([MAX_EXPONENT, -MAX_EXPONENT, MAX_EXPONENT + 1, -MAX_EXPONENT - 1]))
+
+
+@st.composite
+def _decimals(draw):
+    whole = draw(st.one_of(st.just(""), _digits))
+    point = not whole or draw(st.booleans())
+    text = whole + ("." + draw(_digits if not whole else st.one_of(st.just(""), _digits)) if point else "")
+    if draw(st.booleans()):
+        e = draw(_exponents)
+        sign = "-" if e < 0 else draw(st.sampled_from(["", "+"]))
+        text += draw(st.sampled_from("eE")) + sign + draw(st.sampled_from(["", "0", "00"])) + str(abs(e))
+    return text
+
+
+_radicands = st.one_of(st.integers(0, 2000),
+                       st.builds(lambda m, r: m * m * r, st.integers(1, 1000), st.integers(1, 100)),
+                       st.sampled_from([MAX_RADICAND, MAX_RADICAND + 1, 999_999_999_989, 4 * 249_999_999_997]))
+_radicals = st.builds(lambda p, k, q: f"{p}sqrt({k}){q}", st.one_of(st.just(""), _ints.map(lambda p: p + "*")),
+                      _radicands, st.one_of(st.just(""), _ints.map(lambda q: "/" + q)))
+_zeros = st.sampled_from(["0", "00", "0.0", ".0", "0.", "0e5", "0E-7", "0/3", "0*sqrt(2)", "0*sqrt(8)/5"])
+_cores = st.one_of(_decimals(), st.builds(lambda p, q: f"{p}/{q}", _ints, _ints), _radicals, _zeros)
+_entries = st.builds(lambda sign, real, imag: sign + real + imag, st.sampled_from(["", "+", "-"]), _cores,
+                     st.one_of(st.just(""), st.builds(lambda sign, core: sign + core + "i", st.sampled_from("+-"),
+                                                      _cores)))
+
+
+def _check_token(token: str) -> None:
+    """The int forms against the Fraction route: the same parts, the same float
+    or complex bytes, the same real-or-complex decision, the same error text."""
+    text = f"dims 4 2 2\n0 0 0 0\n0 {token} 0 0\n0 0 0 0\n0 0 0 0\n"
+    try:
+        parts = _exact_parts(token)
+        assert parse_entry(token) == parts
+        want = _exact_value(*parts)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 3, column 3: {exc}"
+        return
+    floats = parse(text).floats
+    assert floats.dtype == (complex if isinstance(want, complex) else float)
+    assert floats[1, 1].tobytes() == np.array(want, dtype=floats.dtype).tobytes()
+
+
+@given(st.one_of(_entries, st.text("0123456789./*+-eEsqrti()", min_size=1, max_size=14)))
+@settings(max_examples=400, deadline=None)
+def test_a_token_parses_to_the_float_of_its_exact_parts(token):
+    _check_token(token)
+
+
+@pytest.mark.parametrize("token", [
+    "-0", "-0.0", "-.0e-3", "-0/7", "-0*sqrt(12)/5", "0-0i", "-0+0i", "1/4-0.0i", "-1e-400", "1-1e-400i",
+    "1e400", "0+1e400i", "15" + "0" * 307 + "*sqrt(2)", "sqrt(8)/4", "-12*sqrt(50)/7+sqrt(18)i",
+    "\u0663/\u0664", "\u0661.\u0665e\u0662", f"sqrt({MAX_RADICAND})/2", f"25e+000{MAX_EXPONENT - 2}",
+    f"0.{'1' * MAX_DIGITS}e-5", "0." + "1" * 5000, "sqrt(2)/0", "1/4-2*sqrt(3)/0i", "1e400+sqrt(0)i",
+])
+def test_a_token_at_an_edge_parses_to_the_float_of_its_exact_parts(token):
+    _check_token(token)
+
+
+@pytest.mark.parametrize("part", ["complex", "real"])
+def test_seeded_dense_8x8_files_parse_to_the_floats_of_their_exact_parts(part):
+    # the dense file CI classifies (4,096 distinct 12-digit decimals) and its real part (2,080)
+    x, y = np.random.default_rng(24).standard_normal((2, 64, 128))
+    a = (x + 1j * y) @ (x + 1j * y).conj().T
+    a = a / np.trace(a).real
+    text = emit(a if part == "complex" else a.real, BipartiteDims(8, 8))
+    rows = [line.split() for line in text.splitlines()[1:]]
+    assert len({token for row in rows for token in row}) == (4096 if part == "complex" else 2080)
+    want = np.array([[_exact_value(*_exact_parts(token)) for token in row] for row in rows])
+    parsed = parse(text)
+    assert parsed.floats.dtype == want.dtype and parsed.floats.tobytes() == want.tobytes()
+    if part == "real":
+        assert np.array_equal(parsed.array, [[_exact_parts(token)[0] for token in row] for row in rows])
+        assert parsed.validate().array.tobytes() == validate(parsed.array, parsed.dims).array.tobytes()

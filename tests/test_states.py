@@ -124,6 +124,16 @@ class TestExactCompanion:
         assert rho.exact[0, 0] == Exact.of(Fraction(1, 4)) and float(rho.exact[0, 0]) == rho.array[0, 0] == 0.25
         assert all(type(e) is Exact for e in rho.exact.flat)
 
+    def test_builds_one_exact_per_distinct_value(self, exact_created):
+        # rho6 at a = 1/2 as 81 Fractions: 27 non-zero entries, of 4 distinct values
+        rho = build("rho6", 0.5)
+        m = np.array([[e.as_fraction() for e in row] for row in rho.exact], dtype=object)
+        state = validate(m, rho.dims)
+        with exact_created() as created:
+            exact = state.exact
+        assert len(created) == len({v for v in m.flat if v}) == 4
+        assert np.array_equal(exact, rho.exact) and exact[0, 0] is exact[1, 1]
+
     def test_float_input_has_no_exact_entries(self):
         rho = _dm(np.eye(4) / 4, 2, 2)
         assert rho.exact is None
