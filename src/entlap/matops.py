@@ -13,7 +13,11 @@ LAPACK gufunc that `np.linalg.eigvalsh` dispatches to (`eigvalsh_lo` of
 numpy's `_umath_linalg`, `_syevd`/`_heevd` on the lower triangle) directly,
 with eigvalsh's signature, error mapping and result dtype but without its
 Python-level checks and casts, a fixed cost per call that is a large share of
-a small solve; a full-rank state solves six spectra.
+a small solve; a full-rank state solves six spectra.  The numpy error state it
+solves under (non-convergence raised, overflow, division and underflow ignored)
+is built once, at import, and each call only sets numpy's error-state context
+variable to it for the solve, as `np.errstate` does on entry; numpy 1.x has no
+such variable, and there each call enters `np.errstate`.
 """
 
 from __future__ import annotations
@@ -68,6 +72,18 @@ def _no_convergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
+# The error state of np.linalg.eigvalsh's solve: the gufunc signals LAPACK
+# non-convergence as an invalid value.
+_SOLVE_ERRORS = dict(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+try:  # numpy >= 2: the context variable np.errstate sets, and its value built once
+    from numpy._core.umath import UFUNC_BUFSIZE_DEFAULT, _extobj_contextvar, _make_extobj
+except ImportError:  # numpy 1.x: each solve enters np.errstate(**_SOLVE_ERRORS)
+    _SOLVE_EXTOBJ = None
+else:
+    _SOLVE_EXTOBJ = _make_extobj(bufsize=UFUNC_BUFSIZE_DEFAULT, **_SOLVE_ERRORS)
+
+
 def eigvals_sym(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of an exactly Hermitian matrix, or of each matrix of
     a stack, read off the lower triangle unchecked: every matrix a validated
@@ -77,10 +93,20 @@ def eigvals_sym(m: np.ndarray) -> np.ndarray:
     precision ('D->d' for complex m, 'd->d' otherwise), with LAPACK's
     non-convergence, which the gufunc signals as an invalid value, raised as
     LinAlgError; the result is float32 for float32 and complex64 m, float64
-    otherwise.
+    otherwise.  It solves under the error state `_SOLVE_EXTOBJ`, built once,
+    or under `np.errstate` on numpy 1.x; the caller's error state is restored
+    either way.
     """
-    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        w = _eigvalsh_lo(m, signature="D->d" if m.dtype.kind == "c" else "d->d")
+    signature = "D->d" if m.dtype.kind == "c" else "d->d"
+    if _SOLVE_EXTOBJ is None:
+        with np.errstate(**_SOLVE_ERRORS):
+            w = _eigvalsh_lo(m, signature=signature)
+    else:
+        token = _extobj_contextvar.set(_SOLVE_EXTOBJ)
+        try:
+            w = _eigvalsh_lo(m, signature=signature)
+        finally:
+            _extobj_contextvar.reset(token)
     return w.astype(np.float32) if m.dtype.char in "fF" else w
 
 

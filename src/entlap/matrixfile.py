@@ -170,7 +170,7 @@ def _value(real: Form, imag: Form | None) -> float | complex:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParsedMatrix:
     dims: BipartiteDims
     floats: np.ndarray  # each entry's float (or complex) value

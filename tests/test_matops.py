@@ -106,6 +106,55 @@ class TestEigSymKernel:
             with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
                 solve(m)
 
+    def test_the_callers_error_state_neither_reaches_the_solve_nor_changes(self, rng, monkeypatch):
+        tiny = np.finfo(float).smallest_subnormal
+        ms = [random_hermitian(rng, 6), random_hermitian(rng, 5, complex_entries=False),
+              tiny * random_hermitian(rng, 4), np.diag([tiny, 3 * tiny, 1.0])]
+        wants = [np.linalg.eigvalsh(m) for m in ms]
+
+        def callers_handler(err, flag):
+            raise AssertionError(f"the caller's error handler was called for {err}")
+
+        def not_converging(m, signature):
+            return np.sqrt(np.full(m.shape[:-1], -1.0))
+
+        with np.errstate(all="raise", call=callers_handler):
+            state = np.geterr(), np.geterrcall()
+            for m, want in zip(ms, wants):
+                assert eigvals_sym(m).tobytes() == want.tobytes()
+                assert (np.geterr(), np.geterrcall()) == state
+            with monkeypatch.context() as patch:
+                patch.setattr(matops, "_eigvalsh_lo", not_converging)
+                with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                    eigvals_sym(ms[0])
+            assert (np.geterr(), np.geterrcall()) == state
+
+    def test_spectra_do_not_move_with_the_buffer_size(self, rng):
+        ms = [random_hermitian(rng, 6), random_hermitian(rng, 4, complex_entries=False).astype(np.float32),
+              np.array([random_hermitian(rng, 5) for _ in range(3)]).astype(np.complex64)]
+        wants = [np.linalg.eigvalsh(m) for m in ms]
+        old = np.setbufsize(16)
+        try:
+            for m, want in zip(ms, wants):
+                got = eigvals_sym(m)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert np.getbufsize() == 16
+        finally:
+            np.setbufsize(old)
+
+
+class TestEigSymKernelErrstatePath(TestEigSymKernel):
+    """The same tests on the path numpy 1.x takes: each solve enters np.errstate."""
+
+    @pytest.fixture(autouse=True)
+    def errstate_path(self, monkeypatch):
+        monkeypatch.setattr(matops, "_SOLVE_EXTOBJ", None)
+
+
+def test_numpy_2_solves_under_the_prebuilt_error_state():
+    # a numpy release that moves the names it is built from fails here
+    assert (matops._SOLVE_EXTOBJ is not None) == (np.lib.NumpyVersion(np.__version__) >= "2.0.0")
+
 
 class TestDeterminant:
     def test_identity(self):

@@ -198,6 +198,13 @@ class TestParse:
             assert all(a is b for a, b in zip(state.exact.flat, parsed.array.flat))
             assert not state.exact.flags.writeable and parsed.array.flags.writeable
 
+    def test_parsed_matrices_compare_and_hash_by_identity(self):
+        # equal fields are ndarrays, which have no single truth value
+        text = emit(build("rho3"))
+        a, b = parse(text), parse(text)
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2
+
     def test_validate_a_complex_file(self):
         parsed = parse("dims 4 2 2\n1/2 0 0 0+1/4i\n0 0 0 0\n0 0 0 0\n0-1/4i 0 0 1/2\n")
         state = parsed.validate()
