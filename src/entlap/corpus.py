@@ -53,7 +53,7 @@ def _pattern(diagonal, coherences) -> np.ndarray:
     p = np.diag(diagonal)
     for i, j, v in coherences:
         p[i, j] = p[j, i] = v
-    p.flags.writeable = False
+    p.setflags(write=False)
     return p
 
 

@@ -43,7 +43,7 @@ def laplacian_of_density(m) -> np.ndarray:
     w[..., diag, diag] = zero
     lap = _once(operator.neg)(w) if exact else zero - w
     lap[..., diag, diag] = w.sum(axis=-1)
-    lap.flags.writeable = False
+    lap.setflags(write=False)
     return lap
 
 

@@ -20,9 +20,15 @@ L + rho^TB, L^TB and phi(rho) - I are built inside the read of their
 spectrum, their one reader, and not kept; THM1 takes det(phi(rho) - I) as
 the product of that spectrum (`criteria.thm1`).
 The edge list (`edges`, one np.nonzero) has three readers: `connected`,
-when the edge count does not answer it, `max_w`, unless it weighs only its
-contenders, and the CLI's `graph`.  The first of them to need it finds it,
-and a state none of them needs it for never lists its edges.
+when the edge count does not answer it, `max_w`, only for a graph on 21 or
+more vertices whose edges fit one slice of its kernel (see `wgraph`), and
+the CLI's `graph`.  The first of them to need it finds it, and a state none
+of them needs it for never lists its edges: on up to 20 vertices, a dense
+state's edge count answers connectivity, and max W weighs all vertex pairs
+at once.  The entries, L_rho, rho^TB, the graph, the spectra and the edge
+list are read-only, since every later reader shares them: a caller that
+writes into one gets a ValueError, and cannot change what the criteria read
+next.
 Criteria called one after another on the same state share that work, and a
 criterion computes only what it reads.  Every decision quantity is
 floating point, also for exact inputs: the Laplacian and the graph are read
@@ -121,27 +127,35 @@ class DensityMatrix:
 
     # The Exact entries, then the shared matrices, spectra (ascending), the
     # graph, its edge list (index arrays) and graph scalars, each computed on
-    # first read and kept; all but the first and the edge list are float.
+    # first read and kept, each array read-only, as every reader shares it;
+    # all but the first and the edge list are float.
     exact = _derived(lambda self: None if self.exact_source is None else _read_only(self.exact_source()))
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
-    ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
-    spec_ptb = _derived(lambda self: eigvals_sym(self.ptb))
-    spec_lap = _derived(lambda self: eigvals_sym(self.laplacian))
-    spec_l_plus_ptb = _derived(lambda self: eigvals_sym(self.laplacian + self.ptb))
-    spec_lap_ptb = _derived(lambda self: eigvals_sym(partial_transpose(self.laplacian, self.dims)))  # of L^TB
-    spec_phi_minus_i = _derived(lambda self: eigvals_sym(_minus_identity(self.laplacian + self.array)))
+    ptb = _derived(lambda self: _read_only(partial_transpose(self.array, self.dims)))  # rho^TB
+    spec_ptb = _derived(lambda self: _spectrum(self.ptb))
+    spec_lap = _derived(lambda self: _spectrum(self.laplacian))
+    spec_l_plus_ptb = _derived(lambda self: _spectrum(self.laplacian + self.ptb))
+    spec_lap_ptb = _derived(lambda self: _spectrum(partial_transpose(self.laplacian, self.dims)))  # of L^TB
+    spec_phi_minus_i = _derived(lambda self: _spectrum(_minus_identity(self.laplacian + self.array)))
     rank = _derived(lambda self: (self.spectrum > RANK_TOL).sum(-1))  # eigenvalues above RANK_TOL
     total_degree = _derived(lambda self: self.laplacian.trace(axis1=-2, axis2=-1))  # d_G = Tr L_rho
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
-    edges = _derived(lambda self: edges(self.graph))  # one np.nonzero, read by `connected`, `max_w` and the CLI
+    edges = _derived(lambda self: tuple(map(_read_only, edges(self.graph))))  # one np.nonzero, see the module docstring
     connected = _derived(lambda self: is_connected(self.graph, lambda: self.edges))
     max_w = _derived(lambda self: max_w(self.graph, WConvention.EXCLUDED, lambda: self.edges))  # NaN without edges
 
 
 def _read_only(a: np.ndarray | None) -> np.ndarray | None:
+    """a, made read-only in place (`setflags`, which costs about half a write to
+    `flags.writeable`), or None."""
     if a is not None:
-        a.flags.writeable = False
+        a.setflags(write=False)
     return a
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """The read-only ascending spectrum of m, or of each matrix of a stack m."""
+    return _read_only(eigvals_sym(m))
 
 
 def exact_if_symmetric(m: np.ndarray) -> np.ndarray | None:

@@ -10,12 +10,23 @@ np.nonzero.  That list is the one-graph form every edge reader takes:
 `is_connected` and `max_w` accept it as `ends`, a function that returns it,
 which they call only on the paths that read it, so a caller that keeps the
 list (a state's `edges`) finds it at most once per graph, and not at all when
-the edge count answers connectivity and max W takes its bounded path.
+the edge count answers connectivity and max W takes one of its two paths
+without the list.
 `is_connected` answers one graph from its edge count or with one depth-first
 pass over adjacency lists built from the list.
 W is one closed form, by the max identity a + b + |a - b| = 2 max(a, b), over
 heap-sized edge slices (`_w_values`).  `max_w` and `edge_w` read bool and
 integer weights as float64, so no sum or doubled weight wraps around.
+
+`max_w` of one float graph on n vertices takes one of three paths:
+- n^3 <= SLICE_ENTRIES (n <= 20: every graph of a 2x2 to 3x3 or corpus
+  state): the closed form for all n^2 vertex pairs in one 64 KiB broadcast,
+  maxed over the edges, with no edge list (`_all_pairs_max_w`);
+- edges that fill more than one slice of `_w_values` (so n >= 26): the
+  bounded path below, with no edge list;
+- any other graph: `_w_values` over its edge list.
+Stacks and exact graphs take the last path.  All three give the same max bit
+for bit, as each weighs an edge by the same row sum (see `max_w`).
 
 With d the weighted degrees, q_i = sum_k w_ik^2 and G = w w^T, that closed form
 is W[i,j] = d_i + d_j + sum_{k != i,j} |w_ik - w_jk| (EXCLUDED) for
@@ -82,7 +93,7 @@ EDGE_THRESHOLD = 1e-12
 def _upper(n: int) -> np.ndarray:
     """The read-only mask of the strict upper triangle of an n x n matrix, built once per order."""
     mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    mask.flags.writeable = False
+    mask.setflags(write=False)
     return mask
 
 
@@ -109,7 +120,7 @@ def graph_from_laplacian(lap: np.ndarray) -> np.ndarray:
     """
     zero = ZERO if lap.dtype == object else 0.0
     w = zero - np.where(lap.astype(float, copy=False) < -EDGE_THRESHOLD, lap, zero)
-    w.flags.writeable = False
+    w.setflags(write=False)
     return w
 
 
@@ -263,14 +274,39 @@ def _contenders(g: np.ndarray, convention: WConvention) -> tuple[np.ndarray, np.
     return np.divmod(np.flatnonzero(keep), n)
 
 
+def _all_pairs_max_w(g: np.ndarray, convention: WConvention) -> float:
+    """`max_w` of one float graph on n vertices, n^3 <= SLICE_ENTRIES: the
+    closed form of `_w_values` for all n^2 vertex pairs at once, in one (n, n, n)
+    temporary of at most 64 KiB, and its max over the edges, NaN without one."""
+    total = np.maximum(g[:, None, :], g).sum(axis=-1)  # sum_k max(w_ik, w_jk) for every pair (i, j)
+    total *= 2
+    if convention == WConvention.EXCLUDED:
+        total -= 2 * g
+    w = total[g.astype(bool) & _upper(len(g))]  # the edges' W, in row-major order
+    return float(w.max()) if w.size else math.nan
+
+
 def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED,
           ends: Callable[[], tuple[np.ndarray, ...]] | None = None) -> Exact | float | np.ndarray:
     """Maximum of edge_w over all edges, NaN for a graph without edges; one
     maximum per graph of a stack of float graphs.
 
-    Every path but the bounded one below weighs g's edge list: `ends`, when
-    given, returns it as `edges(g)` does (a state's `edges`), and it is read
-    only there, so a graph that takes the bounded path builds no edge list.
+    Every path but the all-pairs and the bounded one below weighs g's edge
+    list: `ends`, when given, returns it as `edges(g)` does (a state's
+    `edges`), and it is read only there, so a graph that takes either of
+    those two paths builds no edge list.
+
+    One float graph on n vertices with n^3 <= SLICE_ENTRIES (n <= 20) sums
+    max(w_ik, w_jk) over k for all n^2 pairs (i, j) at once, from one
+    (n, n, n) broadcast of at most 64 KiB, and takes the max of the
+    closed form over the pairs that are edges (`_all_pairs_max_w`).  Each
+    pair's sum is the same contiguous n-term row reduction, by the same
+    numpy add, that `_w_values` takes for the edge (i, j), and the doubling
+    and the -2 w_ij of EXCLUDED are the same elementwise operations, so each
+    edge's W, and hence the max, is bit for bit the edge-list path's.  Pairs
+    that are no edge are computed too: with weights near the float maximum,
+    one of them can overflow with numpy's warning where no edge's W does;
+    the max reads edges only.
 
     One float graph with non-negative, finite weights (a coherence graph's
     are moduli) whose edges fill more than one slice of `_w_values` weighs
@@ -296,15 +332,19 @@ def max_w(g: np.ndarray, convention: WConvention = WConvention.EXCLUDED,
     of tau covers the rounding of the comparison and the underflow above.
     s is kept by name, so a floor that overflows to inf keeps it, and an
     edge whose W overflows has a finite U above every finite floor.  Graphs
-    with a negative, inf or NaN weight, stacks, exact graphs and graphs that
-    fit one slice weigh every edge.  Unlike `edge_w`, `max_w` does not refuse
-    such weights, on which W is not defined: a coherence graph has none, and
-    the check would run on every state.  It returns the closed form's max,
+    on 21 or more vertices with a negative, inf or NaN weight, or whose
+    edges fit one slice, stacks and exact graphs weigh every edge of their
+    list.  Unlike `edge_w`, `max_w` does not refuse negative, inf or NaN
+    weights, on which W is not defined: a coherence graph has none, and the
+    check would run on every state.  It returns the closed form's max,
     in which a negative w_ij adds 4 |w_ij| and an inf one is NaN (EXCLUDED).
     """
     g = _weights(g)
-    # more edges than one slice holds, each edge being two non-zero entries
-    if g.ndim == 2 and g.dtype != object and len(g) > 0 and np.count_nonzero(g) > 2 * (SLICE_ENTRIES // len(g)):
+    one_float = g.ndim == 2 and g.dtype != object
+    if one_float and len(g) ** 3 <= SLICE_ENTRIES:
+        return _all_pairs_max_w(g, convention)
+    # more edges than one slice holds, each edge being two non-zero entries; n >= 21 here
+    if one_float and np.count_nonzero(g) > 2 * (SLICE_ENTRIES // len(g)):
         found = _contenders(g, convention)
     else:
         found = edges(g) if ends is None else ends()

@@ -367,6 +367,24 @@ class TestSpectraBitForBit:
             assert getattr(rho, name).dtype == np.float32 and np.array_equal(getattr(rho, name), want), name
 
 
+class TestKeptArraysAreReadOnly:
+    """Every array a state keeps is shared by all its later readers, so writing
+    into one raises: no caller changes what the criteria read next."""
+
+    _KEPT = ["array", "spectrum", "exact", "laplacian", "ptb", "graph", "spec_ptb", "spec_lap",
+             "spec_l_plus_ptb", "spec_lap_ptb", "spec_phi_minus_i"]
+
+    @pytest.mark.parametrize("state", [lambda: build("rho5"), lambda: build_stack("rho6", [0.2, 0.5])],
+                             ids=["rho5", "rho6-stack"])
+    def test_writing_into_one_raises(self, state):
+        rho = state()
+        kept = [(name, getattr(rho, name)) for name in self._KEPT] + [("edges", a) for a in rho.edges]
+        for name, a in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+                pytest.fail(f"{name} is writeable")
+
+
 class TestStacks:
     @pytest.mark.parametrize("part", [np.asarray, np.real])  # complex states, and their real parts
     @pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (2, 4)])

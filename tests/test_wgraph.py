@@ -526,6 +526,19 @@ class TestWMemory:
             tracemalloc.stop()
         assert peak < 512 * 1024
 
+    def test_dense_20_vertex_peak_below_256_kib(self, rng):
+        # the all-pairs broadcast: its (20, 20, 20) float64 output is 62.5 KiB, and numpy
+        # buffers each of its two broadcast inputs in at most a buffer of 8192 entries
+        g = _symmetric(rng.random((20, 20)))
+        tracemalloc.start()
+        try:
+            for convention in WConvention:
+                max_w(g, convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
 
 def _all_edges_max(g, convention):
     """The max of W over every edge of one graph, by the kernel alone."""
@@ -661,6 +674,69 @@ class TestBoundedMaxW:
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@st.composite
+def _small_graphs(draw):
+    """A graph on 0..20 vertices, in float64, float32, bool or integer weights:
+    complete, with a share of pairs cut, with isolated vertices, or edgeless."""
+    n = draw(st.integers(0, 20))
+    dtype = draw(st.sampled_from([np.float64, np.float32, bool, np.uint8, np.int64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if dtype is bool:
+        upper = rng.random((n, n)) < 0.5
+    elif np.issubdtype(dtype, np.integer):
+        upper = rng.integers(0, 256, (n, n))
+    elif draw(st.booleans()):
+        upper = np.ldexp(rng.random((n, n)), draw(st.integers(-60, 60)))
+    else:  # near-equal weights, where W ties
+        upper = 0.3 + rng.integers(-2, 3, (n, n)) * 2.0 ** -52
+    kind = draw(st.sampled_from(["complete", "cut", "isolated", "edgeless"]))
+    if kind == "cut":
+        upper = upper * (rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    elif kind == "isolated":
+        alone = rng.random(n) < draw(st.floats(0.0, 1.0))
+        upper = upper * ~(alone[:, None] | alone)
+    elif kind == "edgeless":
+        upper = upper * 0
+    return _symmetric(upper).astype(dtype)
+
+
+class TestAllPairsMaxW:
+    """One float graph on up to 20 vertices (n^3 <= SLICE_ENTRIES) weighs all
+    vertex pairs in one broadcast, with no edge list; its max W is still bit
+    for bit the max of the kernel over its edge list."""
+
+    @staticmethod
+    def _assert_matches_the_edge_list(g):
+        listed = []
+        for convention in WConvention:
+            got = max_w(g, convention, lambda: listed.append(convention) or edges(g))
+            assert type(got) is float
+            if len(edges(g)[0]):
+                want = float(_all_edges_max(wgraph._weights(g), convention))
+                assert got.hex() == want.hex(), (convention, got, want)
+            else:
+                assert math.isnan(got)
+        return listed
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_graphs())
+    def test_matches_the_edge_list_and_never_lists_it(self, g):
+        assert self._assert_matches_the_edge_list(g) == []
+
+    @pytest.mark.parametrize("n, listed", [(20, 0), (21, 2)])
+    def test_either_side_of_the_switch(self, rng, n, listed):
+        # 21^3 > 8192, and K_21's 210 edges fit one slice of 8192 // 21 = 390: the edge-list path
+        g = _symmetric(rng.random((n, n)))
+        assert len(self._assert_matches_the_edge_list(g)) == listed
+
+    def test_edgeless_graphs_are_nan(self):
+        for n in (0, 1, 2, 20):
+            for dtype in (np.float64, np.float32, bool, np.int64):
+                g = np.zeros((n, n), dtype=dtype)
+                assert all(math.isnan(max_w(g, convention, lambda: pytest.fail("edges listed")))
+                           for convention in WConvention)
+
+
 class TestIntegerGraphs:
     """Bool and integer weights are read as float64: no W wraps an integer type."""
 
@@ -704,7 +780,10 @@ class TestContenders:
 
 class TestEdgeIndex:
     def test_found_once_per_graph(self, monkeypatch):
-        """`classify` finds the edges of a state's graph with one np.nonzero."""
+        """`classify` finds the edges of a state's graph with one np.nonzero
+        when a reader needs them, and with none when none does: rho3's complete
+        graph is connected by its edge count and max W weighs all its vertex
+        pairs; rho5's path graph lists its edges once, for its depth-first search."""
         calls = []
         nonzero = np.nonzero
 
@@ -712,21 +791,23 @@ class TestEdgeIndex:
             calls.append(a)
             return nonzero(a)
 
-        states = [build("rho3"), build("rho5")]
+        states = [(build("rho3"), 0), (build("rho5"), 1)]
         monkeypatch.setattr(wgraph.np, "nonzero", counting)
-        for count, rho in enumerate(states, start=1):
+        for rho, count in states:
+            calls.clear()
             classify(rho)
             assert len(calls) == count
 
-    @pytest.mark.parametrize("dims", [(4, 8), (8, 8)], ids=["4x8", "8x8"])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 8), (8, 8)], ids=["2x2", "2x3", "3x3", "4x8", "8x8"])
     def test_listed_only_for_a_reader(self, dims, monkeypatch):
         """A state lists its graph's edges once, for connectivity and max W
         alike, and not at all when the edge count answers connectivity and max
-        W weighs its contenders only: the dense and rank-2 pool states."""
+        W weighs all vertex pairs (up to 20 vertices) or its contenders only:
+        the dense and rank-2 pool states."""
         listed = []
         monkeypatch.setattr(states, "edges", lambda g: listed.append(g) or edges(g))
         for kind in wl.KINDS:
-            for index in range(4):
+            for index in range(wl.POOL_PER_CLASS):
                 rho = validate(wl.make_state(*dims, kind, index), BipartiteDims(*dims))
                 listed.clear()
                 classify(rho)
