@@ -9,8 +9,9 @@ Every command prints what it reads off the state: `laplacian` the Laplacian
 of the state's `literal` entries, `graph` the edges of its float coherence
 graph labelled |rho_ij| from those same entries (exact for a state with exact
 entries, so it builds no exact graph), and `sweep` lambda_min(rho) and max W / 2
-off each stack of states.  `exact.format_scalar` writes every number printed
-as text; the sweep's CSV rows write the same 12 significant digits in bulk.
+off each stack of states, then the verdicts of the oracle and of each entry of
+`criteria.CRITERIA` with a column.  `exact.format_scalar` writes every number
+printed as text; the sweep's CSV rows write the same 12 significant digits in bulk.
 `classify --json` writes its report here, in one pass over its fixed schema,
 in the layout json.dumps(..., indent=2) gives it: strings through json's own
 ASCII escaper, each scalar the float repr of its 12-significant-digit value
@@ -34,7 +35,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _string
 
 from . import corpus as corpus_mod
-from .criteria import ORACLE_VERDICTS, DecisionTolerance, classify, cor6, oracle, thm3, thm5, thm6
+from .criteria import CRITERIA, ORACLE_VERDICTS, DecisionTolerance, classify, oracle
 from .errors import ParameterOutOfDomain, StateValidationError, UnknownState
 from .exact import format_scalar
 from .laplacian import laplacian_of_density
@@ -66,10 +67,12 @@ class CliError(Exception):
         super().__init__(message)
 
 
-# A sweep's CSV row, each number as format_scalar writes it; without edges the
-# half_max_w cell (NaN) is written empty.
-_ROW = "%.12g,%.12g,%.12g,%.12g,%s,%s,%s,%s,%s"
-_ROW_NO_EDGES = "%.12g,%.12g,%.12g,%.0s,%s,%s,%s,%s,%s"
+# The criteria a sweep writes, in columns after the oracle's; a row's numbers are
+# format_scalar's, and without edges its half_max_w cell (NaN) is empty.
+_SWEPT = tuple(entry for entry in CRITERIA if entry.column)
+_HEADER = ",".join(["param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle", *(e.column for e in _SWEPT)])
+_ROW = "%.12g,%.12g,%.12g,%.12g,%s" + ",%s" * len(_SWEPT)
+_ROW_NO_EDGES = "%.12g,%.12g,%.12g,%.0s,%s" + ",%s" * len(_SWEPT)
 
 
 def finite_float(text: str) -> float:
@@ -260,21 +263,19 @@ def cmd_sweep(args) -> int:
     grid = _grid(args.start, args.stop, args.steps)
     # the grid goes in stacks of states whose float matrices fill at most one slice
     per_stack = max(1, SLICE_ENTRIES // entry.dims.n ** 2)
-    lines = ["param,lambda_min_rho,lambda_min_ptb,half_max_w,oracle,thm3,thm5,thm6,cor6"]
+    lines = [_HEADER]
     for first in range(0, args.steps, per_stack):
         values = grid[first:first + per_stack]
         stack = corpus_mod.build_stack(args.state, values)
         oracle_codes, lam_ptbs = oracle(stack, args.eps)
         columns = [[ORACLE_VERDICTS[c] for c in oracle_codes.tolist()]]
-        for criterion in (thm3, thm5, thm6, cor6):
-            table, codes, _ = criterion(stack, args.eps)
+        for entry in _SWEPT:
+            table, codes, _ = entry.test(stack, args.eps)
             names = [outcome.verdict.value for outcome in table.outcomes]
             columns.append([names[c] for c in codes.tolist()])
         lam_rhos, halves = stack.spectrum[:, 0], stack.max_w / 2.0  # half is NaN without edges
-        for value, lam_rho, lam_ptb, half, oracle_v, thm3_v, thm5_v, thm6_v, cor6_v in zip(
-                values, lam_rhos.tolist(), lam_ptbs.tolist(), halves.tolist(), *columns):
-            lines.append((_ROW_NO_EDGES if math.isnan(half) else _ROW) % (
-                value, lam_rho, lam_ptb, half, oracle_v, thm3_v, thm5_v, thm6_v, cor6_v))
+        for row in zip(values, lam_rhos.tolist(), lam_ptbs.tolist(), halves.tolist(), *columns):
+            lines.append((_ROW_NO_EDGES if math.isnan(row[3]) else _ROW) % row)
     _write(args.csv, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -7,10 +7,16 @@ computes once and keeps (see `entlap.states`) with `.T[0]` and `.T[-1]`,
 numbers on one state and arrays over a stack, and returns an int outcome code
 (int8 over a stack), its scalars and, for a criterion, its outcome table.  On
 one state a failed precondition returns before what it guards is read; a
-stack computes everything and masks.  The public functions (`ppt_oracle`,
-`purity_test`, ..., `cor6_ppt`) read one state's result off those and reject
-a stack, and `entlap sweep` reads a stack's codes.  Every decision is floating point, also for
-exact inputs.
+stack computes everything and masks.  Every decision is floating point, also
+for exact inputs.
+
+`CRITERIA` lists the criteria in CriterionId order, the report's: each entry's
+function (`test`), the name of its public one-state reader (`reader`), the one
+dims it is defined in, if any (`dims`), and its `entlap sweep` column, if any.
+The readers (`purity_test`, ..., `cor6_ppt`; `ppt_oracle` for the oracle) are
+built from it and reject a stack and a state outside `dims`.  `classify` runs
+each reader that applies, looked up by name in this module when it runs, so a
+reader replaced here (a tracer's span, a test's counter) is the one it calls.
 
 Each criterion is tagged internally with its logical strength and only ever
 asserts what that strength licenses:
@@ -36,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -267,9 +273,6 @@ def thm6(rho: DensityMatrix, eps: float):
 
 def thm3a(rho: DensityMatrix, eps: float):
     """Two-sided 2x2 test: SEPARABLE iff -eps <= mu <= 1 + d_G + eps."""
-    dims = rho.dims
-    if (dims.d1, dims.d2) != (2, 2):
-        raise WrongDimensions(f"criterion defined for 2x2 only, got {dims.d1}x{dims.d2}")
     mu, degree = rho.spec_l_plus_ptb.T[0], rho.total_degree
     outside = _below(mu, 0.0, eps) | _above(mu, 1.0 + degree, eps)
     return _THM3A, _pick(outside, 1, 0), {"lambda_min_l_plus_ptb": mu, "total_degree": degree}
@@ -329,27 +332,45 @@ def cor6(rho: DensityMatrix, eps: float):
     return table, code, {"lambda_min_rho": lam, "half_max_w": half}
 
 
-def _on_one_state(criterion, name: str):
-    """The public function that reads `criterion`'s result on one state."""
+class Criterion(NamedTuple):
+    """A criterion's function, reader name, dims (None: all) and sweep column (None: none)."""
+
+    test: Callable
+    reader: str
+    dims: tuple[int, int] | None = None
+    column: str | None = None
+
+
+CRITERIA = (  # in CriterionId order, the order of the report
+    Criterion(thm1, "purity_test"),
+    Criterion(thm3, "thm3_separability", column="thm3"),
+    Criterion(thm5, "thm5_ppt", column="thm5"),
+    Criterion(thm6, "thm6_ppt", column="thm6"),
+    Criterion(thm3a, "thm3a_bounds", dims=(2, 2)),
+    Criterion(thm3b, "thm3b_check"),
+    Criterion(thm4a, "thm4a_check"),
+    Criterion(cor4a, "cor4a_nptes"),
+    Criterion(cor6, "cor6_ppt", column="cor6"),
+)
+
+
+def _on_one_state(entry: Criterion):
+    """The public function that reads `entry`'s result on one state in its dims."""
+    test, only_in = entry.test, entry.dims
 
     def read(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance()) -> CriterionResult:
         check_one_state(rho)
-        return _result(rho, *criterion(rho, tol.eps))
+        if only_in is not None and (rho.dims.d1, rho.dims.d2) != only_in:
+            raise WrongDimensions("criterion defined for %dx%d only, got %dx%d" % (*only_in, rho.dims.d1, rho.dims.d2))
+        return _result(rho, *test(rho, tol.eps))
 
-    read.__name__ = read.__qualname__ = name
-    read.__doc__ = f"`{criterion.__name__}` on one state, as a CriterionResult.\n\n{criterion.__doc__}"
+    read.__name__ = read.__qualname__ = entry.reader
+    read.__doc__ = f"`{test.__name__}` on one state, as a CriterionResult.\n\n{test.__doc__}"
     return read
 
 
-purity_test = _on_one_state(thm1, "purity_test")
-thm3_separability = _on_one_state(thm3, "thm3_separability")
-thm5_ppt = _on_one_state(thm5, "thm5_ppt")
-thm6_ppt = _on_one_state(thm6, "thm6_ppt")
-thm3a_bounds = _on_one_state(thm3a, "thm3a_bounds")
-thm3b_check = _on_one_state(thm3b, "thm3b_check")
-thm4a_check = _on_one_state(thm4a, "thm4a_check")
-cor4a_nptes = _on_one_state(cor4a, "cor4a_nptes")
-cor6_ppt = _on_one_state(cor6, "cor6_ppt")
+(purity_test, thm3_separability, thm5_ppt, thm6_ppt, thm3a_bounds, thm3b_check, thm4a_check, cor4a_nptes,
+ cor6_ppt) = map(_on_one_state, CRITERIA)
 
 
 # -- assembler ---------------------------------------------------------
@@ -362,11 +383,8 @@ def classify(rho: DensityMatrix, tol: DecisionTolerance = DecisionTolerance(),
              state_id: str = "state") -> ClassificationReport:
     """Run the oracle plus every applicable criterion on one state and flag contradictions."""
     oracle_verdict, oracle_lam = ppt_oracle(rho, tol)
-    checks = [purity_test, thm3_separability, thm5_ppt, thm6_ppt, thm3b_check, thm4a_check,
-              cor4a_nptes, cor6_ppt]  # in CriterionId order, the order of the report
-    if (rho.dims.d1, rho.dims.d2) == (2, 2):
-        checks.insert(4, thm3a_bounds)
-    results = [check(rho, tol) for check in checks]
+    dims, readers = (rho.dims.d1, rho.dims.d2), globals()  # each reader by name: see the module docstring
+    results = [readers[entry.reader](rho, tol) for entry in CRITERIA if entry.dims is None or entry.dims == dims]
     contra = _CONTRADICTS_PPT if oracle_verdict == "PPT" else _CONTRADICTS_NPT
     return ClassificationReport(
         state_id=state_id,

@@ -146,12 +146,6 @@ def _exact(form: Form) -> Exact:
     return Exact({k: Fraction(n, d)}) if n else ZERO
 
 
-def parse_entry(token: str) -> tuple[Exact, Exact]:
-    """Parse one entry into (real, imaginary) exact parts."""
-    real, imag = read_entry(token)
-    return _exact(real), ZERO if imag is None else _exact(imag)
-
-
 def _float(n: int, d: int, k: int) -> float:
     """(n/d)*sqrt(k) as the float of its Exact, bit for bit: int true division
     rounds correctly, as float(Fraction) does; an int 0 gives +0.0."""

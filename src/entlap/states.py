@@ -26,9 +26,10 @@ the CLI's `graph`.  The first of them to need it finds it, and a state none
 of them needs it for never lists its edges: on up to 20 vertices, a dense
 state's edge count answers connectivity, and max W weighs all vertex pairs
 at once.  The entries, L_rho, rho^TB, the graph, the spectra and the edge
-list are read-only, since every later reader shares them: a caller that
-writes into one gets a ValueError, and cannot change what the criteria read
-next.
+list are read-only, since every later reader shares them, and so are a
+stack's rank, total degree, connectivity and max W arrays (one state's are
+scalars): a caller that writes into one gets a ValueError, and cannot change
+what the criteria read next.
 Criteria called one after another on the same state share that work, and a
 criterion computes only what it reads.  Every decision quantity is
 floating point, also for exact inputs: the Laplacian and the graph are read
@@ -75,8 +76,8 @@ def _to_exact(values: np.ndarray) -> np.ndarray:
 
 
 class _derived:
-    """A derived value: `compute(rho)` on first read, then kept.  Like
-    `cached_property`, without the lock that Python 3.11's takes on every first read."""
+    """A derived value: `compute(rho)` on first read, then kept, read-only if an array.
+    Like `cached_property`, without the lock that Python 3.11's takes on every first read."""
 
     def __init__(self, compute):
         self.compute = compute
@@ -87,7 +88,7 @@ class _derived:
     def __get__(self, rho, owner=None):
         if rho is None:
             return self
-        value = rho.__dict__[self.name] = self.compute(rho)  # shadows this non-data descriptor from now on
+        value = rho.__dict__[self.name] = _read_only(self.compute(rho))  # shadows this descriptor from now on
         return value
 
 
@@ -129,14 +130,14 @@ class DensityMatrix:
     # graph, its edge list (index arrays) and graph scalars, each computed on
     # first read and kept, each array read-only, as every reader shares it;
     # all but the first and the edge list are float.
-    exact = _derived(lambda self: None if self.exact_source is None else _read_only(self.exact_source()))
+    exact = _derived(lambda self: None if self.exact_source is None else self.exact_source())
     laplacian = _derived(lambda self: laplacian_of_density(self.array))  # L_rho
-    ptb = _derived(lambda self: _read_only(partial_transpose(self.array, self.dims)))  # rho^TB
-    spec_ptb = _derived(lambda self: _spectrum(self.ptb))
-    spec_lap = _derived(lambda self: _spectrum(self.laplacian))
-    spec_l_plus_ptb = _derived(lambda self: _spectrum(self.laplacian + self.ptb))
-    spec_lap_ptb = _derived(lambda self: _spectrum(partial_transpose(self.laplacian, self.dims)))  # of L^TB
-    spec_phi_minus_i = _derived(lambda self: _spectrum(_minus_identity(self.laplacian + self.array)))
+    ptb = _derived(lambda self: partial_transpose(self.array, self.dims))  # rho^TB
+    spec_ptb = _derived(lambda self: eigvals_sym(self.ptb))
+    spec_lap = _derived(lambda self: eigvals_sym(self.laplacian))
+    spec_l_plus_ptb = _derived(lambda self: eigvals_sym(self.laplacian + self.ptb))
+    spec_lap_ptb = _derived(lambda self: eigvals_sym(partial_transpose(self.laplacian, self.dims)))  # of L^TB
+    spec_phi_minus_i = _derived(lambda self: eigvals_sym(_minus_identity(self.laplacian + self.array)))
     rank = _derived(lambda self: (self.spectrum > RANK_TOL).sum(-1))  # eigenvalues above RANK_TOL
     total_degree = _derived(lambda self: self.laplacian.trace(axis1=-2, axis2=-1))  # d_G = Tr L_rho
     graph = _derived(lambda self: graph_from_laplacian(self.laplacian))
@@ -145,17 +146,12 @@ class DensityMatrix:
     max_w = _derived(lambda self: max_w(self.graph, WConvention.EXCLUDED, lambda: self.edges))  # NaN without edges
 
 
-def _read_only(a: np.ndarray | None) -> np.ndarray | None:
-    """a, made read-only in place (`setflags`, which costs about half a write to
-    `flags.writeable`), or None."""
-    if a is not None:
+def _read_only(a):
+    """a, made read-only in place when it is an array (`setflags`, which costs
+    about half a write to `flags.writeable`); a scalar or None as it is."""
+    if isinstance(a, np.ndarray):
         a.setflags(write=False)
     return a
-
-
-def _spectrum(m: np.ndarray) -> np.ndarray:
-    """The read-only ascending spectrum of m, or of each matrix of a stack m."""
-    return _read_only(eigvals_sym(m))
 
 
 def exact_if_symmetric(m: np.ndarray) -> np.ndarray | None:

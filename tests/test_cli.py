@@ -653,14 +653,14 @@ class TestSweep:
         # stub that moves each row to another outcome of the criterion's table
         # shows which column it writes
         argv = ["sweep", "--state", "rho6", "--param-name", "a", "--from", "0.01", "--to", "1", "--steps", "200"]
-        real = getattr(cli, criterion)
+        entry = next(entry for entry in cli._SWEPT if entry.column == criterion)
 
         def moved(rho, eps):
-            table, codes, scalars = real(rho, eps)
+            table, codes, scalars = entry.test(rho, eps)
             return table, (codes + 1) % len(table.outcomes), scalars
 
         _, before, _ = run(capsys, *argv)
-        monkeypatch.setattr(cli, criterion, moved)
+        monkeypatch.setattr(cli, "_SWEPT", tuple(e._replace(test=moved) if e is entry else e for e in cli._SWEPT))
         _, after, _ = run(capsys, *argv)
         before, after = ([row.split(",") for row in out.splitlines()] for out in (before, after))
         column = before[0].index(criterion)

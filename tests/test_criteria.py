@@ -4,10 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import entlap
 import entlap.states
 from entlap.corpus import build
 from entlap import criteria
 from entlap.criteria import (
+    CRITERIA,
     ORACLE_VERDICTS,
     ClassificationReport,
     CriterionId,
@@ -15,7 +17,6 @@ from entlap.criteria import (
     DecisionTolerance,
     Verdict,
     classify,
-    cor4a,
     cor4a_nptes,
     cor6,
     cor6_ppt,
@@ -23,17 +24,11 @@ from entlap.criteria import (
     ppt_oracle,
     purity_test,
     thm1,
-    thm3,
     thm3_separability,
-    thm3a,
     thm3a_bounds,
-    thm3b,
     thm3b_check,
-    thm4a,
     thm4a_check,
-    thm5,
     thm5_ppt,
-    thm6,
     thm6_ppt,
 )
 from entlap.corpus import build_stack
@@ -51,13 +46,14 @@ def _dm(arr, d1, d2):
     return validate(np.asarray(arr, dtype=float), BipartiteDims(d1, d2))
 
 
+def _runs_in(dims):
+    """The entries of CRITERIA whose criterion runs in dims (every dims, or the entry's one)."""
+    return [entry for entry in CRITERIA if entry.dims in (None, (dims.d1, dims.d2))]
+
+
 def _standalone_results(rho):
     """Every criterion classify runs on rho, each called on its own."""
-    results = [purity_test(rho), thm3_separability(rho), thm5_ppt(rho), thm6_ppt(rho),
-               thm3b_check(rho), thm4a_check(rho), cor4a_nptes(rho), cor6_ppt(rho)]
-    if (rho.dims.d1, rho.dims.d2) == (2, 2):
-        results.append(thm3a_bounds(rho))
-    return {r.criterion_id: r for r in results}
+    return {r.criterion_id: r for r in (getattr(criteria, entry.reader)(rho) for entry in _runs_in(rho.dims))}
 
 
 def _corpus_states():
@@ -214,7 +210,7 @@ class TestThm5Thm6:
 
 class TestThm3a:
     def test_wrong_dims_raises(self, rho2):
-        with pytest.raises(WrongDimensions):
+        with pytest.raises(WrongDimensions, match="^criterion defined for 2x2 only, got 2x4$"):
             thm3a_bounds(rho2)
 
     def test_family(self):
@@ -576,16 +572,9 @@ def _column_ensemble(dims, seed=29):
     return raws
 
 
-# Each criterion, written once over a state or a stack, and the public
-# function that reads its result on one state.
-_CRITERIA = {"thm1": (thm1, purity_test), "thm3": (thm3, thm3_separability), "thm5": (thm5, thm5_ppt),
-             "thm6": (thm6, thm6_ppt), "thm3a": (thm3a, thm3a_bounds), "thm3b": (thm3b, thm3b_check),
-             "thm4a": (thm4a, thm4a_check), "cor4a": (cor4a, cor4a_nptes), "cor6": (cor6, cor6_ppt)}
-
-
-def _names(dims):
-    """The oracle and the criteria that run in dims (THM3A only in 2x2)."""
-    return ["oracle"] + [name for name in _CRITERIA if name != "thm3a" or (dims.d1, dims.d2) == (2, 2)]
+def _columns(dims):
+    """Each column's name and entry: the oracle's (no entry), then each criterion's that runs in dims."""
+    return [("oracle", None)] + [(entry.test.__name__, entry) for entry in _runs_in(dims)]
 
 
 def _identity(result):
@@ -594,13 +583,13 @@ def _identity(result):
             result.caveat)
 
 
-def _stack_rows(name, stack, tol):
-    """Each row's outcome, read off the codes and scalars of the whole stack."""
-    if name == "oracle":
+def _stack_rows(entry, stack, tol):
+    """Each row's outcome, read off the codes and scalars of the whole stack (the oracle's without an entry)."""
+    if entry is None:
         codes, lam = oracle(stack, tol.eps)
         assert codes.dtype == np.int8
         return [(ORACLE_VERDICTS[code], float(x).hex()) for code, x in zip(codes, lam)]
-    table, codes, scalars = _CRITERIA[name][0](stack, tol.eps)
+    table, codes, scalars = entry.test(stack, tol.eps)
     assert codes.dtype == np.int8 and codes.shape == stack.array.shape[:1]
     # _result reads a state's rank only, for an outcome that reports it
     return [_identity(criteria._result(SimpleNamespace(rank=rank), table, code,
@@ -608,11 +597,11 @@ def _stack_rows(name, stack, tol):
             for k, (code, rank) in enumerate(zip(codes, stack.rank))]
 
 
-def _alone_rows(name, states, tol):
-    """Each state's outcome, by the public function on the state validated alone."""
-    if name == "oracle":
+def _alone_rows(entry, states, tol):
+    """Each state's outcome, by the public function on the state validated alone (the oracle's without an entry)."""
+    if entry is None:
         return [(verdict, lam.hex()) for verdict, lam in (ppt_oracle(rho, tol) for rho in states)]
-    return [_identity(_CRITERIA[name][1](rho, tol)) for rho in states]
+    return [_identity(getattr(criteria, entry.reader)(rho, tol)) for rho in states]
 
 
 def _outcome(row):
@@ -649,9 +638,9 @@ class TestStackColumns:
         alone = [validate(raw, dims) for raw in raws]
         stack = validate(np.stack(raws), dims)
         tol = DecisionTolerance()
-        rows = {name: _stack_rows(name, stack, tol) for name in _names(dims)}
-        for name, column in rows.items():
-            assert column == _alone_rows(name, alone, tol), name
+        rows = {name: _stack_rows(entry, stack, tol) for name, entry in _columns(dims)}
+        for name, entry in _columns(dims):
+            assert rows[name] == _alone_rows(entry, alone, tol), name
         outcomes = {name: {_outcome(row) for row in column} for name, column in rows.items()}
         assert outcomes["oracle"] == {"NPT", "PPT"}
         assert {Verdict.PPT, Verdict.INCONCLUSIVE, Verdict.PRECONDITION_FAILED} <= {v for v, _ in outcomes["thm5"]}
@@ -670,7 +659,7 @@ class TestStackColumns:
         raws = _column_ensemble(dims)
         alone = [validate(raw, dims) for raw in raws]
         stack = validate(np.stack(raws), dims)
-        for name in _names(dims):
+        for name, entry in _columns(dims):
             margins = [float(_THRESHOLDS[name](rho)) for rho in alone]
             flips = name != "thm4a"
             # the smallest positive margin (every threshold but THM4A's must have
@@ -680,8 +669,8 @@ class TestStackColumns:
             seen = set()
             for eps in (m / 2, np.nextafter(m, 0), m, np.nextafter(m, np.inf), 2 * m):
                 tol = DecisionTolerance(float(eps))
-                rows = _stack_rows(name, stack, tol)
-                assert rows == _alone_rows(name, alone, tol), (name, eps)
+                rows = _stack_rows(entry, stack, tol)
+                assert rows == _alone_rows(entry, alone, tol), (name, eps)
                 seen.add(_outcome(rows[k]))
             assert len(seen) == (2 if flips else 1), name  # the band's edge passed over state k
 
@@ -691,10 +680,36 @@ class TestOneStateReaders:
     it (TestStackColumns)."""
 
     @pytest.mark.parametrize("reader", [
-        classify, ppt_oracle, purity_test, thm3_separability, thm5_ppt, thm6_ppt, thm3a_bounds, thm3b_check,
-        thm4a_check, cor4a_nptes, cor6_ppt, purity, linear_entropy, rank,
+        classify, ppt_oracle, *(getattr(criteria, entry.reader) for entry in CRITERIA), purity, linear_entropy, rank,
     ], ids=lambda f: f.__name__)
     def test_a_stack_is_a_dimension_mismatch(self, reader):
         stack = build_stack("rho6", [0.1, 0.5, 0.9])
         with pytest.raises(DimensionMismatch, match="^expected one state, got a stack of 3$"):
             reader(stack)
+
+
+class TestCriteriaTable:
+    """CRITERIA builds the public readers and decides what classify runs."""
+
+    @pytest.mark.parametrize("entry", CRITERIA, ids=lambda entry: entry.reader)
+    def test_each_reader_reads_its_entrys_criterion(self, entry):
+        rho = build("rho3")  # 2x2: every entry's dims
+        want = _identity(criteria._result(rho, *entry.test(rho, DecisionTolerance().eps)))
+        for module in (criteria, entlap):
+            reader = getattr(module, entry.reader)
+            assert reader.__name__ == entry.reader
+            assert _identity(reader(rho)) == want
+
+    @pytest.mark.parametrize("name, param", [("rho3", None), ("rho_ab", 0.2), ("rho2", None), ("rho6", 0.5)])
+    def test_classify_calls_each_reader_by_name(self, monkeypatch, name, param):
+        # a reader replaced in the module, as a tracer replaces it, is the one classify calls
+        rho = build(name, param)
+        want = classify(rho)
+        calls = Counter()
+        for entry in CRITERIA:
+            reader = getattr(criteria, entry.reader)
+            monkeypatch.setattr(criteria, entry.reader, lambda *args, _name=entry.reader, _reader=reader:
+                                calls.update([_name]) or _reader(*args))
+        assert classify(rho) == want
+        two_by_two = (rho.dims.d1, rho.dims.d2) == (2, 2)
+        assert calls == Counter(entry.reader for entry in CRITERIA if two_by_two or entry.reader != "thm3a_bounds")

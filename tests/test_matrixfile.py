@@ -12,49 +12,55 @@ from entlap.errors import DimensionMismatch
 from entlap.exact import ZERO, Exact
 from entlap.matops import BipartiteDims
 from entlap.matrixfile import (MAX_DIGITS, MAX_EXPONENT, MAX_RADICAND, ParseError, emit, format_scalar, parse,
-                               parse_entry)
+                               read_entry)
 from entlap.states import validate
+
+
+def _parts(token: str) -> tuple[Exact, Exact]:
+    """A token's (real, imaginary) Exact parts, built from its int forms (n, d, k), (n/d)*sqrt(k)."""
+    return tuple(ZERO if form is None else Exact({form[2]: Fraction(form[0], form[1])})
+                 for form in read_entry(token))
 
 
 class TestEntryGrammar:
     def test_decimals(self):
-        assert parse_entry("0.25") == (Exact.of(Fraction(1, 4)), Exact())
-        assert parse_entry("-1e-3") == (Exact.of(Fraction(-1, 1000)), Exact())
-        assert parse_entry("7") == (Exact.of(7), Exact())
+        assert _parts("0.25") == (Exact.of(Fraction(1, 4)), Exact())
+        assert _parts("-1e-3") == (Exact.of(Fraction(-1, 1000)), Exact())
+        assert _parts("7") == (Exact.of(7), Exact())
 
     def test_rationals(self):
-        assert parse_entry("1/81") == (Exact.of(Fraction(1, 81)), Exact())
-        assert parse_entry("-65/648") == (Exact.of(Fraction(-65, 648)), Exact())
+        assert _parts("1/81") == (Exact.of(Fraction(1, 81)), Exact())
+        assert _parts("-65/648") == (Exact.of(Fraction(-65, 648)), Exact())
 
     def test_radicals(self):
-        assert parse_entry("sqrt(7)/8") == (Exact.radical(Fraction(1, 8), 7), Exact())
-        assert parse_entry("5*sqrt(7)/16") == (Exact.radical(Fraction(5, 16), 7), Exact())
-        assert parse_entry("-sqrt(2)") == (Exact.radical(-1, 2), Exact())
+        assert _parts("sqrt(7)/8") == (Exact.radical(Fraction(1, 8), 7), Exact())
+        assert _parts("5*sqrt(7)/16") == (Exact.radical(Fraction(5, 16), 7), Exact())
+        assert _parts("-sqrt(2)") == (Exact.radical(-1, 2), Exact())
 
     def test_radicand_limit(self):
-        assert parse_entry(f"sqrt({MAX_RADICAND})/2") == (Exact.of(500000), Exact())  # 10**12 = (10**6)**2
+        assert _parts(f"sqrt({MAX_RADICAND})/2") == (Exact.of(500000), Exact())  # 10**12 = (10**6)**2
         for bad in (f"sqrt({MAX_RADICAND + 1})", f"1/2+3*sqrt({10**30})i"):
             with pytest.raises(ValueError, match="radicand above the limit"):
-                parse_entry(bad)
+                _parts(bad)
 
     def test_complex_suffix(self):
-        re_, im = parse_entry("1/4+1/2i")
+        re_, im = _parts("1/4+1/2i")
         assert re_ == Exact.of(Fraction(1, 4))
         assert im == Exact.of(Fraction(1, 2))
-        re_, im = parse_entry("0.5-sqrt(2)/4i")
+        re_, im = _parts("0.5-sqrt(2)/4i")
         assert im == Exact.radical(Fraction(-1, 4), 2)
 
     def test_rejects_garbage(self):
         for bad in ["", "1/", "/2", "sqrt()", "sqrt(-3)", "1+2", "i", "1.2.3", "--1", "1/0",
                     "sqrt(2)/0", "2*sqrt(3)/0", "1+sqrt(2)/0i"]:
             with pytest.raises(ValueError):
-                parse_entry(bad)
+                _parts(bad)
 
 
     @pytest.mark.parametrize("token", ["sqrt(2)/0", "2*sqrt(3)/0", "-sqrt(2)/0", "1+sqrt(2)/0i", "1/4-2*sqrt(3)/0i"])
     def test_zero_denominator_in_a_radical_is_that_of_a_rational(self, token):
         with pytest.raises(ValueError, match="^zero denominator$"):
-            parse_entry(token)
+            _parts(token)
         errors = []
         for entry in (token, "1/0"):
             with pytest.raises(ParseError) as err:
@@ -63,25 +69,25 @@ class TestEntryGrammar:
         assert errors == ["line 3, column 5: zero denominator"] * 2
 
     def test_exponent_limit(self):
-        assert parse_entry(f"1e-{MAX_EXPONENT}")[0] == Exact.of(Fraction(1, 10**MAX_EXPONENT))
-        assert parse_entry(f"25e+000{MAX_EXPONENT - 2}")[0] == Exact.of(25 * 10**(MAX_EXPONENT - 2))
-        assert parse_entry("1e-400") == (Exact.of(Fraction(1, 10**400)), ZERO)  # a tiny decimal, 0 as a float
+        assert _parts(f"1e-{MAX_EXPONENT}")[0] == Exact.of(Fraction(1, 10**MAX_EXPONENT))
+        assert _parts(f"25e+000{MAX_EXPONENT - 2}")[0] == Exact.of(25 * 10**(MAX_EXPONENT - 2))
+        assert _parts("1e-400") == (Exact.of(Fraction(1, 10**400)), ZERO)  # a tiny decimal, 0 as a float
         for bad in (f"1e{MAX_EXPONENT + 1}", f"0.5E-{MAX_EXPONENT + 1}", "1e10000000", "1/4+1e-10000000i",
                     "1e" + "9" * 5000):
             with pytest.raises(ValueError, match=f"^exponent above the limit {MAX_EXPONENT}$"):
-                parse_entry(bad)
+                _parts(bad)
 
 
     def test_digit_limit(self):
         # Python reads at most 4300 digits from a string by default; the parser refuses
         # longer runs itself, before int() or Fraction sees them, under every setting
         assert MAX_DIGITS == 4300
-        assert parse_entry("1" * MAX_DIGITS)[0] == Exact.of(int("1" * MAX_DIGITS))
-        assert parse_entry(f"0.{'1' * MAX_DIGITS}e-5")[0] == Exact.of(Fraction(int("1" * MAX_DIGITS), 10**4305))
+        assert _parts("1" * MAX_DIGITS)[0] == Exact.of(int("1" * MAX_DIGITS))
+        assert _parts(f"0.{'1' * MAX_DIGITS}e-5")[0] == Exact.of(Fraction(int("1" * MAX_DIGITS), 10**4305))
         for bad in ("1" * 5000, "1/" + "1" * 5000, "sqrt(2)/" + "3" * 5000, "0." + "1" * 5000,
                     "1e-" + "0" * 5000 + "5", "1/4+" + "2" * 5000 + "i"):
             with pytest.raises(ValueError, match=f"^more digits in a row than the limit {MAX_DIGITS}$"):
-                parse_entry(bad)
+                _parts(bad)
 
     def test_digit_limit_in_a_file(self):
         rows = "\n".join(" ".join("1/4" if i == j else "0" for j in range(4)) for i in range(4))
@@ -130,7 +136,7 @@ class TestParse:
 
     def test_a_zero_radicand_is_a_parse_error(self):
         with pytest.raises(ValueError, match="^radicand must be positive$"):
-            parse_entry("sqrt(0)")
+            _parts("sqrt(0)")
         with pytest.raises(ParseError, match="^line 2, column 1: radicand must be positive$"):
             parse("dims 4 2 2\nsqrt(0) 0 0 0\n0 1/4 0 0\n0 0 1/4 0\n0 0 0 1/4\n")
 
@@ -451,7 +457,7 @@ def _check_token(token: str) -> None:
     text = f"dims 4 2 2\n0 0 0 0\n0 {token} 0 0\n0 0 0 0\n0 0 0 0\n"
     try:
         parts = _exact_parts(token)
-        assert parse_entry(token) == parts
+        assert _parts(token) == parts
         want = _exact_value(*parts)
     except ValueError as exc:
         with pytest.raises(ParseError) as err:

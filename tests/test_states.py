@@ -384,6 +384,15 @@ class TestKeptArraysAreReadOnly:
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
                 pytest.fail(f"{name} is writeable")
 
+    @pytest.mark.parametrize("name", ["rank", "total_degree", "connected", "max_w"])
+    def test_a_stacks_graph_scalars_are_read_only(self, name):
+        # one state's are scalars; a stack's are arrays, one value per state
+        assert not isinstance(getattr(build("rho5"), name), np.ndarray)
+        values = getattr(build_stack("rho6", [0.2, 0.5]), name)
+        assert values.shape == (2,)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[1]
+
 
 class TestStacks:
     @pytest.mark.parametrize("part", [np.asarray, np.real])  # complex states, and their real parts
